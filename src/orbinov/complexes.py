@@ -10,7 +10,7 @@ from collections import deque
 from itertools import permutations
 
 from .errors import DocumentError, ValidationError
-from .snf import smith_normal_form
+from .snf import mat_mul, smith_normal_form
 
 __all__ = ["SimplicialComplex", "build_complex", "sort_with_parity",
            "IntHomology", "integer_homology", "homology_of_matrices",
@@ -237,7 +237,7 @@ def homology_of_matrices(ncells, boundaries):
             snfs.append(None)
             ranks.append(0)
     for q in range(1, top):
-        comp = _mat_mul_int(boundaries[q], boundaries[q + 1])
+        comp = mat_mul(boundaries[q], boundaries[q + 1])
         if any(any(row) for row in comp):
             raise ValidationError("boundary squared is nonzero in degree %d"
                                   % (q + 1,))
@@ -249,22 +249,6 @@ def homology_of_matrices(ncells, boundaries):
     if any(b < 0 for b in betti):
         raise ValidationError("negative betti number; ranks are inconsistent")
     return IntHomology(betti, torsion)
-
-
-def _mat_mul_int(A, B):
-    if not A or not B:
-        return []
-    cols = len(B[0])
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for a, brow in zip(row, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-        out.append(acc)
-    return out
 
 
 def integer_homology(X):

@@ -1,13 +1,17 @@
 """Matrices over the weighted Laurent ring: rank and invariant factors.
 
-Rank is fraction-free (Bareiss), valid for any weight rank.  Invariant
-factors run in two stages: unit pivots are eliminated with exact row
-and column operations in the localized ring, then the residual matrix
-(which has no unit entries left) is resolved through determinantal
-divisors, i.e. gcds of all i x i minors over the polynomial ring.
-Dividing consecutive divisors is exact because an i-minor expands into
-(i-1)-minors; the divisibility chain of the resulting factors is then
-re-verified inside the localized ring.
+Both run on one sparse unit-pivot elimination in the localized ring
+(the standard reduction of computational homology): every entry with
+a unit leading coefficient is pivoted away, and each pivot adds one to
+the rank and one unit invariant factor.  What remains is a residual
+block with no unit entries, usually empty for twisted boundaries.
+
+Rank then adds the fraction-free (Bareiss) rank of the residual, valid
+for any weight rank.  Invariant factors resolve the residual through
+determinantal divisors, i.e. gcds of all i x i minors over the
+polynomial ring.  Dividing consecutive divisors is exact because an
+i-minor expands into (i-1)-minors; the divisibility chain of the
+resulting factors is then re-verified inside the localized ring.
 """
 
 from .errors import UnsupportedOperationError, ValidationError
@@ -42,10 +46,6 @@ class WeightedLaurentMatrix:
     def entry(self, i, j):
         return self.entries.get((i, j), LaurentPoly(self.ws.r, {}))
 
-    def dense(self):
-        return [[self.entry(i, j) for j in range(self.ncols)]
-                for i in range(self.nrows)]
-
     def transpose(self):
         return WeightedLaurentMatrix(
             self.ws, self.ncols, self.nrows,
@@ -56,52 +56,117 @@ class WeightedLaurentMatrix:
             self.nrows, self.ncols, len(self.entries))
 
 
-def _pick_fewest_terms(M, rows, cols, predicate=None):
-    """Deterministic pivot: fewest terms, then smallest (row, col)."""
-    best = None
-    best_key = None
-    for i in rows:
-        for j in cols:
-            p = M[i][j]
-            if not p:
-                continue
-            if predicate is not None and not predicate(p):
-                continue
-            key = (p.n_terms(), i, j)
-            if best is None or key < best_key:
-                best, best_key = (i, j), key
-    return best
+def _eliminate_units(M):
+    """Sparse unit-pivot elimination: (units eliminated, residual rows).
+
+    Rows are dicts of localized scalars, with a column -> rows index.
+    The pivot is the unit entry with the fewest numerator terms, ties
+    broken by the smallest (row, col).  Row operations clear its
+    column; the matching column operations would only clear the rest
+    of the pivot row, so the pivot's row and column are dropped
+    instead.  The residual keeps the nonzero rows and columns as dense
+    Laurent rows, each multiplied by its own denominators (units of
+    the localized ring) and shifted to nonnegative exponents.
+    """
+    ws = M.ws
+    rows = {}
+    in_col = {}
+    for (i, j), p in M.entries.items():
+        rows.setdefault(i, {})[j] = LocalizedScalar(ws, p)
+        in_col.setdefault(j, set()).add(i)
+    unit_terms = {}
+
+    def track(i, j, s):
+        if s.is_unit():
+            unit_terms[(i, j)] = s.num.n_terms()
+        else:
+            unit_terms.pop((i, j), None)
+
+    for i, row in rows.items():
+        for j, s in row.items():
+            track(i, j, s)
+    units = 0
+    while unit_terms:
+        _, pi, pj = min((t, i, j) for (i, j), t in unit_terms.items())
+        prow = rows.pop(pi)
+        pivot = prow[pj]
+        for j in prow:
+            in_col[j].discard(pi)
+            unit_terms.pop((pi, j), None)
+        for i in in_col.pop(pj):
+            row = rows[i]
+            f = row.pop(pj) / pivot
+            unit_terms.pop((i, pj), None)
+            for j, b in prow.items():
+                if j == pj:
+                    continue
+                s = row[j] - f * b if j in row else -(f * b)
+                if s:
+                    row[j] = s
+                    in_col[j].add(i)
+                    track(i, j, s)
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+                    unit_terms.pop((i, j), None)
+        units += 1
+    cols = sorted(j for j, live in in_col.items() if live)
+    residual = [_clear_row(rows[i], cols, ws)
+                for i in sorted(rows) if rows[i]]
+    return units, residual
 
 
-def fraction_field_rank(M):
-    """Rank of the matrix over the fraction field, fraction-free.
+def _clear_row(row, cols, ws):
+    """Dense Laurent row: row times the product of its distinct
+    denominators, shifted so every exponent is nonnegative."""
+    dens = []
+    for s in row.values():
+        if s.den not in dens:
+            dens.append(s.den)
+    scale = LaurentPoly.const(ws.r, 1)
+    for d in dens:
+        scale = scale * d
+    zero = LaurentPoly(ws.r, {})
+    out = [row[j].num * exact_divide(scale, row[j].den) if j in row else zero
+           for j in cols]
+    lows = [p.exp_bounds()[0] for p in out if p]
+    neg = tuple(-min(lo[k] for lo in lows) for k in range(ws.r))
+    return [p.shift(neg) if p else p for p in out]
+
+
+def _bareiss_rank(rows, r):
+    """Rank over the fraction field of dense Laurent rows.
 
     Bareiss: every intermediate entry is a minor of the input, so the
     division at each step is exact in the polynomial ring.
     """
-    A = M.dense()
-    m, n = M.nrows, M.ncols
-    prev = LaurentPoly.const(M.ws.r, 1)
+    A = [list(row) for row in rows]
+    ncols = len(A[0]) if A else 0
+    prev = LaurentPoly.const(r, 1)
     rank = 0
-    row_live = list(range(m))
-    col_live = list(range(n))
-    while True:
-        pick = _pick_fewest_terms(A, row_live, col_live)
-        if pick is None:
-            return rank
-        pi, pj = pick
-        row_live.remove(pi)
-        col_live.remove(pj)
-        pivot = A[pi][pj]
-        for i in row_live:
-            for j in col_live:
-                num = A[i][j] * pivot - A[i][pj] * A[pi][j]
-                q = exact_divide(num, prev)
-                assert q is not None, "fraction-free step failed to divide"
-                A[i][j] = q
-            A[i][pj] = LaurentPoly(M.ws.r, {})
-        prev = pivot
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(A)) if A[i][j]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        pivot = A[rank]
+        for row in A[rank + 1:]:
+            for c in range(j + 1, ncols):
+                q = exact_divide(row[c] * pivot[j] - row[j] * pivot[c], prev)
+                if q is None:
+                    raise ValidationError(
+                        "fraction-free step failed to divide")
+                row[c] = q
+        prev = pivot[j]
         rank += 1
+    return rank
+
+
+def fraction_field_rank(M):
+    """Rank of the matrix over the fraction field: the unit pivots,
+    plus the fraction-free rank of the residual block."""
+    units, residual = _eliminate_units(M)
+    return units + _bareiss_rank(residual, M.ws.r)
 
 
 class InvariantFactors:
@@ -138,66 +203,16 @@ def invariant_factors(M, minor_cap=8):
     are refused rather than attempted.
     """
     ws = M.ws
-    scalars = [[LocalizedScalar(ws, M.entry(i, j)) for j in range(M.ncols)]
-               for i in range(M.nrows)]
-    units_found = 0
-    # stage 1: eliminate unit pivots with exact elementary operations
-    while True:
-        pick = None
-        best_key = None
-        for i, row in enumerate(scalars):
-            for j, s in enumerate(row):
-                if s and s.is_unit():
-                    key = (s.num.n_terms(), i, j)
-                    if pick is None or key < best_key:
-                        pick, best_key = (i, j), key
-        if pick is None:
-            break
-        pi, pj = pick
-        pivot = scalars[pi][pj]
-        for i in range(len(scalars)):
-            if i != pi and scalars[i][pj]:
-                f = scalars[i][pj] / pivot
-                scalars[i] = [a - f * b
-                              for a, b in zip(scalars[i], scalars[pi])]
-                assert not scalars[i][pj]
-        for j in range(len(scalars[pi])):
-            if j != pj and scalars[pi][j]:
-                f = scalars[pi][j] / pivot
-                for i in range(len(scalars)):
-                    scalars[i][j] = scalars[i][j] - f * scalars[i][pj]
-                assert not scalars[pi][j]
-        scalars = [[s for j, s in enumerate(row) if j != pj]
-                   for i, row in enumerate(scalars) if i != pi]
-        units_found += 1
+    units, residual = _eliminate_units(M)
     one = LaurentPoly.const(ws.r, 1)
-    factors = [one] * units_found
-    m = len(scalars)
-    n = len(scalars[0]) if scalars else 0
-    if m == 0 or n == 0 or all(not s for row in scalars for s in row):
+    factors = [one] * units
+    if not residual:
         return InvariantFactors(ws, factors, 0)
     if ws.r >= 2:
         raise UnsupportedOperationError(
             "residual invariant factors need gcds; weight rank %d has none"
             % (ws.r,))
-    # stage 2: clear denominators (a unit scaling, so associate classes
-    # of the factors survive) and shift all exponents to be nonnegative
-    denom = one
-    for row in scalars:
-        for s in row:
-            if s and s.den != denom:
-                g = localized_gcd(denom, s.den, ws)
-                extra = exact_divide(s.den, g)
-                denom = denom * extra
-    cleared = [[_scale_clear(s, denom, ws) for s in row] for row in scalars]
-    shift = [0] * ws.r
-    for row in cleared:
-        for p in row:
-            if p:
-                lo = p.exp_bounds()[0]
-                shift = [min(a, b) for a, b in zip(shift, lo)]
-    neg = tuple(-x for x in shift)
-    cleared = [[p.shift(neg) if p else p for p in row] for row in cleared]
+    m, n = len(residual), len(residual[0])
     if min(m, n) > minor_cap:
         raise UnsupportedOperationError(
             "residual block is %d x %d; gcd-of-minors is capped at %d "
@@ -205,11 +220,12 @@ def invariant_factors(M, minor_cap=8):
     prev_delta = one
     nonunit = []
     for size in range(1, min(m, n) + 1):
-        delta = _minor_gcd(cleared, size, ws)
+        delta = _minor_gcd(residual, size, ws)
         if not delta:
             break
         d = exact_divide(delta, prev_delta)
-        assert d is not None, "determinantal divisors failed to divide"
+        if d is None:
+            raise ValidationError("determinantal divisors failed to divide")
         if d.terms.get(max(d.terms), 0) < 0:
             d = -d
         nonunit.append(d)
@@ -229,14 +245,6 @@ def invariant_factors(M, minor_cap=8):
                 % (a, b))
     factors.extend(factors_tail)
     return InvariantFactors(ws, factors, len(factors_tail))
-
-
-def _scale_clear(s, denom, ws):
-    if not s:
-        return LaurentPoly(ws.r, {})
-    extra = exact_divide(denom, s.den)
-    assert extra is not None
-    return s.num * extra
 
 
 def _minor_gcd(rows, size, ws):

@@ -82,8 +82,8 @@ def integralize(cochain, h1=None):
         if not any(per):
             continue
         coeffs = q_solve(cols, list(per))
-        assert coeffs is not None and all(c.denominator == 1 for c in coeffs), \
-            "off-tree period escaped the period lattice"
+        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            raise ValidationError("off-tree period escaped the period lattice")
         exp = tuple(int(c) for c in coeffs)
         if any(exp):
             exponents[(u, v)] = exp
@@ -138,8 +138,9 @@ def twisted_complex(cochain, h1=None, lift=None):
         boundary[q] = WeightedLaurentMatrix(
             ws, X.n_cells(q - 1), X.n_cells(q), entries)
     for q in range(1, X.dim):
-        assert _sparse_product_is_zero(boundary[q], boundary[q + 1]), \
-            "twisted boundary squared is nonzero in degree %d" % (q + 1,)
+        if not _sparse_product_is_zero(boundary[q], boundary[q + 1]):
+            raise ValidationError(
+                "twisted boundary squared is nonzero in degree %d" % (q + 1,))
     return TwistedComplex(X, lift, ws, boundary)
 
 
@@ -184,13 +185,14 @@ class NovikovNumbers:
                 % (self.betti, self.torsion, self.rank, self.route))
 
 
-def novikov_numbers(cochain, minor_cap=8):
+def novikov_numbers(cochain):
     """Betti and torsion numbers of a closed cochain's class.
 
-    Rank zero classes reduce to ordinary integer homology.  For
-    positive rank the betti numbers come from fraction-field ranks;
-    torsion additionally needs invariant factors, which exist as an
-    algorithm only at rank one.
+    Rank zero classes reduce to ordinary integer homology.  At rank
+    one each boundary is reduced once, and its invariant factors give
+    both the rank and the torsion.  At higher rank the betti numbers
+    come from fraction-field ranks; torsion needs invariant factors,
+    which exist as an algorithm only at rank one.
     """
     X = cochain.complex
     h1 = H1Presentation(X)
@@ -204,8 +206,14 @@ def novikov_numbers(cochain, minor_cap=8):
     tc = twisted_complex(cochain, h1, lift)
     top = X.dim
     rho = [0] * (top + 2)
+    torsion = [0] * (top + 1)
     for q in range(1, top + 1):
-        rho[q] = fraction_field_rank(tc.boundary[q])
+        if r == 1:
+            inv = invariant_factors(tc.boundary[q])
+            rho[q] = inv.rank
+            torsion[q - 1] = inv.nonunit_count
+        else:
+            rho[q] = fraction_field_rank(tc.boundary[q])
     betti = [X.n_cells(q) - rho[q] - rho[q + 1] for q in range(top + 1)]
     if any(b < 0 for b in betti):
         raise ValidationError("negative twisted betti number")
@@ -213,15 +221,6 @@ def novikov_numbers(cochain, minor_cap=8):
         return NovikovNumbers(
             betti, None, r, "betti-only",
             "torsion needs a rank one class; consider rank1_perturb")
-    torsion = []
-    for q in range(top + 1):
-        if q + 1 <= top:
-            inv = invariant_factors(tc.boundary[q + 1], minor_cap=minor_cap)
-            assert inv.rank == rho[q + 1], \
-                "invariant factor rank disagrees with fraction-field rank"
-            torsion.append(inv.nonunit_count)
-        else:
-            torsion.append(0)
     return NovikovNumbers(betti, torsion, 1, "rank-one")
 
 
@@ -287,8 +286,8 @@ def _explicit_cover_homology(X, lift, p):
             simplices.append(tuple(label(v, (level + off) % p)
                                    for v, off in zip(cell, offsets)))
     cover = build_complex(simplices)
-    assert all(cover.n_cells(q) == p * X.n_cells(q)
-               for q in range(X.dim + 1)), "cover has collapsed cells"
+    if any(cover.n_cells(q) != p * X.n_cells(q) for q in range(X.dim + 1)):
+        raise ValidationError("cover has collapsed cells")
     return integer_homology(cover)
 
 

@@ -242,6 +242,7 @@ def test_criterion_06_cyclic_cover_oracle():
 # ------------------------------------------------------------ criterion 7
 
 def test_criterion_07_scaling_and_gauge_invariance():
+    start = time.monotonic()
     ok = True
     for name, cname in RANK_ONE:
         _, down = orbit_cochain(name, cname)
@@ -263,8 +264,9 @@ def test_criterion_07_scaling_and_gauge_invariance():
             nums = novikov_numbers(shifted)
             ok = ok and nums.betti == base.betti
             ok = ok and nums.torsion == base.torsion
+    elapsed = time.monotonic() - start
     report(7, "numbers invariant under positive scaling and gauge "
-              "shifts", ok)
+              "shifts (%.1fs)" % elapsed, ok and elapsed < 10)
 
 
 # ------------------------------------------------------------ criterion 8

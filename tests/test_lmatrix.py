@@ -7,8 +7,8 @@ import pytest
 
 from orbinov import UnsupportedOperationError, smith_normal_form
 from orbinov.laurent import LaurentPoly, WeightSystem
-from orbinov.lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
-                             invariant_factors)
+from orbinov.lmatrix import (WeightedLaurentMatrix, _eliminate_units,
+                             fraction_field_rank, invariant_factors)
 from orbinov.localized import associates
 
 from oracles import gauss_rank
@@ -39,17 +39,43 @@ def int_mat(rows):
     return mat(WS0, [[const(c, 0) for c in row] for row in rows])
 
 
-def _eval_rank(M, t):
-    """Rank after substituting a rational value for the variable."""
+def _eval_rank(M, *point):
+    """Rank after substituting rational values for the variables."""
     rows = []
     for i in range(M.nrows):
         row = []
         for j in range(M.ncols):
             p = M.entry(i, j)
-            row.append(sum(Fraction(c) * t ** e[0]
-                           for e, c in p.terms.items()))
+            total = Fraction(0)
+            for e, c in p.terms.items():
+                term = Fraction(c)
+                for t, k in zip(point, e):
+                    term *= t ** k
+                total += term
+            row.append(total)
         rows.append(row)
     return gauss_rank(rows)
+
+
+def _boundary_like(rng, ws, m, n):
+    """Sparse matrix shaped like a twisted boundary: a few faces per
+    column, entries +-T^e or a sum of two such monomials."""
+    def monomial():
+        exp = tuple(rng.randint(-1, 1) for _ in range(ws.r))
+        return LaurentPoly.monomial(ws.r, exp, rng.choice((1, -1)))
+
+    entries = {}
+    for j in range(n):
+        for i in rng.sample(range(m), min(m, rng.randint(1, 3))):
+            p = monomial()
+            if rng.random() < 0.4:
+                p = p + monomial()
+            entries[(i, j)] = p
+    return WeightedLaurentMatrix(ws, m, n, entries)
+
+
+EVAL_POINTS = [Fraction(7, 3), Fraction(-11, 5), Fraction(13, 2),
+               Fraction(-17, 7)]
 
 
 def test_matrix_container():
@@ -169,6 +195,7 @@ def test_invariant_factors_match_snf_rank_zero():
         snf = smith_normal_form(rows)
         expected = [d for d in snf.diagonal if d != 0]
         assert inv.rank == len(expected)
+        assert fraction_field_rank(int_mat(rows)) == len(expected)
         got = [abs(p.terms.get((), 0)) for p in inv.factors]
         assert got == expected
         assert inv.nonunit_count == sum(1 for d in expected if d > 1)
@@ -192,3 +219,51 @@ def test_minor_cap_refusal():
         invariant_factors(mat(WS0, rows))
     inv = invariant_factors(mat(WS0, rows), minor_cap=9)
     assert inv.rank == 9 and inv.nonunit_count == 9
+
+
+def test_elimination_differential_rank_one():
+    rng = random.Random(2024)
+    for _ in range(40):
+        M = _boundary_like(rng, WS1, rng.randint(1, 12), rng.randint(1, 12))
+        rank = fraction_field_rank(M)
+        samples = [_eval_rank(M, t) for t in EVAL_POINTS]
+        assert rank == max(samples)
+        assert invariant_factors(M).rank == rank
+
+
+def test_elimination_differential_rank_two():
+    rng = random.Random(2025)
+    pairs = list(zip(EVAL_POINTS, reversed(EVAL_POINTS)))
+    for _ in range(40):
+        M = _boundary_like(rng, WS2, rng.randint(1, 10), rng.randint(1, 10))
+        rank = fraction_field_rank(M)
+        assert rank == max(_eval_rank(M, s, t) for s, t in pairs)
+
+
+def test_residual_with_denominators():
+    # the unit pivot T - 1 leaves a 3 x 3 residual whose rows carry the
+    # denominator T - 1; the last row is the sum of the two before it
+    rows = [[T() - const(1), const(2), const(2), const(0)],
+            [const(4), const(2), const(0), const(2)],
+            [const(4), const(0), const(2), const(2)],
+            [const(8), const(2), const(2), const(4)]]
+    M = mat(WS1, rows)
+    units, residual = _eliminate_units(M)
+    assert units == 1 and len(residual) == 3
+    # (2 - 8/(T-1), -8/(T-1), 2) times T - 1
+    assert residual[0] == [T() * 2 - const(10), const(-8),
+                           T() * 2 - const(2)]
+    assert fraction_field_rank(M) == 3
+    assert max(_eval_rank(M, t) for t in EVAL_POINTS) == 3
+    inv = invariant_factors(M)
+    # modulo 2 only the pivot survives, so two factors are even
+    assert inv.rank == 3 and inv.nonunit_count == 2
+    assert all(associates(d, const(2), WS1) for d in inv.nonunit_factors())
+
+
+def test_zero_rows_do_not_count_toward_minor_cap():
+    # nine rows, only two of them nonzero: the residual is 2 x 9
+    rows = [[const(2, 0) if i < 2 and j % 2 == i else const(0, 0)
+             for j in range(9)] for i in range(9)]
+    inv = invariant_factors(mat(WS0, rows), minor_cap=8)
+    assert inv.rank == 2 and inv.nonunit_count == 2

@@ -1,10 +1,14 @@
 """Integral lifts, twisted boundaries, Novikov numbers, cover oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbinov
 from orbinov.cochains import PeriodSpace, RationalCochain1, coboundary0
 from orbinov.complexes import IntHomology, build_complex, integer_homology
 from orbinov.errors import UnsupportedOperationError, ValidationError
@@ -234,3 +238,21 @@ def test_cyclic_cover_random_gauge_stability():
         chk = cyclic_cover_oracle(om, 3)
         assert chk.consistent
         assert chk.explicit.betti == [1, 4]
+
+
+def test_result_guard_survives_optimized_mode():
+    # klein is two dimensional, so its twisted boundaries compose and
+    # the d o d guard runs; under -O an assert there would vanish
+    script = "\n".join([
+        "import sys",
+        "import orbinov.twisted",
+        "orbinov.twisted._sparse_product_is_zero = lambda A, B: False",
+        "from orbinov import cli",
+        "sys.exit(cli.main(['novikov', 'klein', '--class', 'dy']))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "boundary squared is nonzero" in proc.stderr
