@@ -24,9 +24,9 @@ from .errors import (DocumentError, UnsupportedOperationError,
                      ValidationError)
 from .inequalities import check_inequalities
 from .nerve import identity_failures, nerve_model
-from .periods import H1Presentation, gamma_basis, period_homomorphism
 from .snf import smith_normal_form
-from .twisted import cyclic_cover_oracle, novikov_numbers, rank1_perturb
+from .twisted import (cyclic_cover_oracle, integralize, novikov_numbers,
+                      rank1_perturb)
 
 __all__ = ["main", "corpus_names", "resolve_document"]
 
@@ -57,20 +57,12 @@ def resolve_document(spec):
 
 
 def _orbit_space(doc):
-    """Orbit complex, subdivision stage count, and the quotient data."""
+    """Orbit complex, subdivision stage count, and the map that moves a
+    cocycle of the document down to the orbit complex."""
     if doc.action is None:
-        return doc.space, None, None
+        return doc.space, None, lambda om: om
     qres = quotient_complex(doc.action)
-    return qres.complex, qres.stages, qres
-
-
-def _orbit_cochain(doc, name):
-    """The named cocycle moved down to the orbit space."""
-    om = doc.cochain(name)
-    if doc.action is None:
-        return doc.space, om
-    qres = quotient_complex(doc.action)
-    return qres.complex, descend_cochain(qres, om)
+    return qres.complex, qres.stages, lambda om: descend_cochain(qres, om)
 
 
 def _trivial_action(X):
@@ -121,27 +113,21 @@ def cmd_homology(args):
     return 0
 
 
-def _period_report(doc, name):
-    X, om = _orbit_cochain(doc, name)
-    h1 = H1Presentation(X)
-    ph = period_homomorphism(h1, om)
-    basis = gamma_basis(ph)
-    return X, om, h1, ph, basis
-
-
 def cmd_periods(args):
     doc = resolve_document(args.document)
-    X, om, h1, ph, basis = _period_report(doc, args.cocycle)
-    space = om.space
-    free = [space.format(p) for p in ph.free_periods()]
+    om = doc.cochain(args.cocycle)
+    _, _, down = _orbit_space(doc)
+    lift = integralize(down(om))
+    ph = lift.periods
+    free = [om.space.format(p) for p in ph.free_periods()]
     payload = {"command": "periods", "document": doc.name,
                "cocycle": args.cocycle,
-               "h1_free_rank": sum(1 for d in h1.orders if d == 0),
-               "h1_torsion_orders": [d for d in h1.orders if d],
+               "h1_free_rank": ph.h1.free_rank,
+               "h1_torsion_orders": ph.h1.torsion_orders,
                "free_generator_periods": free,
                "gamma_basis": [[format_fraction(x) for x in vec]
-                               for vec in basis],
-               "rank": len(basis),
+                               for vec in lift.basis],
+               "rank": lift.rank,
                "integral": ph.is_integral()}
     lines = ["%s, cocycle %s: periods" % (doc.name, args.cocycle),
              "  h1 free rank %d, torsion orders %r"
@@ -156,30 +142,38 @@ def cmd_periods(args):
     return 0
 
 
-def _inequality_payload(report):
-    return {"mode": report.mode, "holds": report.holds,
-            "rows": [{"family": row.family, "degree": row.degree,
-                      "lhs": row.lhs, "rhs": row.rhs,
-                      "slack": row.slack, "ok": row.ok}
-                     for row in report.rows]}
+def _check_blocks(doc, numbers, lines):
+    """Check the numbers against every critical block of the document.
 
-
-def _inequality_lines(name, report, indent="  "):
-    lines = ["%sagainst %r (%s): %s"
-             % (indent, name, report.mode,
-                "holds" if report.holds else "VIOLATED")]
-    for row in report.rows:
-        lines.append("%s  %s" % (indent, row))
-    return lines
+    Appends the text report to lines; returns the json blocks by name
+    and whether every block holds.
+    """
+    blocks = {}
+    all_hold = True
+    for name in doc.critical_names():
+        report = check_inequalities(numbers, doc.critical(name))
+        blocks[name] = {"mode": report.mode, "holds": report.holds,
+                        "rows": [{"family": row.family, "degree": row.degree,
+                                  "lhs": row.lhs, "rhs": row.rhs,
+                                  "slack": row.slack, "ok": row.ok}
+                                 for row in report.rows]}
+        all_hold = all_hold and report.holds
+        lines.append("  against %r (%s): %s"
+                     % (name, report.mode,
+                        "holds" if report.holds else "VIOLATED"))
+        lines.extend("    %s" % (row,) for row in report.rows)
+    return blocks, all_hold
 
 
 def cmd_novikov(args):
     doc = resolve_document(args.document)
-    X, om, h1, ph, basis = _period_report(doc, args.cocycle)
-    numbers = novikov_numbers(om)
+    om = doc.cochain(args.cocycle)
+    _, _, down = _orbit_space(doc)
+    numbers = novikov_numbers(down(om))
     payload = {"command": "novikov", "document": doc.name,
                "cocycle": args.cocycle, "rank": numbers.rank,
-               "route": numbers.route, "integral": ph.is_integral(),
+               "route": numbers.route,
+               "integral": numbers.lift.periods.is_integral(),
                "betti": list(numbers.betti),
                "torsion": (None if numbers.torsion is None
                            else list(numbers.torsion)),
@@ -196,12 +190,7 @@ def cmd_novikov(args):
     lines.append("  euler characteristic: %d" % (payload["euler"],))
     if numbers.note:
         lines.append("  note: %s" % (numbers.note,))
-    blocks = {}
-    for bname in doc.critical_names():
-        report = check_inequalities(numbers, doc.critical(bname))
-        blocks[bname] = _inequality_payload(report)
-        lines.extend(_inequality_lines(bname, report))
-    payload["inequalities"] = blocks
+    payload["inequalities"], _ = _check_blocks(doc, numbers, lines)
     _emit(args, payload, lines)
     return 3 if numbers.rank >= 2 else 0
 
@@ -211,21 +200,18 @@ def cmd_check(args):
     if not doc.critical_blocks:
         raise DocumentError("document %r carries no critical_data"
                             % (doc.name,))
-    _, om = _orbit_cochain(doc, args.cocycle)
-    numbers = novikov_numbers(om)
+    om = doc.cochain(args.cocycle)
+    _, _, down = _orbit_space(doc)
+    numbers = novikov_numbers(down(om))
     payload = {"command": "check-inequalities", "document": doc.name,
                "cocycle": args.cocycle, "rank": numbers.rank,
                "betti": list(numbers.betti),
                "torsion": (None if numbers.torsion is None
-                           else list(numbers.torsion)),
-               "blocks": {}, "all_hold": True}
+                           else list(numbers.torsion))}
     lines = ["%s, cocycle %s: inequality check"
              % (doc.name, args.cocycle)]
-    for bname in doc.critical_names():
-        report = check_inequalities(numbers, doc.critical(bname))
-        payload["blocks"][bname] = _inequality_payload(report)
-        payload["all_hold"] = payload["all_hold"] and report.holds
-        lines.extend(_inequality_lines(bname, report))
+    payload["blocks"], payload["all_hold"] = _check_blocks(doc, numbers,
+                                                           lines)
     lines.append("  verdict: %s"
                  % ("all hold" if payload["all_hold"] else "VIOLATED"))
     _emit(args, payload, lines)
@@ -235,6 +221,7 @@ def cmd_check(args):
 def cmd_validate(args):
     doc = resolve_document(args.document)
     checks = []
+    down = None
 
     def record(name, status, detail=""):
         checks.append({"check": name, "status": status, "detail": detail})
@@ -261,15 +248,14 @@ def cmd_validate(args):
         record(label + ": nerve identities (depth %d)" % (args.depth,),
                "fail" if fails else "pass", "; ".join(fails[:3]))
         if args.cyclic is not None:
-            X, down = _orbit_cochain(doc, cname)
-            rank = len(gamma_basis(period_homomorphism(
-                H1Presentation(X), down)))
-            if rank != 1:
+            if model.r != 1:
                 record(label + ": cyclic cover p=%d" % (args.cyclic,),
                        "skip", "rank %d class, oracle needs rank 1"
-                       % (rank,))
+                       % (model.r,))
             else:
-                check = cyclic_cover_oracle(down, args.cyclic)
+                if down is None:
+                    _, _, down = _orbit_space(doc)
+                check = cyclic_cover_oracle(down(om), args.cyclic)
                 record(label + ": cyclic cover p=%d" % (args.cyclic,),
                        "pass" if check.consistent else "fail",
                        "" if check.consistent

@@ -213,19 +213,29 @@ def coboundary0(complex, potential, space=None):
     return RationalCochain1(complex, values, space)
 
 
-def is_exact(cochain):
-    """Potential vertex function if the cochain is a coboundary, else None.
+def forest_potential(cochain, parent, order):
+    """Vertex function integrating the cochain along a spanning forest.
 
-    The potential vanishes at the lowest vertex of each component.
+    parent and order are those of bfs_forest; roots get zero, so the
+    cochain minus the coboundary of the result vanishes on the forest.
     """
-    X = cochain.complex
-    roots, parent, order = bfs_forest(X)
     f = {}
     for v in order:
         if v in parent:
             f[v] = vec_add(f[parent[v]], cochain.value(parent[v], v))
         else:
             f[v] = cochain.space.zero()
+    return f
+
+
+def is_exact(cochain):
+    """Potential vertex function if the cochain is a coboundary, else None.
+
+    The potential vanishes at the lowest vertex of each component.
+    """
+    X = cochain.complex
+    _, parent, order = bfs_forest(X)
+    f = forest_potential(cochain, parent, order)
     for (u, v) in (X.cells[1] if X.dim >= 1 else []):
         if vec_sub(f[v], f[u]) != cochain.value(u, v):
             return None
@@ -308,7 +318,9 @@ def descend_cochain(qres, cochain):
         key = tuple(sorted((pu, pv), key=Y.vertex_index.__getitem__))
         vec = current.value(u, v) if key == (pu, pv) else current.value(v, u)
         if key in seen:
-            assert seen[key] == vec, "invariant cochain disagreed on an orbit"
+            if seen[key] != vec:
+                raise ValidationError(
+                    "invariant cochain disagreed on an orbit")
         else:
             seen[key] = vec
             values[key] = vec

@@ -27,7 +27,6 @@ from .actions import quotient_complex
 from .cochains import descend_cochain, is_invariant
 from .errors import DocumentError, ValidationError
 from .laurent import LaurentPoly
-from .periods import H1Presentation
 from .twisted import integralize
 
 __all__ = ["NerveCell", "LocalChain", "NerveModel", "nerve_model",
@@ -302,7 +301,7 @@ def nerve_model(action, cochain, depth=4):
         raise ValidationError("cochain is not invariant, hence not basic")
     qres = quotient_complex(action)
     down = descend_cochain(qres, cochain)
-    lift = integralize(down, H1Presentation(qres.complex))
+    lift = integralize(down)
     act = qres.action
     proj = qres.projection
     exponents = {}

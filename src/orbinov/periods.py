@@ -11,7 +11,7 @@ coordinates, so torsion generators are forced to have period zero.
 import math
 from fractions import Fraction
 
-from .cochains import vec_add, vec_scale, vec_sub
+from .cochains import forest_potential, vec_add, vec_scale, vec_sub
 from .complexes import bfs_forest
 from .errors import DocumentError, ValidationError
 from .qlinalg import q_solve
@@ -28,15 +28,17 @@ class H1Presentation:
     generators come first.  generator_cycles[i] is an explicit 1-cycle
     for generator i, in off-tree coordinates: entry j counts the
     oriented uses of off-tree edge j, and the tree part is implied.
+    parent and order are the spanning forest from bfs_forest, kept so
+    that period maps on this presentation reuse it.
     """
 
-    __slots__ = ("complex", "roots", "parent", "offtree", "offtree_index",
+    __slots__ = ("complex", "order", "parent", "offtree", "offtree_index",
                  "orders", "generator_cycles", "positions", "_S")
 
     def __init__(self, complex):
         self.complex = complex
-        roots, parent, _ = bfs_forest(complex)
-        self.roots = roots
+        _, parent, order = bfs_forest(complex)
+        self.order = order
         self.parent = parent
         key_of = complex.vertex_index.__getitem__
         tree_edges = set()
@@ -179,16 +181,9 @@ def period_homomorphism(h1, cochain):
     Torsion generators must come out with period zero; anything else
     means the inputs are inconsistent.
     """
-    X = h1.complex
-    if cochain.complex is not X:
+    if cochain.complex is not h1.complex:
         raise DocumentError("cochain lives on a different complex")
-    _, parent, order = bfs_forest(X)
-    f = {}
-    for v in order:
-        if v in parent:
-            f[v] = vec_add(f[parent[v]], cochain.value(parent[v], v))
-        else:
-            f[v] = cochain.space.zero()
+    f = forest_potential(cochain, h1.parent, h1.order)
     fundamental = []
     for (u, v) in h1.offtree:
         per = vec_sub(cochain.value(u, v), vec_sub(f[v], f[u]))

@@ -191,7 +191,8 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
         for i in range(m):
             for j in range(n):
                 want = diagonal[i] if i == j and i < len(diagonal) else 0
-                assert D[i][j] == want, "transform bookkeeping broke"
+                if D[i][j] != want:
+                    raise ValidationError("transform bookkeeping broke")
         transforms = (S, Si, T, Ti)
     return SNFResult(diagonal, (m, n), transforms)
 

@@ -1,18 +1,19 @@
 """Twisted chain complexes and exact Novikov numbers.
 
 A closed rational cochain is first replaced by an integer-valued
-exponent cochain: a forest gauge makes it vanish on tree edges, and
-the leftover edge values are expanded in a lattice basis of the period
-group.  The boundary maps of the complex then pick up monomial
-coefficients (the face dropping the first vertex is transported along
-its first edge), giving matrices over the weighted Laurent ring whose
-ranks and invariant factors are the Novikov betti and torsion numbers.
+exponent cochain: the periods of the off-tree edges of a spanning
+forest are expanded in a lattice basis of the period group, and tree
+edges get exponent zero.  The boundary maps of the complex then pick
+up monomial coefficients (the face dropping the first vertex is
+transported along its first edge), giving matrices over the weighted
+Laurent ring whose ranks and invariant factors are the Novikov betti
+and torsion numbers.
 """
 
 from fractions import Fraction
 
-from .cochains import RationalCochain1, PeriodSpace, vec_add
-from .complexes import bfs_forest, homology_of_matrices, integer_homology
+from .cochains import RationalCochain1, PeriodSpace
+from .complexes import homology_of_matrices, integer_homology
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -28,19 +29,21 @@ __all__ = ["IntegralLift", "integralize", "TwistedComplex",
 class IntegralLift:
     """Integer exponent cochain representing a closed cochain's class.
 
-    basis spans the period lattice; exponents maps each stored edge to
-    a vector of integers, zero on the gauge forest.  The original
-    cochain differs from the lifted one by the coboundary of
-    potential, so every loop period is preserved.
+    periods is the period map the lift was read from, and basis spans
+    its period lattice.  exponents maps an off-tree edge of the period
+    map's spanning forest to the integer coordinates of its period in
+    that basis; every other edge has exponent zero.  The lifted cochain
+    differs from the original by a coboundary, so every loop period is
+    preserved.
     """
 
-    __slots__ = ("complex", "basis", "exponents", "potential")
+    __slots__ = ("complex", "periods", "basis", "exponents")
 
-    def __init__(self, complex, basis, exponents, potential):
+    def __init__(self, complex, periods, basis, exponents):
         self.complex = complex
+        self.periods = periods
         self.basis = basis
         self.exponents = exponents
-        self.potential = potential
 
     @property
     def rank(self):
@@ -55,30 +58,22 @@ class IntegralLift:
         return (0,) * self.rank
 
 
-def integralize(cochain, h1=None):
-    """Exponent cochain of a closed cochain, gauge fixed on a forest.
+def integralize(cochain):
+    """Integral lift of a closed cochain's class.
 
-    The gauge shift is by an honest coboundary, so the represented
-    cohomology class is untouched; values on the remaining edges are
-    resolved in the period lattice basis and must come out integral.
+    Presents H_1 of the cochain's complex, takes the period map on that
+    presentation, reduces the free periods to a lattice basis, and
+    expands the period of each off-tree edge in the basis; each stage
+    runs once, and every expansion must come out integral.
     """
     X = cochain.complex
-    if h1 is None:
-        h1 = H1Presentation(X)
-    ph = period_homomorphism(h1, cochain)
+    ph = period_homomorphism(H1Presentation(X), cochain)
     basis = gamma_basis(ph)
     r = len(basis)
-    _, parent, order = bfs_forest(X)
-    f = {}
-    for v in order:
-        if v in parent:
-            f[v] = vec_add(f[parent[v]], cochain.value(parent[v], v))
-        else:
-            f[v] = cochain.space.zero()
     exponents = {}
     k = cochain.space.k
     cols = [[basis[j][i] for j in range(r)] for i in range(k)]
-    for (u, v), per in zip(h1.offtree, ph.fundamental_periods):
+    for (u, v), per in zip(ph.h1.offtree, ph.fundamental_periods):
         if not any(per):
             continue
         coeffs = q_solve(cols, list(per))
@@ -87,7 +82,7 @@ def integralize(cochain, h1=None):
         exp = tuple(int(c) for c in coeffs)
         if any(exp):
             exponents[(u, v)] = exp
-    return IntegralLift(X, basis, exponents, f)
+    return IntegralLift(X, ph, basis, exponents)
 
 
 class TwistedComplex:
@@ -105,17 +100,16 @@ class TwistedComplex:
         return self.complex.n_cells(q)
 
 
-def twisted_complex(cochain, h1=None, lift=None):
-    """Matrices of the twisted boundary over the weighted Laurent ring.
+def twisted_complex(lift):
+    """Boundary matrices of the lift's complex over the weighted Laurent
+    ring of its period lattice.
 
     The face that drops a cell's first vertex changes basepoint, so
-    its coefficient is transported by the monomial of the first edge;
-    all other faces keep plain alternating signs.  The composite of
-    consecutive maps is verified to vanish.
+    its coefficient is transported by the monomial of the first edge's
+    exponent; all other faces keep plain alternating signs.  The
+    composite of consecutive maps is verified to vanish.
     """
-    X = cochain.complex
-    if lift is None:
-        lift = integralize(cochain, h1)
+    X = lift.complex
     ws = WeightSystem(lift.basis)
     r = ws.r
     boundary = {}
@@ -165,10 +159,12 @@ class NovikovNumbers:
     route is "integral" when the class vanishes (ordinary homology),
     "rank-one" when torsion is computed through invariant factors, and
     "betti-only" when the period lattice has rank two or more, where
-    torsion is left as None.
+    torsion is left as None.  novikov_numbers sets lift to the
+    IntegralLift the numbers came from; numbers built directly have
+    lift None.
     """
 
-    __slots__ = ("betti", "torsion", "rank", "route", "note")
+    __slots__ = ("betti", "torsion", "rank", "route", "note", "lift")
 
     def __init__(self, betti, torsion, rank, route, note=None):
         self.betti = betti
@@ -176,6 +172,7 @@ class NovikovNumbers:
         self.rank = rank
         self.route = route
         self.note = note
+        self.lift = None
 
     def euler(self):
         return sum((-1) ** q * b for q, b in enumerate(self.betti))
@@ -194,16 +191,21 @@ def novikov_numbers(cochain):
     come from fraction-field ranks; torsion needs invariant factors,
     which exist as an algorithm only at rank one.
     """
-    X = cochain.complex
-    h1 = H1Presentation(X)
-    lift = integralize(cochain, h1)
+    lift = integralize(cochain)
+    numbers = _novikov_of_lift(lift)
+    numbers.lift = lift
+    return numbers
+
+
+def _novikov_of_lift(lift):
+    X = lift.complex
     r = lift.rank
     if r == 0:
         ih = integer_homology(X)
         return NovikovNumbers(list(ih.betti),
                               [len(t) for t in ih.torsion],
                               0, "integral")
-    tc = twisted_complex(cochain, h1, lift)
+    tc = twisted_complex(lift)
     top = X.dim
     rho = [0] * (top + 2)
     torsion = [0] * (top + 1)
@@ -243,7 +245,7 @@ class CyclicCoverCheck:
                 % (self.p, self.consistent, self.explicit))
 
 
-def cyclic_cover_oracle(cochain, p, h1=None):
+def cyclic_cover_oracle(cochain, p):
     """Homology of the degree p cyclic cover, computed two ways.
 
     The explicit route builds the cover as a simplicial complex with
@@ -256,14 +258,13 @@ def cyclic_cover_oracle(cochain, p, h1=None):
     if not 2 <= p <= 12:
         raise UnsupportedOperationError(
             "cover degree %d out of the supported range 2..12" % (p,))
-    X = cochain.complex
-    lift = integralize(cochain, h1)
+    lift = integralize(cochain)
     if lift.rank != 1:
         raise UnsupportedOperationError(
             "cyclic covers need a rank one class, got rank %d" % (lift.rank,))
-    tc = twisted_complex(cochain, lift=lift)
-    explicit = _explicit_cover_homology(X, lift, p)
-    algebraic = _block_substitution_homology(X, tc, p)
+    tc = twisted_complex(lift)
+    explicit = _explicit_cover_homology(lift.complex, lift, p)
+    algebraic = _block_substitution_homology(lift.complex, tc, p)
     return CyclicCoverCheck(p, explicit, algebraic)
 
 

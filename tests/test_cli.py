@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, main
+from orbinov.complexes import bfs_forest
 from orbinov.documents import loads_document
+from orbinov.periods import H1Presentation
+from orbinov.snf import smith_normal_form
 
 
 def run(argv):
@@ -238,3 +244,48 @@ def test_round_trip_through_serialize(tmp_path):
         path.write_text(text, encoding="utf-8")
         code, data = run_json(["homology", str(path)])
         assert code == 0 and data["document"] == name
+
+
+def stage_counts(monkeypatch, argv):
+    """Calls of each analysis stage made by one successful command.
+
+    Every binding of a stage function in the orbinov modules is
+    replaced, so calls through any import path are counted.
+    """
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(H1Presentation, "__init__",
+                        counted("H1Presentation", H1Presentation.__init__))
+    modules = [mod for name, mod in sorted(sys.modules.items())
+               if name == "orbinov" or name.startswith("orbinov.")]
+    for fn in (bfs_forest, smith_normal_form, quotient_complex):
+        wrapper = counted(fn.__name__, fn)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+    code, _, err = run(argv)
+    assert code == 0, err
+    return counts
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["novikov", "klein", "--class", "dy"],
+     {"H1Presentation": 1, "bfs_forest": 1, "smith_normal_form": 1}),
+    (["novikov", "pillowcase", "--class", "zero"],
+     {"H1Presentation": 1, "bfs_forest": 1, "quotient_complex": 1}),
+    (["check-inequalities", "rp2", "--class", "zero"], {"bfs_forest": 1}),
+    # one quotient per nerve model and one for the document; one H_1
+    # per nerve model and one for the rank one class's cover oracle
+    (["validate", "hexagon_z2", "--cyclic", "3"],
+     {"quotient_complex": 3, "H1Presentation": 3, "bfs_forest": 3}),
+])
+def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
+    counts = stage_counts(monkeypatch, argv)
+    assert {name: counts[name] for name in want} == want

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import orbinov
 from orbinov.errors import ValidationError
 from orbinov.snf import (identity_matrix, mat_mul, row_lattice_basis,
                          smith_normal_form)
@@ -94,3 +98,23 @@ def test_row_lattice_basis_known():
     assert row_lattice_basis([[7, 0], [-3, 1]], 2) == [[1, 2], [0, 7]]
     assert row_lattice_basis([[0, 0]], 2) == []
     assert row_lattice_basis([[2, 4], [4, 8]], 2) == [[2, 4]]
+
+
+def test_transform_guard_survives_optimized_mode():
+    # every H_1 presentation checks its Smith transforms; a product
+    # that comes out wrong must still stop the command under -O
+    script = "\n".join([
+        "import sys",
+        "import orbinov.snf",
+        "product = orbinov.snf.mat_mul",
+        "orbinov.snf.mat_mul = lambda A, B: [[x + 1 for x in row]",
+        "                                    for row in product(A, B)]",
+        "from orbinov import cli",
+        "sys.exit(cli.main(['novikov', 'klein', '--class', 'dy']))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "transform bookkeeping broke" in proc.stderr

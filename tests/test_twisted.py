@@ -74,7 +74,7 @@ def test_integralize_exact_class_is_empty():
 
 def test_twisted_boundary_circle_entries():
     X = circle()
-    tc = twisted_complex(circle_dtheta(X))
+    tc = twisted_complex(integralize(circle_dtheta(X)))
     M = tc.boundary[1]
     assert M.nrows == 3 and M.ncols == 3
     t = LaurentPoly.monomial(1, (1,))
