@@ -7,7 +7,7 @@ and compares; agreement for several p is strong evidence the twisted
 bookkeeping (deck translations, signs, localization) is right.
 """
 
-from orbinov import cyclic_cover_oracle, quotient_complex
+from orbinov import cyclic_cover_oracle, integralize, quotient_complex
 from orbinov.cli import resolve_document
 from orbinov.cochains import descend_cochain
 
@@ -18,9 +18,11 @@ def check(name, cocycle):
     if doc.action is not None:
         qres = quotient_complex(doc.action)
         om = descend_cochain(qres, om)
+    # one integral lift of the class serves every cover degree
+    lift = integralize(om)
     print("%s / %s:" % (name, cocycle))
     for p in (2, 3, 5):
-        result = cyclic_cover_oracle(om, p)
+        result = cyclic_cover_oracle(lift, p)
         print("  p=%d: explicit cover %r, algebraic %r -> %s"
               % (p, result.explicit, result.algebraic,
                  "agree" if result.consistent else "DISAGREE"))

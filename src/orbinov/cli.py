@@ -220,8 +220,8 @@ def cmd_check(args):
 
 def cmd_validate(args):
     doc = resolve_document(args.document)
+    qres = None
     checks = []
-    down = None
 
     def record(name, status, detail=""):
         checks.append({"check": name, "status": status, "detail": detail})
@@ -240,22 +240,21 @@ def cmd_validate(args):
                        "some group element moves the cochain")
                 continue
             record(label + ": invariant", "pass")
-            action = doc.action
-        else:
-            action = _trivial_action(doc.space)
-        model = nerve_model(action, om, depth=args.depth)
+        if qres is None:
+            qres = quotient_complex(doc.action if doc.action is not None
+                                    else _trivial_action(doc.space))
+        lift = integralize(descend_cochain(qres, om))
+        model = nerve_model(qres, lift, depth=args.depth)
         fails = identity_failures(model, args.seed, samples=100)
         record(label + ": nerve identities (depth %d)" % (args.depth,),
                "fail" if fails else "pass", "; ".join(fails[:3]))
         if args.cyclic is not None:
-            if model.r != 1:
+            if lift.rank != 1:
                 record(label + ": cyclic cover p=%d" % (args.cyclic,),
                        "skip", "rank %d class, oracle needs rank 1"
-                       % (model.r,))
+                       % (lift.rank,))
             else:
-                if down is None:
-                    _, _, down = _orbit_space(doc)
-                check = cyclic_cover_oracle(down(om), args.cyclic)
+                check = cyclic_cover_oracle(lift, args.cyclic)
                 record(label + ": cyclic cover p=%d" % (args.cyclic,),
                        "pass" if check.consistent else "fail",
                        "" if check.consistent
@@ -307,6 +306,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+def nonnegative(text):
+    # argparse names this function in "invalid nonnegative value: 'x'"
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d"
+                                         % (value,))
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="orbinov",
@@ -339,7 +347,7 @@ def build_parser():
     p.add_argument("--class", dest="cocycle", required=True, metavar="NAME")
     p = add("validate", cmd_validate,
             "document, identity, and cover oracle checks")
-    p.add_argument("--depth", type=int, default=4,
+    p.add_argument("--depth", type=nonnegative, default=4,
                    help="nerve truncation depth (default 4)")
     p.add_argument("--cyclic", type=int, default=None, metavar="P",
                    help="also run the degree P cyclic cover oracle")
@@ -348,7 +356,7 @@ def build_parser():
     p = add("perturb", cmd_perturb,
             "rational rank one stand-in for a higher rank cocycle")
     p.add_argument("--class", dest="cocycle", required=True, metavar="NAME")
-    p.add_argument("--precision", type=int, default=6,
+    p.add_argument("--precision", type=nonnegative, default=6,
                    help="digits kept from each declared shadow (default 6)")
     return parser
 

@@ -178,11 +178,16 @@ def associates(x, y, ws):
             "associate testing needs gcd reduction; weight rank %d" % (ws.r,))
     if not x or not y:
         return not x and not y
-    g = localized_gcd(x, y, ws)
-    xr = exact_divide(x, g)
-    yr = exact_divide(y, g)
-    assert xr is not None and yr is not None
+    xr, yr = _cancel(localized_gcd(x, y, ws), x, y)
     return ws.is_unit_poly(xr) and ws.is_unit_poly(yr)
+
+
+def _cancel(g, *polys):
+    """The exact quotients of polys by their common divisor g."""
+    out = [exact_divide(p, g) for p in polys]
+    if any(q is None for q in out):
+        raise ValidationError("gcd does not divide its arguments")
+    return out
 
 
 class LocalizedScalar:
@@ -220,10 +225,7 @@ class LocalizedScalar:
         if full:
             g = localized_gcd(num, den, ws)
             if g != one:
-                n2 = exact_divide(num, g)
-                d2 = exact_divide(den, g)
-                assert n2 is not None and d2 is not None
-                num, den = n2, d2
+                num, den = _cancel(g, num, den)
         else:
             # common monomial only: exact for monomial denominators,
             # and the safe fallback everywhere else
@@ -234,7 +236,8 @@ class LocalizedScalar:
                 num, den = num.shift(common), den.shift(common)
         if ws.leading(den)[1] == -1:
             num, den = -num, -den
-        assert ws.leading(den)[1] == 1, "reduction left the mult set"
+        if ws.leading(den)[1] != 1:
+            raise ValidationError("reduction left the mult set")
         return num, den
 
     @classmethod
@@ -295,10 +298,7 @@ class LocalizedScalar:
         num = self.num * other.den
         den = self.den * other.num
         if ws.r <= 1:
-            g = localized_gcd(num, den, ws)
-            num = exact_divide(num, g)
-            den = exact_divide(den, g)
-            assert num is not None and den is not None
+            num, den = _cancel(localized_gcd(num, den, ws), num, den)
         else:
             nlo = num.exp_bounds()[0]
             dlo = den.exp_bounds()[0]

@@ -8,11 +8,13 @@ anchor by the inverse of the dropped letter.  The space direction is
 the twisted simplicial boundary: dropping the anchor's first vertex
 transports the coefficient by the monomial of the first edge.
 
-Exponents come from the quotient: the basic cochain descends to the
-orbit space, is integralized there, and the exponents pull back.
-That makes them invariant by construction, which is exactly what the
-mixed commutation identity needs; invariance and closedness are still
-re-verified on the way in.
+Exponents come from the quotient: nerve_model takes the quotient of
+the action and the integral lift of the class descended to the orbit
+space (descend_cochain, then integralize, both done by the caller),
+and pulls the lift's exponents back along the projection.  That makes
+them invariant by construction, which is exactly what the mixed
+commutation identity needs; invariance and closedness of the pulled
+back exponents are still re-verified when the model is built.
 
 The operators satisfy four identities: each boundary squares to zero,
 they commute, and the total differential (with the bidegree sign
@@ -23,11 +25,8 @@ refusing words longer than its depth.
 
 import random
 
-from .actions import quotient_complex
-from .cochains import descend_cochain, is_invariant
 from .errors import DocumentError, ValidationError
 from .laurent import LaurentPoly
-from .twisted import integralize
 
 __all__ = ["NerveCell", "LocalChain", "NerveModel", "nerve_model",
            "random_chain", "identity_failures"]
@@ -186,59 +185,56 @@ class NerveModel:
     def unit(self, anchor, word):
         return LocalChain(self.r, {self.cell(anchor, word): 1})
 
+    def _word_faces(self, cell, coeff):
+        """Signed word faces of one cell: drop, compose, or relocate."""
+        word = cell.word
+        n = len(word)
+        if n == 0:
+            return []
+        group = self.action.group
+        signed = (coeff, -coeff)
+        out = [(NerveCell(cell.anchor, word[1:]), coeff)]
+        for k in range(1, n):
+            merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
+                      + word[k + 1:])
+            out.append((NerveCell(cell.anchor, merged), signed[k % 2]))
+        moved = self.action.apply_tuple(group.inverse(word[-1]), cell.anchor)
+        out.append((NerveCell(moved, word[:-1]), signed[n % 2]))
+        return out
+
+    def _anchor_faces(self, cell, coeff):
+        """Signed anchor faces of one cell, the leading one twisted."""
+        anchor = cell.anchor
+        if len(anchor) == 1:
+            return []
+        head = LaurentPoly.monomial(self.r, self.exp(anchor[0], anchor[1]))
+        signed = (coeff, -coeff)
+        out = [(NerveCell(anchor[1:], cell.word), coeff * head)]
+        for j in range(1, len(anchor)):
+            out.append((NerveCell(anchor[:j] + anchor[j + 1:], cell.word),
+                        signed[j % 2]))
+        return out
+
     def group_boundary(self, chain):
         """Word-direction boundary: drop, compose, or relocate."""
-        group = self.action.group
-        out = []
-        for cell, coeff in chain.terms.items():
-            word = cell.word
-            n = len(word)
-            if n == 0:
-                continue
-            sign = 1
-            for k in range(n):
-                if k == 0:
-                    face = NerveCell(cell.anchor, word[1:])
-                else:
-                    merged = (word[:k - 1]
-                              + (group.mul(word[k - 1], word[k]),)
-                              + word[k + 1:])
-                    face = NerveCell(cell.anchor, merged)
-                out.append((face, coeff if sign > 0 else -coeff))
-                sign = -sign
-            moved = self.action.apply_tuple(group.inverse(word[-1]),
-                                            cell.anchor)
-            last = NerveCell(moved, word[:-1])
-            out.append((last, coeff if sign > 0 else -coeff))
-        return LocalChain(self.r, out)
+        return LocalChain(self.r, [f for cell, coeff in chain.terms.items()
+                                   for f in self._word_faces(cell, coeff)])
 
     def face_boundary(self, chain):
         """Anchor-direction boundary, twisted on the leading face."""
-        out = []
-        for cell, coeff in chain.terms.items():
-            anchor = cell.anchor
-            if len(anchor) == 1:
-                continue
-            head = LaurentPoly.monomial(self.r,
-                                        self.exp(anchor[0], anchor[1]))
-            out.append((NerveCell(anchor[1:], cell.word), coeff * head))
-            sign = -1
-            for j in range(1, len(anchor)):
-                face = NerveCell(anchor[:j] + anchor[j + 1:], cell.word)
-                out.append((face, coeff if sign > 0 else -coeff))
-                sign = -sign
-        return LocalChain(self.r, out)
+        return LocalChain(self.r, [f for cell, coeff in chain.terms.items()
+                                   for f in self._anchor_faces(cell, coeff)])
 
     def total_boundary(self, chain):
-        """Total differential with the bidegree sign rule."""
-        total = LocalChain(self.r)
+        """Total differential with the bidegree sign rule: the word faces
+        of a cell carry the sign (-1)^(q+n), its anchor faces (-1)^q."""
+        out = []
         for cell, coeff in chain.terms.items():
-            single = LocalChain(self.r, {cell: coeff})
-            s_group = -1 if (cell.q + cell.n) % 2 else 1
-            s_face = -1 if cell.q % 2 else 1
-            total = total + self.group_boundary(single).scale(s_group)
-            total = total + self.face_boundary(single).scale(s_face)
-        return total
+            out.extend(self._word_faces(
+                cell, -coeff if (cell.q + cell.n) % 2 else coeff))
+            out.extend(self._anchor_faces(
+                cell, -coeff if cell.q % 2 else coeff))
+        return LocalChain(self.r, out)
 
 
 def random_chain(model, rng, max_word=3, max_cells=3):
@@ -287,25 +283,19 @@ def identity_failures(model, seed, samples, max_word=3):
     return fails
 
 
-def nerve_model(action, cochain, depth=4):
-    """Nerve operators for an invariant closed cochain on an action.
+def nerve_model(qres, lift, depth=4):
+    """Nerve operators for a basic class, given by its integral lift.
 
-    The action is regularized by quotient_complex (subdividing when
-    needed); the cochain must live on the action's complex and be
-    invariant.  Exponents are integralized on the orbit space and
-    pulled back, so they are invariant on the nose.
+    qres is the quotient of the action (regularized by quotient_complex
+    when needed) and lift is an integral lift on the orbit space
+    qres.complex.  The lift's exponents are pulled back along the
+    projection to the regular action's complex, so they are invariant
+    on the nose.
     """
-    if cochain.complex is not action.complex:
-        raise DocumentError("cochain lives on a different complex")
-    if not is_invariant(action, cochain):
-        raise ValidationError("cochain is not invariant, hence not basic")
-    qres = quotient_complex(action)
-    down = descend_cochain(qres, cochain)
-    lift = integralize(down)
-    act = qres.action
+    if lift.complex is not qres.complex:
+        raise DocumentError("lift lives on a different complex than the "
+                            "orbit space")
     proj = qres.projection
-    exponents = {}
-    r = lift.rank
-    for (u, v) in act.complex.edges():
-        exponents[(u, v)] = lift.exponent(proj[u], proj[v])
-    return NerveModel(act, exponents, r, depth)
+    exponents = {(u, v): lift.exponent(proj[u], proj[v])
+                 for (u, v) in qres.action.complex.edges()}
+    return NerveModel(qres.action, exponents, lift.rank, depth)

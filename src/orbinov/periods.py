@@ -354,7 +354,8 @@ def hurewicz_class(gpath, qres, h1):
             # the arrow's two endpoints sit in one orbit
             v, g = arrows[i]
             src = qres.action.apply_vertex(g, v)
-            assert proj[src] == proj[v] == walk[-1]
+            if not proj[src] == proj[v] == walk[-1]:
+                raise ValidationError("G-path arrow leaves its orbit")
     if walk[0] != walk[-1]:
         raise ValidationError("G-path does not close up in the orbit space")
     return h1.class_of_walk(walk)

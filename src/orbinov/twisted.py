@@ -245,9 +245,10 @@ class CyclicCoverCheck:
                 % (self.p, self.consistent, self.explicit))
 
 
-def cyclic_cover_oracle(cochain, p):
+def cyclic_cover_oracle(lift, p):
     """Homology of the degree p cyclic cover, computed two ways.
 
+    lift is the integral lift of a rank one class (see integralize).
     The explicit route builds the cover as a simplicial complex with
     vertices (v, level) and takes integer homology.  The algebraic
     route substitutes the p by p cyclic shift for the twisting
@@ -258,7 +259,6 @@ def cyclic_cover_oracle(cochain, p):
     if not 2 <= p <= 12:
         raise UnsupportedOperationError(
             "cover degree %d out of the supported range 2..12" % (p,))
-    lift = integralize(cochain)
     if lift.rank != 1:
         raise UnsupportedOperationError(
             "cyclic covers need a rank one class, got rank %d" % (lift.rank,))

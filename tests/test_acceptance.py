@@ -16,7 +16,7 @@ import importlib.resources as resources
 from orbinov import (CriticalData, FiniteGroup, H1Presentation,
                      SimplicialAction, check_inequalities, coboundary0,
                      cyclic_cover_oracle, euler_characteristic,
-                     integer_homology, novikov_numbers,
+                     integer_homology, integralize, novikov_numbers,
                      period_homomorphism, quotient_complex,
                      smith_normal_form)
 from orbinov.cochains import RationalCochain1, descend_cochain
@@ -162,9 +162,9 @@ def test_criterion_04_chain_identities():
     ok = True
     for i, name in enumerate(CORPUS):
         doc = document(name)
-        act, _ = groupoid(name)
-        om = doc.cochain(CHOSEN[name])
-        model = nerve_model(act, om, depth=3)
+        _, qres = groupoid(name)
+        lift = integralize(descend_cochain(qres, doc.cochain(CHOSEN[name])))
+        model = nerve_model(qres, lift, depth=3)
         fails = identity_failures(model, seed=20260816 + i, samples=100)
         ok = ok and not fails
     elapsed = time.monotonic() - start
@@ -231,8 +231,9 @@ def test_criterion_06_cyclic_cover_oracle():
     ok = True
     for name, cname in RANK_ONE:
         _, down = orbit_cochain(name, cname)
+        lift = integralize(down)
         for p in (2, 3, 5):
-            check = cyclic_cover_oracle(down, p)
+            check = cyclic_cover_oracle(lift, p)
             ok = ok and check.consistent
     elapsed = time.monotonic() - start
     report(6, "finite cyclic covers agree for p in {2, 3, 5} "

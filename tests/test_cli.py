@@ -10,10 +10,12 @@ import pytest
 
 from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, main
+from orbinov.cochains import descend_cochain
 from orbinov.complexes import bfs_forest
 from orbinov.documents import loads_document
 from orbinov.periods import H1Presentation
 from orbinov.snf import smith_normal_form
+from orbinov.twisted import integralize
 
 
 def run(argv):
@@ -219,6 +221,20 @@ def test_usage_errors_exit_1():
         assert code == 1, argv
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["validate", "circle", "--depth", "-1"], "--depth"),
+    (["perturb", "torus7", "--class", "irr", "--precision", "-1"],
+     "--precision"),
+])
+def test_negative_counts_are_usage_errors(argv, option):
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    message = err.splitlines()[-1]
+    assert message.endswith("error: argument %s: must be at least 0, got -1"
+                            % (option,))
+
+
 def test_unknown_document_exit_1():
     code, out, err = run(["homology", "no_such_thing"])
     assert code == 1
@@ -264,7 +280,8 @@ def stage_counts(monkeypatch, argv):
                         counted("H1Presentation", H1Presentation.__init__))
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "orbinov" or name.startswith("orbinov.")]
-    for fn in (bfs_forest, smith_normal_form, quotient_complex):
+    for fn in (bfs_forest, smith_normal_form, quotient_complex,
+               descend_cochain, integralize):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -281,10 +298,14 @@ def stage_counts(monkeypatch, argv):
     (["novikov", "pillowcase", "--class", "zero"],
      {"H1Presentation": 1, "bfs_forest": 1, "quotient_complex": 1}),
     (["check-inequalities", "rp2", "--class", "zero"], {"bfs_forest": 1}),
-    # one quotient per nerve model and one for the document; one H_1
-    # per nerve model and one for the rank one class's cover oracle
+    # one quotient per document; one descent, one lift and one H_1 per
+    # class, shared by the nerve model and the cover oracle
     (["validate", "hexagon_z2", "--cyclic", "3"],
-     {"quotient_complex": 3, "H1Presentation": 3, "bfs_forest": 3}),
+     {"quotient_complex": 1, "H1Presentation": 2, "bfs_forest": 2,
+      "descend_cochain": 2, "integralize": 2}),
+    # an orbit document is quotiented by the trivial action, once
+    (["validate", "klein", "--cyclic", "3"],
+     {"quotient_complex": 1, "H1Presentation": 2, "integralize": 2}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

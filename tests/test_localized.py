@@ -1,10 +1,14 @@
 """Localized scalars: gcds, associates, and exact fraction arithmetic."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
 
+import orbinov
 from orbinov import UnsupportedOperationError, ValidationError
 from orbinov.laurent import LaurentPoly, WeightSystem, exact_divide
 from orbinov.localized import (LocalizedScalar, associates, int_poly_gcd,
@@ -207,3 +211,22 @@ def test_scalar_random_field_laws():
         assert (a + b) * c == a * c + b * c
         assert a + (b + c) == (a + b) + c
         assert a * b == b * a
+
+
+def test_reduction_guard_survives_optimized_mode():
+    # klein's dy class reduces scalars by nontrivial gcds; a gcd that
+    # does not divide them must still stop the command under -O
+    script = "\n".join([
+        "import sys",
+        "import orbinov.localized",
+        "gcd = orbinov.localized.localized_gcd",
+        "orbinov.localized.localized_gcd = lambda x, y, ws: gcd(x, y, ws) * 3",
+        "from orbinov import cli",
+        "sys.exit(cli.main(['novikov', 'klein', '--class', 'dy']))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "gcd does not divide its arguments" in proc.stderr

@@ -6,8 +6,9 @@ import pytest
 
 from orbinov import (DocumentError, LaurentPoly, LocalChain, RationalCochain1,
                      SimplicialAction, ValidationError, coboundary0,
-                     nerve_model)
-from orbinov.nerve import NerveCell
+                     descend_cochain, integralize, nerve_model,
+                     quotient_complex)
+from orbinov.nerve import NerveCell, random_chain
 
 from test_actions import (Z2, hexagon_action, mirror_square_action,
                           pillowcase_action, torus_grid)
@@ -23,27 +24,32 @@ def torus_shift_action():
     return SimplicialAction(Z2, X, {"m": shift})
 
 
+def model_of(act, cochain, depth):
+    qres = quotient_complex(act)
+    lift = integralize(descend_cochain(qres, cochain))
+    return nerve_model(qres, lift, depth=depth)
+
+
 def hexagon_model(depth=4):
     act = hexagon_action()
-    return nerve_model(act, hexagon_dtheta(act), depth=depth)
+    return model_of(act, hexagon_dtheta(act), depth)
 
 
 def mirror_model(depth=4):
     act = mirror_square_action()
     values = {("s1", "s2"): 1, ("s0", "s3"): 1}
-    return nerve_model(act, RationalCochain1(act.complex, values),
-                       depth=depth)
+    return model_of(act, RationalCochain1(act.complex, values), depth)
 
 
 def shift_model(depth=4):
     act = torus_shift_action()
-    return nerve_model(act, grid_dx(act.complex, 4), depth=depth)
+    return model_of(act, grid_dx(act.complex, 4), depth)
 
 
 def pillow_model(depth=4):
     act = pillowcase_action()
     bump = coboundary0(act.complex, {"g1_1": 1, "g3_3": 1})
-    return nerve_model(act, bump, depth=depth)
+    return model_of(act, bump, depth)
 
 
 def test_local_chain_algebra():
@@ -153,12 +159,13 @@ def test_total_boundary_mixed_cell():
 
 def test_rejects_foreign_and_non_invariant_cochains():
     act = pillowcase_action()
-    other = torus_grid(4)
+    qres = quotient_complex(act)
+    # a lift must live on the orbit space, not on some other complex
     with pytest.raises(DocumentError):
-        nerve_model(act, grid_dx(other, 4))
+        nerve_model(qres, integralize(grid_dx(torus_grid(4), 4)))
     # dx flips sign under the point reflection, so it is not basic
-    with pytest.raises(ValidationError):
-        nerve_model(act, grid_dx(act.complex, 4))
+    with pytest.raises(ValidationError, match="not invariant"):
+        model_of(act, grid_dx(act.complex, 4), 4)
 
 
 def test_exact_descends_to_rank_zero():
@@ -190,3 +197,22 @@ def test_chain_identities_on_seeded_cells(make):
         gf = model.group_boundary(model.face_boundary(c))
         assert fg == gf
         assert not model.total_boundary(model.total_boundary(c))
+
+
+@pytest.mark.parametrize("make", [hexagon_model, mirror_model, shift_model,
+                                  pillow_model])
+def test_total_boundary_matches_its_definition(make):
+    # the sum over cells of the bidegree-signed word and anchor
+    # boundaries of that one cell
+    model = make(depth=3)
+    rng = random.Random(20261018)
+    for _ in range(20):
+        c = random_chain(model, rng, max_word=3, max_cells=4)
+        want = LocalChain(model.r)
+        for cell, coeff in c.terms.items():
+            single = LocalChain(model.r, {cell: coeff})
+            s_group = -1 if (cell.q + cell.n) % 2 else 1
+            s_face = -1 if cell.q % 2 else 1
+            want = (want + model.group_boundary(single).scale(s_group)
+                    + model.face_boundary(single).scale(s_face))
+        assert model.total_boundary(c) == want
