@@ -106,6 +106,11 @@ class SimplicialAction:
 
     __slots__ = ("group", "complex", "vertex_maps")
 
+    @classmethod
+    def trivial(cls, X):
+        """The one-element group acting on X."""
+        return cls(FiniteGroup(["e"], [["e"]]), X, {})
+
     def __init__(self, group, complex, vertex_maps):
         self.group = group
         self.complex = complex

@@ -16,7 +16,7 @@ import os
 import sys
 from importlib import resources
 
-from .actions import FiniteGroup, SimplicialAction, quotient_complex
+from .actions import SimplicialAction, quotient_complex
 from .cochains import descend_cochain, is_invariant
 from .complexes import euler_characteristic, integer_homology
 from .documents import OrbifoldDocument, format_fraction, load_document
@@ -63,10 +63,6 @@ def _orbit_space(doc):
         return doc.space, None, lambda om: om
     qres = quotient_complex(doc.action)
     return qres.complex, qres.stages, lambda om: descend_cochain(qres, om)
-
-
-def _trivial_action(X):
-    return SimplicialAction(FiniteGroup(["e"], [["e"]]), X, {})
 
 
 def _emit(args, payload, lines):
@@ -242,7 +238,7 @@ def cmd_validate(args):
             record(label + ": invariant", "pass")
         if qres is None:
             qres = quotient_complex(doc.action if doc.action is not None
-                                    else _trivial_action(doc.space))
+                                    else SimplicialAction.trivial(doc.space))
         lift = integralize(descend_cochain(qres, om))
         model = nerve_model(qres, lift, depth=args.depth)
         fails = identity_failures(model, args.seed, samples=100)

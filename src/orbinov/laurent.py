@@ -35,6 +35,15 @@ class LaurentPoly:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
+    def _of(cls, r, terms):
+        # ring results: int coefficients on length-r int exponents, so
+        # only the zero coefficients need dropping
+        poly = cls.__new__(cls)
+        poly.r = r
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def const(cls, r, c):
         return cls(r, {(0,) * r: c} if c else {})
 
@@ -57,32 +66,35 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.r, out)
+        return LaurentPoly._of(self.r, out)
 
     def __neg__(self):
-        return LaurentPoly(self.r, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.r, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.r,
-                               {e: c * other for e, c in self.terms.items()})
+            return LaurentPoly._of(self.r, {e: c * other
+                                            for e, c in self.terms.items()})
         assert self.r == other.r
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.r, out)
+        return LaurentPoly._of(self.r, out)
 
     __rmul__ = __mul__
 
     def shift(self, exp):
         """Multiply by the monomial with the given exponent."""
-        return LaurentPoly(self.r, {tuple(a + b for a, b in zip(e, exp)): c
-                                    for e, c in self.terms.items()})
+        if len(exp) != self.r:
+            raise ValidationError("exponent %r needs %d coordinates"
+                                  % (tuple(exp), self.r))
+        return LaurentPoly._of(self.r, {tuple(a + b for a, b in zip(e, exp)): c
+                                        for e, c in self.terms.items()})
 
     def content(self):
         g = 0
@@ -144,11 +156,12 @@ class WeightSystem:
     False
     """
 
-    __slots__ = ("weights", "k", "r")
+    __slots__ = ("weights", "k", "r", "_weight_of")
 
     def __init__(self, weights):
         self.weights = [tuple(Fraction(x) for x in w) for w in weights]
         self.r = len(self.weights)
+        self._weight_of = {}    # exponent -> weight vector, filled lazily
         if self.r:
             lengths = {len(w) for w in self.weights}
             if len(lengths) != 1:
@@ -161,12 +174,12 @@ class WeightSystem:
             self.k = 1
 
     def weight_vec(self, exp):
-        vec = [Fraction(0)] * self.k
-        for e, w in zip(exp, self.weights):
-            if e:
-                for i in range(self.k):
-                    vec[i] += e * w[i]
-        return tuple(vec)
+        vec = self._weight_of.get(exp)
+        if vec is None:
+            vec = self._weight_of[exp] = tuple(
+                sum((e * w[i] for e, w in zip(exp, self.weights) if e),
+                    Fraction(0)) for i in range(self.k))
+        return vec
 
     def leading(self, poly):
         """(exponent, coefficient) of the maximal-weight term."""

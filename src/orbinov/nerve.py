@@ -270,12 +270,12 @@ def identity_failures(model, seed, samples, max_word=3):
     fails = []
     for i in range(samples):
         c = random_chain(model, rng, max_word=max_word)
-        if model.group_boundary(model.group_boundary(c)):
+        word, face = model.group_boundary(c), model.face_boundary(c)
+        if model.group_boundary(word):
             fails.append("sample %d: word boundary squared is nonzero" % i)
-        if model.face_boundary(model.face_boundary(c)):
+        if model.face_boundary(face):
             fails.append("sample %d: face boundary squared is nonzero" % i)
-        if (model.face_boundary(model.group_boundary(c))
-                != model.group_boundary(model.face_boundary(c))):
+        if model.face_boundary(word) != model.group_boundary(face):
             fails.append("sample %d: boundaries do not commute" % i)
         if model.total_boundary(model.total_boundary(c)):
             fails.append("sample %d: total differential squared is nonzero"

@@ -2,7 +2,10 @@
 
 Matrices are plain lists of rows of Python ints; no machine-word modes
 anywhere, so coefficient growth is bounded only by memory.  Pivots are
-chosen with minimal absolute value to keep intermediate entries small.
+chosen with minimal absolute value to keep intermediate entries small;
+the search ends at the first +-1 entry in row-major order, which is the
+entry the full scan would pick, and a +-1 pivot skips the divisibility
+check of the trailing block, since it divides every entry.
 """
 
 from .errors import ValidationError
@@ -134,13 +137,18 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
 
     t = 0
     while t < min(m, n):
-        # minimal |entry| pivot in the trailing submatrix
-        best = None
+        # minimal |entry| pivot in the trailing submatrix, first in
+        # row-major order; nothing beats a unit, so the first one ends it
+        best, low = None, 0
         for i in range(t, m):
             for j in range(t, n):
                 v = M[i][j]
-                if v and (best is None or abs(v) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
+                if v and (best is None or abs(v) < low):
+                    best, low = (i, j), abs(v)
+                    if low == 1:
+                        break
+            if low == 1:
+                break
         if best is None:
             break
         if best[0] != t:
@@ -169,13 +177,10 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
 
         p = M[t][t]
         bad = None
-        for a in range(t + 1, m):
-            for b in range(t + 1, n):
-                if M[a][b] % p:
-                    bad = a
-                    break
-            if bad is not None:
-                break
+        # a unit pivot divides every entry of the trailing block
+        if abs(p) != 1:
+            bad = next((a for a in range(t + 1, m)
+                        if any(x % p for x in M[a][t + 1:])), None)
         if bad is not None:
             # drag a non-divisible entry into the pivot row and redo
             row_add(t, bad, 1)

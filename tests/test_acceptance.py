@@ -13,11 +13,10 @@ from fractions import Fraction
 
 import importlib.resources as resources
 
-from orbinov import (CriticalData, FiniteGroup, H1Presentation,
-                     SimplicialAction, check_inequalities, coboundary0,
-                     cyclic_cover_oracle, euler_characteristic,
-                     integer_homology, integralize, novikov_numbers,
-                     period_homomorphism, quotient_complex,
+from orbinov import (CriticalData, H1Presentation, SimplicialAction,
+                     check_inequalities, coboundary0, cyclic_cover_oracle,
+                     euler_characteristic, integer_homology, integralize,
+                     novikov_numbers, period_homomorphism, quotient_complex,
                      smith_normal_form)
 from orbinov.cochains import RationalCochain1, descend_cochain
 from orbinov.documents import loads_document
@@ -53,17 +52,13 @@ def document(name):
     return _CACHE[name]
 
 
-def trivial_action(X):
-    return SimplicialAction(FiniteGroup(["e"], [["e"]]), X, {})
-
-
 def groupoid(name):
     """(action, quotient result) with a trivial action for orbit docs."""
     key = ("groupoid", name)
     if key not in _CACHE:
         doc = document(name)
         act = doc.action if doc.action is not None \
-            else trivial_action(doc.space)
+            else SimplicialAction.trivial(doc.space)
         _CACHE[key] = (act, quotient_complex(act))
     return _CACHE[key]
 

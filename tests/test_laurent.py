@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbinov import ValidationError
+from orbinov import ValidationError, laurent
 from orbinov.laurent import LaurentPoly, WeightSystem, divides, exact_divide
 
 
@@ -158,3 +158,70 @@ def test_exact_divide_rejects_nonmultiples(r):
         q = exact_divide(f, g)
         if q is not None:
             assert q * g == f
+
+
+def _assert_clean(x):
+    assert 0 not in x.terms.values()
+    assert x == LaurentPoly(x.r, dict(x.terms))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_ring_results_are_clean(r):
+    # coefficients in -2..2 on a small support make cancellations common
+    rng = random.Random(500 + r)
+    for _ in range(150):
+        a = _random_poly(rng, r, max_terms=5, span=1, coeff=2)
+        b = _random_poly(rng, r, max_terms=5, span=1, coeff=2)
+        k = rng.randint(-2, 2)
+        exp = tuple(rng.randint(-3, 3) for _ in range(r))
+        pairs_a, pairs_b = list(a.terms.items()), list(b.terms.items())
+        cases = [
+            (a + b, pairs_a + pairs_b),
+            (a - b, pairs_a + [(e, -c) for e, c in pairs_b]),
+            (-a, [(e, -c) for e, c in pairs_a]),
+            (a * b, [(tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                     for e1, c1 in pairs_a for e2, c2 in pairs_b]),
+            (a * k, [(e, c * k) for e, c in pairs_a]),
+            (k * a, [(e, c * k) for e, c in pairs_a]),
+            (a.shift(exp), [(tuple(x + y for x, y in zip(e, exp)), c)
+                            for e, c in pairs_a]),
+        ]
+        for got, pairs in cases:
+            _assert_clean(got)
+            assert got == LaurentPoly(r, pairs)
+
+
+def test_shift_checks_exponent_length():
+    p = T(2) + const(1, 2)
+    with pytest.raises(ValidationError):
+        p.shift((1,))
+    with pytest.raises(ValidationError):
+        p.shift((1, 0, 0))
+    with pytest.raises(ValidationError):
+        LaurentPoly(2, {}).shift((1,))
+
+
+@pytest.mark.parametrize("weights", [[(1,)], [(-1,)], [(1, 0), (0, 1)],
+                                     [(1, 1), (1, -1)],
+                                     [(Fraction(1, 3), 0), (0, 1)]])
+def test_memoized_leading_matches_fresh_system(weights):
+    r = len(weights)
+    rng = random.Random(str(weights))
+    ws = WeightSystem(weights)
+    for _ in range(100):
+        p = _random_poly(rng, r, max_terms=5, span=2)
+        # the second call on ws reads every weight from its memo
+        assert ws.leading(p) == WeightSystem(weights).leading(p)
+        assert ws.leading(p) == WeightSystem(weights).leading(p)
+
+
+def test_shared_weight_still_raises(monkeypatch):
+    # a validated system never has two monomials of one weight, so the
+    # independence check is bypassed to reach the guard
+    monkeypatch.setattr(laurent, "q_rank", lambda rows: len(rows))
+    ws = WeightSystem([(1,), (2,)])
+    assert ws.leading(T(2, 1)) == ((0, 1), 1)
+    tie = LaurentPoly(2, {(2, 0): 1, (0, 1): 1})
+    for system in (ws, WeightSystem([(1,), (2,)])):
+        with pytest.raises(ValidationError, match="share a weight"):
+            system.leading(tie)
