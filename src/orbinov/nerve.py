@@ -18,12 +18,20 @@ back exponents are still re-verified when the model is built.
 
 The operators satisfy four identities: each boundary squares to zero,
 they commute, and the total differential (with the bidegree sign
-rule) squares to zero.  These are checked cell by cell in the test
-harness; the module itself stays agnostic about truncation except for
+rule) squares to zero.  identity_failures checks them on seeded random
+chains; the module itself stays agnostic about truncation except for
 refusing words longer than its depth.
+
+A face's coefficient is its cell's coefficient, signed and shifted by
+an exponent, so the operators run on flat chains {(anchor, word,
+exponent): int} without zero entries.  Each model memoizes the signed
+faces of the cells it meets, reading the exponents then.  LocalChain,
+with LaurentPoly coefficients, is the public form that the boundary
+methods convert from and to.
 """
 
 import random
+from operator import add
 
 from .errors import DocumentError, ValidationError
 from .laurent import LaurentPoly
@@ -90,15 +98,7 @@ class LocalChain:
 
     def __add__(self, other):
         assert self.r == other.r
-        out = dict(self.terms)
-        for cell, coeff in other.terms.items():
-            prev = out.get(cell)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                out[cell] = total
-            elif cell in out:
-                del out[cell]
-        return LocalChain(self.r, out)
+        return LocalChain(self.r, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return LocalChain(self.r, {c: -p for c, p in self.terms.items()})
@@ -123,9 +123,10 @@ class NerveModel:
     complex that the regular action acts on.
     """
 
-    __slots__ = ("action", "complex", "exponents", "r", "depth")
+    __slots__ = ("action", "complex", "exponents", "r", "depth", "_faces")
 
     def __init__(self, action, exponents, r, depth):
+        self._faces = {}
         self.action = action
         self.complex = action.complex
         self.exponents = exponents
@@ -185,56 +186,108 @@ class NerveModel:
     def unit(self, anchor, word):
         return LocalChain(self.r, {self.cell(anchor, word): 1})
 
-    def _word_faces(self, cell, coeff):
-        """Signed word faces of one cell: drop, compose, or relocate."""
-        word = cell.word
+    def _cell_faces(self, anchor, word):
+        """Word and anchor faces of one cell, stored in the memo, each
+        as (anchor, word, exponent shift or None, sign); only the leading
+        anchor face is shifted, by the exponent of the first edge."""
         n = len(word)
-        if n == 0:
-            return []
         group = self.action.group
-        signed = (coeff, -coeff)
-        out = [(NerveCell(cell.anchor, word[1:]), coeff)]
-        for k in range(1, n):
-            merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
-                      + word[k + 1:])
-            out.append((NerveCell(cell.anchor, merged), signed[k % 2]))
-        moved = self.action.apply_tuple(group.inverse(word[-1]), cell.anchor)
-        out.append((NerveCell(moved, word[:-1]), signed[n % 2]))
-        return out
+        word_faces = []
+        if n:
+            word_faces.append((anchor, word[1:], None, 1))
+            for k in range(1, n):
+                merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
+                          + word[k + 1:])
+                word_faces.append((anchor, merged, None, (-1) ** k))
+            moved = self.action.apply_tuple(group.inverse(word[-1]), anchor)
+            word_faces.append((moved, word[:-1], None, (-1) ** n))
+        anchor_faces = []
+        if len(anchor) > 1:
+            head = self.exp(anchor[0], anchor[1])
+            anchor_faces.append((anchor[1:], word, head if any(head) else None,
+                                 1))
+            for j in range(1, len(anchor)):
+                anchor_faces.append((anchor[:j] + anchor[j + 1:], word, None,
+                                     (-1) ** j))
+        faces = self._faces[(anchor, word)] = (word_faces, anchor_faces)
+        return faces
 
-    def _anchor_faces(self, cell, coeff):
-        """Signed anchor faces of one cell, the leading one twisted."""
-        anchor = cell.anchor
-        if len(anchor) == 1:
-            return []
-        head = LaurentPoly.monomial(self.r, self.exp(anchor[0], anchor[1]))
-        signed = (coeff, -coeff)
-        out = [(NerveCell(anchor[1:], cell.word), coeff * head)]
-        for j in range(1, len(anchor)):
-            out.append((NerveCell(anchor[:j] + anchor[j + 1:], cell.word),
-                        signed[j % 2]))
+    def _boundary(self, flat, word=True, anchor=True):
+        """Word faces, anchor faces, or both of a flat chain; both take
+        the bidegree sign rule: the word faces of a cell carry the sign
+        (-1)^(q+n), its anchor faces (-1)^q."""
+        total = word and anchor
+        memo = self._faces
+        out = {}
+        for (a, w, e), c in flat.items():
+            word_faces, anchor_faces = (memo.get((a, w))
+                                        or self._cell_faces(a, w))
+            if word:
+                _add_faces(out, word_faces, e,
+                           -c if total and (len(a) + len(w)) % 2 == 0 else c)
+            if anchor:
+                _add_faces(out, anchor_faces, e,
+                           -c if total and len(a) % 2 == 0 else c)
         return out
 
     def group_boundary(self, chain):
         """Word-direction boundary: drop, compose, or relocate."""
-        return LocalChain(self.r, [f for cell, coeff in chain.terms.items()
-                                   for f in self._word_faces(cell, coeff)])
+        return _local(self.r, self._boundary(_flat(chain), anchor=False))
 
     def face_boundary(self, chain):
         """Anchor-direction boundary, twisted on the leading face."""
-        return LocalChain(self.r, [f for cell, coeff in chain.terms.items()
-                                   for f in self._anchor_faces(cell, coeff)])
+        return _local(self.r, self._boundary(_flat(chain), word=False))
 
     def total_boundary(self, chain):
-        """Total differential with the bidegree sign rule: the word faces
-        of a cell carry the sign (-1)^(q+n), its anchor faces (-1)^q."""
-        out = []
-        for cell, coeff in chain.terms.items():
-            out.extend(self._word_faces(
-                cell, -coeff if (cell.q + cell.n) % 2 else coeff))
-            out.extend(self._anchor_faces(
-                cell, -coeff if cell.q % 2 else coeff))
-        return LocalChain(self.r, out)
+        """Total differential, with the bidegree sign rule."""
+        return _local(self.r, self._boundary(_flat(chain)))
+
+
+def _add_faces(out, faces, exp, coeff):
+    """Add coeff times the signed faces of one cell at exponent exp."""
+    for anchor, word, shift, sign in faces:
+        key = (anchor, word,
+               exp if shift is None else tuple(map(add, exp, shift)))
+        total = out.get(key, 0) + sign * coeff
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+
+
+def _flat(chain):
+    """The flat form {(anchor, word, exponent): int} of a LocalChain."""
+    return {(cell.anchor, cell.word, e): c
+            for cell, poly in chain.terms.items()
+            for e, c in poly.terms.items()}
+
+
+def _local(r, flat):
+    """The LocalChain of a flat chain."""
+    polys = {}
+    for (anchor, word, e), c in flat.items():
+        polys.setdefault((anchor, word), {})[e] = c
+    return LocalChain(r, {NerveCell(anchor, word): LaurentPoly(r, terms)
+                          for (anchor, word), terms in polys.items()})
+
+
+def _random_flat(model, rng, max_word, max_cells):
+    """The chain random_chain draws, as a flat chain."""
+    X = model.complex
+    elements = model.action.group.elements
+    flat = {}
+    for _ in range(rng.randrange(1, max_cells + 1)):
+        q = rng.randrange(X.dim + 1)
+        anchor = list(rng.choice(X.cells[q]))
+        rng.shuffle(anchor)
+        word = tuple(rng.choice(elements)
+                     for _ in range(rng.randrange(max_word + 1)))
+        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
+        sign = rng.choice((1, -1))
+        cell = model.cell(anchor, word)
+        key = (cell.anchor, cell.word, exp)
+        flat[key] = flat.get(key, 0) + sign
+    return {key: c for key, c in flat.items() if c}
 
 
 def random_chain(model, rng, max_word=3, max_cells=3):
@@ -244,40 +297,31 @@ def random_chain(model, rng, max_word=3, max_cells=3):
     from the full element list (identities included), coefficients are
     signed monomials with small exponents.
     """
-    X = model.complex
-    terms = []
-    for _ in range(rng.randrange(1, max_cells + 1)):
-        q = rng.randrange(X.dim + 1)
-        anchor = list(rng.choice(X.cells[q]))
-        rng.shuffle(anchor)
-        word = tuple(rng.choice(model.action.group.elements)
-                     for _ in range(rng.randrange(max_word + 1)))
-        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
-        coeff = LaurentPoly.monomial(model.r, exp) * rng.choice((1, -1))
-        terms.append((model.cell(anchor, word), coeff))
-    return LocalChain(model.r, terms)
+    return _local(model.r, _random_flat(model, rng, max_word, max_cells))
 
 
 def identity_failures(model, seed, samples, max_word=3):
     """Check the four boundary identities on seeded random chains.
 
     Both operators must square to zero, they must commute, and the
-    signed total differential must square to zero.  Returns failure
-    descriptions; an empty list is a clean pass.
+    signed total differential must square to zero.  The chains are the
+    ones random_chain draws, kept flat.  Returns failure descriptions;
+    an empty list is a clean pass.
     """
     max_word = min(max_word, model.depth)
     rng = random.Random(seed)
+    boundary = model._boundary
     fails = []
     for i in range(samples):
-        c = random_chain(model, rng, max_word=max_word)
-        word, face = model.group_boundary(c), model.face_boundary(c)
-        if model.group_boundary(word):
+        c = _random_flat(model, rng, max_word, 3)
+        word, face = boundary(c, anchor=False), boundary(c, word=False)
+        if boundary(word, anchor=False):
             fails.append("sample %d: word boundary squared is nonzero" % i)
-        if model.face_boundary(face):
+        if boundary(face, word=False):
             fails.append("sample %d: face boundary squared is nonzero" % i)
-        if model.face_boundary(word) != model.group_boundary(face):
+        if boundary(word, word=False) != boundary(face, anchor=False):
             fails.append("sample %d: boundaries do not commute" % i)
-        if model.total_boundary(model.total_boundary(c)):
+        if boundary(boundary(c)):
             fails.append("sample %d: total differential squared is nonzero"
                          % i)
     return fails

@@ -9,8 +9,9 @@ from collections import Counter
 import pytest
 
 from orbinov.actions import quotient_complex
+from orbinov import ValidationError, cli
 from orbinov.cli import corpus_names, main
-from orbinov.cochains import descend_cochain
+from orbinov.cochains import descend_cochain, is_invariant
 from orbinov.complexes import bfs_forest
 from orbinov.documents import loads_document
 from orbinov.periods import H1Presentation
@@ -195,6 +196,20 @@ def test_validate_catches_non_invariant_cocycle(tmp_path):
     assert "[fail] cocycle lop: invariant" in out
 
 
+def test_validate_does_not_blame_invariance_for_a_descent_guard(
+        monkeypatch):
+    # the invariant row comes from the descent's own check; a descent
+    # that fails on an invariant cocycle is a broken guard, exit 2
+    def broken(qres, cochain):
+        raise ValidationError("descent guard tripped")
+
+    monkeypatch.setattr(cli, "descend_cochain", broken)
+    code, out, err = run(["validate", "hexagon_z2"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "validation error: descent guard tripped"
+
+
 def test_perturb_rational_class_is_unchanged():
     code, data = run_json(["perturb", "circle", "--class", "dtheta"])
     assert code == 0
@@ -281,7 +296,7 @@ def stage_counts(monkeypatch, argv):
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "orbinov" or name.startswith("orbinov.")]
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
-               descend_cochain, integralize):
+               descend_cochain, integralize, is_invariant):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -299,10 +314,11 @@ def stage_counts(monkeypatch, argv):
      {"H1Presentation": 1, "bfs_forest": 1, "quotient_complex": 1}),
     (["check-inequalities", "rp2", "--class", "zero"], {"bfs_forest": 1}),
     # one quotient per document; one descent, one lift and one H_1 per
-    # class, shared by the nerve model and the cover oracle
+    # class, shared by the nerve model and the cover oracle; invariance
+    # is checked once per class, by the descent
     (["validate", "hexagon_z2", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 2, "bfs_forest": 2,
-      "descend_cochain": 2, "integralize": 2}),
+      "descend_cochain": 2, "integralize": 2, "is_invariant": 2}),
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 2, "integralize": 2}),

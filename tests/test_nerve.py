@@ -8,7 +8,7 @@ from orbinov import (DocumentError, LaurentPoly, LocalChain, RationalCochain1,
                      SimplicialAction, ValidationError, coboundary0,
                      descend_cochain, integralize, nerve_model,
                      quotient_complex)
-from orbinov.nerve import NerveCell, random_chain
+from orbinov.nerve import NerveCell, identity_failures, random_chain
 
 from test_actions import (Z2, hexagon_action, mirror_square_action,
                           pillowcase_action, torus_grid)
@@ -216,3 +216,162 @@ def test_total_boundary_matches_its_definition(make):
             want = (want + model.group_boundary(single).scale(s_group)
                     + model.face_boundary(single).scale(s_face))
         assert model.total_boundary(c) == want
+
+
+def _poly(terms):
+    return LaurentPoly(1, {(e,): c for e, c in terms.items()})
+
+
+# multi-term coefficients: 1 + T, T^2 - 3T^-1, 2 - T^-2, -T + T^3
+MULTI_TERM = [_poly({0: 1, 1: 1}), _poly({2: 1, -1: -3}),
+              _poly({0: 2, -2: -1}), _poly({1: -1, 3: 1})]
+
+
+def _reference_word_faces(model, cell, coeff):
+    word, group = cell.word, model.action.group
+    n = len(word)
+    if n == 0:
+        return []
+    out = [(NerveCell(cell.anchor, word[1:]), coeff)]
+    for k in range(1, n):
+        merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
+                  + word[k + 1:])
+        out.append((NerveCell(cell.anchor, merged), coeff * (-1) ** k))
+    moved = model.action.apply_tuple(group.inverse(word[-1]), cell.anchor)
+    out.append((NerveCell(moved, word[:-1]), coeff * (-1) ** n))
+    return out
+
+
+def _reference_anchor_faces(model, cell, coeff):
+    anchor = cell.anchor
+    if len(anchor) == 1:
+        return []
+    twist = LaurentPoly.monomial(model.r, model.exp(anchor[0], anchor[1]))
+    out = [(NerveCell(anchor[1:], cell.word), coeff * twist)]
+    for j in range(1, len(anchor)):
+        out.append((NerveCell(anchor[:j] + anchor[j + 1:], cell.word),
+                    coeff * (-1) ** j))
+    return out
+
+
+def _reference_sum(r, pairs):
+    out = {}
+    for cell, coeff in pairs:
+        total = out.get(cell, LaurentPoly(r)) + coeff
+        if total:
+            out[cell] = total
+        else:
+            out.pop(cell, None)
+    return out
+
+
+def _multi_term_chain(model, rng):
+    terms = []
+    for _ in range(rng.randrange(1, 5)):
+        (cell,) = _random_unit(model, rng, max_word=3).terms
+        terms.append((cell, rng.choice(MULTI_TERM) * rng.choice((1, -1, 2))))
+    return LocalChain(model.r, terms)
+
+
+@pytest.mark.parametrize("make", [hexagon_model, shift_model])
+def test_multi_term_coefficients_match_laurent_reference(make):
+    # each boundary against a cell-by-cell sum in LaurentPoly arithmetic
+    model = make(depth=3)
+    assert model.r == 1
+    rng = random.Random(20261118)
+    multi = 0
+    for _ in range(25):
+        c = _multi_term_chain(model, rng)
+        multi += sum(p.n_terms() > 1 for p in c.terms.values())
+        word = [f for cell, p in c.terms.items()
+                for f in _reference_word_faces(model, cell, p)]
+        anchor = [f for cell, p in c.terms.items()
+                  for f in _reference_anchor_faces(model, cell, p)]
+        total = []
+        for cell, p in c.terms.items():
+            total += _reference_word_faces(
+                model, cell, p * (-1) ** (cell.q + cell.n))
+            total += _reference_anchor_faces(model, cell, p * (-1) ** cell.q)
+        assert model.group_boundary(c).terms == _reference_sum(1, word)
+        assert model.face_boundary(c).terms == _reference_sum(1, anchor)
+        assert model.total_boundary(c).terms == _reference_sum(1, total)
+    assert multi > 25
+
+
+def test_random_chain_is_pinned():
+    # the first three chains of a seeded stream, as drawn before the
+    # sampler ran on flat chains
+    model = hexagon_model()
+    rng = random.Random(5)
+    got = [{(cell.anchor, cell.word): p
+            for cell, p in random_chain(model, rng).terms.items()}
+           for _ in range(3)]
+
+    def t(e, c=1):
+        return LaurentPoly.monomial(1, (e,), c)
+
+    assert got == [
+        {(("h1",), ()): t(0, -1), (("h3",), ()): t(2),
+         (("h4", "h5"), ()): t(1)},
+        {(("h3",), ("e", "m")): t(-1)},
+        {(("h5", "h0"), ()): t(-2)},
+    ]
+
+
+def _laurent_draw(model, rng, max_word, max_cells):
+    # the draw written with LaurentPoly coefficients, one rng call at a
+    # time in the sampler's order
+    X = model.complex
+    terms = []
+    for _ in range(rng.randrange(1, max_cells + 1)):
+        anchor = list(rng.choice(X.cells[rng.randrange(X.dim + 1)]))
+        rng.shuffle(anchor)
+        word = tuple(rng.choice(model.action.group.elements)
+                     for _ in range(rng.randrange(max_word + 1)))
+        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
+        coeff = LaurentPoly.monomial(model.r, exp, rng.choice((1, -1)))
+        terms.append((model.cell(anchor, word), coeff))
+    return LocalChain(model.r, terms)
+
+
+@pytest.mark.parametrize("make", [hexagon_model, mirror_model])
+def test_random_chain_matches_a_laurent_draw(make):
+    # long chains on small complexes, so repeated cells merge and cancel
+    model = make(depth=2)
+    ours, theirs = random.Random(31), random.Random(31)
+    doubled = 0
+    for _ in range(200):
+        want = _laurent_draw(model, theirs, 1, 12)
+        assert random_chain(model, ours, max_word=1, max_cells=12) == want
+        doubled += any(abs(c) == 2 for p in want.terms.values()
+                       for c in p.terms.values())
+    assert doubled > 5
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("make, want", [
+    (hexagon_model,
+     ["sample %d: %s" % (i, what) for i in (20, 29, 46, 63, 75, 83, 94, 99)
+      for what in ("boundaries do not commute",
+                   "total differential squared is nonzero")]),
+    (shift_model,
+     ["sample 16: face boundary squared is nonzero",
+      "sample 16: total differential squared is nonzero"]),
+])
+def test_sampler_catches_an_unclosed_exponent(make, want):
+    # break closedness after the model is built: the sampler must draw
+    # the same chains and find exactly the same failures
+    model = make(depth=3)
+    first = sorted(model.exponents)[0]
+    model.exponents[first] = tuple(e + 1 for e in model.exponents[first])
+    assert identity_failures(model, 7, 100) == want
+
+
+def test_missing_edge_exponent_still_raises():
+    model = hexagon_model(depth=3)
+    (u, v) = sorted(model.exponents)[0]
+    del model.exponents[(u, v)]
+    with pytest.raises(ValidationError, match="no exponent for edge"):
+        model.face_boundary(model.unit((u, v), ("m",)))
+    with pytest.raises(ValidationError, match="no exponent for edge"):
+        identity_failures(model, 7, 100)

@@ -37,6 +37,9 @@ def commands():
         sweep.append(["homology", name, "--transforms", "--json"])
         for p in ("2", "5"):
             sweep.append(["validate", name, "--cyclic", p])
+        sweep.append(["validate", name, "--depth", "2", "--seed", "7",
+                      "--cyclic", "3", "--json"])
+        sweep.append(["validate", name, "--depth", "0"])
     return sweep
 
 
