@@ -3,14 +3,17 @@
 Vertices are arbitrary sortable hashable labels (the corpus uses
 strings).  Cells are stored as tuples in increasing vertex order; an
 input tuple in any order contributes the orientation sign of the sort
-permutation.
+permutation.  Homology eliminates +-1 pivots from sparse boundaries,
+as twisted homology eliminates units (snf.eliminate_units), and then
+takes the Smith normal form of the small residual block.
 """
 
 from collections import deque
 from itertools import permutations
+from operator import mul
 
 from .errors import DocumentError, ValidationError
-from .snf import mat_mul, smith_normal_form
+from .snf import eliminate_units, smith_normal_form
 
 __all__ = ["SimplicialComplex", "build_complex", "sort_with_parity",
            "IntHomology", "integer_homology", "homology_of_matrices",
@@ -79,25 +82,29 @@ class SimplicialComplex:
                                   % (simplex,))
         return cell, sign
 
-    def boundary_matrix(self, q):
-        """Integer matrix of the boundary C_q -> C_{q-1}.
+    def boundary_entries(self, q):
+        """Sparse boundary C_q -> C_{q-1} as {(row, col): sign}.
 
         Rows are indexed by (q-1)-cells, columns by q-cells, both in
-        stored order.  Out-of-range q gives the appropriately shaped
-        zero matrix.
+        stored order; the face dropping vertex k has sign (-1)^k.
+        Out-of-range q gives no entries.
         """
-        rows = self.n_cells(q - 1)
-        cols = self.n_cells(q)
-        mat = [[0] * cols for _ in range(rows)]
         if q <= 0 or q > self.dim:
-            return mat
+            return {}
         idx = self.cell_index[q - 1]
+        entries = {}
         for j, cell in enumerate(self.cells[q]):
-            sign = 1
             for drop in range(len(cell)):
                 face = cell[:drop] + cell[drop + 1:]
-                mat[idx[face]][j] += sign
-                sign = -sign
+                entries[(idx[face], j)] = -1 if drop % 2 else 1
+        return entries
+
+    def boundary_matrix(self, q):
+        """Dense form of boundary_entries(q); out-of-range q gives the
+        appropriately shaped zero matrix."""
+        mat = [[0] * self.n_cells(q) for _ in range(self.n_cells(q - 1))]
+        for (i, j), sign in self.boundary_entries(q).items():
+            mat[i][j] = sign
         return mat
 
     def edges(self):
@@ -216,36 +223,48 @@ class IntHomology:
                 and self.torsion == other.torsion)
 
 
+def sparse_product_is_zero(A, B):
+    """Whether the product of two sparse matrices {(row, col): entry}
+    vanishes; entries are ints or Laurent polynomials."""
+    by_row = {}
+    for (k, j), b in B.items():
+        by_row.setdefault(k, []).append((j, b))
+    acc = {}
+    for (i, k), a in A.items():
+        for j, b in by_row.get(k, ()):
+            key = (i, j)
+            term = a * b
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return all(not p for p in acc.values())
+
+
 def homology_of_matrices(ncells, boundaries):
     """Homology of a bounded chain complex of free Z-modules.
 
     ncells[q] is the rank in degree q; boundaries[q] maps degree q to
-    q-1 (boundaries[0] is ignored).  The composite of consecutive maps
-    is checked to vanish.
+    q-1 as sparse entries {(row, col): int} (boundaries[0] is ignored).
+    Each boundary loses its +-1 pivots, which are their own inverses;
+    the Smith form of the residual gives the rest of the rank and the
+    torsion.  The composite of consecutive maps is checked to vanish.
     """
     top = len(ncells) - 1
-    ranks = []
-    snfs = []
-    for q in range(top + 2):
-        if 1 <= q <= top:
-            mat = boundaries[q]
-            assert len(mat) == (ncells[q - 1] if q >= 1 else 0)
-            assert all(len(r) == ncells[q] for r in mat)
-            snfs.append(smith_normal_form(mat))
-            ranks.append(snfs[-1].rank)
-        else:
-            snfs.append(None)
-            ranks.append(0)
     for q in range(1, top):
-        comp = mat_mul(boundaries[q], boundaries[q + 1])
-        if any(any(row) for row in comp):
+        if not sparse_product_is_zero(boundaries[q], boundaries[q + 1]):
             raise ValidationError("boundary squared is nonzero in degree %d"
                                   % (q + 1,))
+    ranks = [0] * (top + 2)
+    torsion = [[] for _ in range(top + 1)]
+    for q in range(1, top + 1):
+        assert all(i < ncells[q - 1] and j < ncells[q]
+                   for i, j in boundaries[q])
+        pivots, residual, cols = eliminate_units(
+            boundaries[q], lambda a: 1 if a in (1, -1) else None, mul)
+        snf = smith_normal_form([[row.get(j, 0) for j in cols]
+                                 for row in residual])
+        ranks[q] = pivots + snf.rank
+        torsion[q - 1] = snf.torsion()
     betti = [ncells[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
-    torsion = []
-    for q in range(top + 1):
-        snf = snfs[q + 1]
-        torsion.append(snf.torsion() if snf is not None else [])
     if any(b < 0 for b in betti):
         raise ValidationError("negative betti number; ranks are inconsistent")
     return IntHomology(betti, torsion)
@@ -261,7 +280,7 @@ def integer_homology(X):
     [[], []]
     """
     ncells = [len(layer) for layer in X.cells]
-    boundaries = [X.boundary_matrix(q) for q in range(X.dim + 1)]
+    boundaries = [X.boundary_entries(q) for q in range(X.dim + 1)]
     return homology_of_matrices(ncells, boundaries)
 
 

@@ -1,8 +1,8 @@
 """Matrices over the weighted Laurent ring: rank and invariant factors.
 
-Both run on one sparse unit-pivot elimination in the localized ring
-(the standard reduction of computational homology): every entry with
-a unit leading coefficient is pivoted away, and each pivot adds one to
+Both run on the sparse unit-pivot elimination of integer homology
+(snf.eliminate_units), here in the localized ring: every entry with a
+unit leading coefficient is pivoted away, and each pivot adds one to
 the rank and one unit invariant factor.  What remains is a residual
 block with no unit entries, usually empty for twisted boundaries.
 
@@ -14,9 +14,12 @@ i-minor expands into (i-1)-minors; the divisibility chain of the
 resulting factors is then re-verified inside the localized ring.
 """
 
+from operator import truediv
+
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, exact_divide
 from .localized import LocalizedScalar, localized_gcd
+from .snf import eliminate_units
 
 __all__ = ["WeightedLaurentMatrix", "fraction_field_rank",
            "InvariantFactors", "invariant_factors"]
@@ -57,63 +60,14 @@ class WeightedLaurentMatrix:
 
 
 def _eliminate_units(M):
-    """Sparse unit-pivot elimination: (units eliminated, residual rows).
-
-    Rows are dicts of localized scalars, with a column -> rows index.
-    The pivot is the unit entry with the fewest numerator terms, ties
-    broken by the smallest (row, col).  Row operations clear its
-    column; the matching column operations would only clear the rest
-    of the pivot row, so the pivot's row and column are dropped
-    instead.  The residual keeps the nonzero rows and columns as dense
-    Laurent rows, each multiplied by its own denominators (units of
-    the localized ring) and shifted to nonnegative exponents.
-    """
+    """(units eliminated, residual rows as from _clear_row) of M over
+    the localized ring; a unit with fewer numerator terms is the
+    cheaper pivot."""
     ws = M.ws
-    rows = {}
-    in_col = {}
-    for (i, j), p in M.entries.items():
-        rows.setdefault(i, {})[j] = LocalizedScalar(ws, p)
-        in_col.setdefault(j, set()).add(i)
-    unit_terms = {}
-
-    def track(i, j, s):
-        if s.is_unit():
-            unit_terms[(i, j)] = s.num.n_terms()
-        else:
-            unit_terms.pop((i, j), None)
-
-    for i, row in rows.items():
-        for j, s in row.items():
-            track(i, j, s)
-    units = 0
-    while unit_terms:
-        _, pi, pj = min((t, i, j) for (i, j), t in unit_terms.items())
-        prow = rows.pop(pi)
-        pivot = prow[pj]
-        for j in prow:
-            in_col[j].discard(pi)
-            unit_terms.pop((pi, j), None)
-        for i in in_col.pop(pj):
-            row = rows[i]
-            f = row.pop(pj) / pivot
-            unit_terms.pop((i, pj), None)
-            for j, b in prow.items():
-                if j == pj:
-                    continue
-                s = row[j] - f * b if j in row else -(f * b)
-                if s:
-                    row[j] = s
-                    in_col[j].add(i)
-                    track(i, j, s)
-                else:
-                    del row[j]
-                    in_col[j].discard(i)
-                    unit_terms.pop((i, j), None)
-        units += 1
-    cols = sorted(j for j, live in in_col.items() if live)
-    residual = [_clear_row(rows[i], cols, ws)
-                for i in sorted(rows) if rows[i]]
-    return units, residual
+    units, rows, cols = eliminate_units(
+        {key: LocalizedScalar(ws, p) for key, p in M.entries.items()},
+        lambda s: s.num.n_terms() if s.is_unit() else None, truediv)
+    return units, [_clear_row(row, cols, ws) for row in rows]
 
 
 def _clear_row(row, cols, ws):

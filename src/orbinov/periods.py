@@ -219,12 +219,19 @@ def gamma_basis(ph):
     rows = [[int(x * denom) for x in p] for p in free]
     basis_int = row_lattice_basis(rows, k)
     basis = [tuple(Fraction(x, denom) for x in row) for row in basis_int]
-    # re-check: each free period is an integer combination of the basis
     for p in free:
-        coeffs = q_solve([[b[i] for b in basis] for i in range(k)], list(p))
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise ValidationError("period %r escaped its own lattice" % (p,))
+        lattice_coordinates(basis, p)
     return basis
+
+
+def lattice_coordinates(basis, vec):
+    """Integer coordinates of vec in a lattice basis; ValidationError
+    when vec is not in the lattice."""
+    cols = [[b[i] for b in basis] for i in range(len(vec))]
+    coeffs = q_solve(cols, list(vec))
+    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        raise ValidationError("period %r escaped the period lattice" % (vec,))
+    return tuple(int(c) for c in coeffs)
 
 
 class GPath:

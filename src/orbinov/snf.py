@@ -1,11 +1,15 @@
-"""Smith normal form and integer row-lattice reduction, exact arithmetic.
+"""Smith normal form, sparse unit-pivot elimination and integer
+row-lattice reduction, exact arithmetic.
 
-Matrices are plain lists of rows of Python ints; no machine-word modes
-anywhere, so coefficient growth is bounded only by memory.  Pivots are
-chosen with minimal absolute value to keep intermediate entries small;
-the search ends at the first +-1 entry in row-major order, which is the
-entry the full scan would pick, and a +-1 pivot skips the divisibility
-check of the trailing block, since it divides every entry.
+Homology over Z and over the localized Laurent ring (see lmatrix) runs
+on one sparse elimination, eliminate_units, before any dense step.
+Dense matrices are plain lists of rows of Python ints; no machine-word
+modes anywhere, so coefficient growth is bounded only by memory.
+Pivots are chosen with minimal absolute value to keep intermediate
+entries small; the search ends at the first +-1 entry in row-major
+order, which is the entry the full scan would pick, and a +-1 pivot
+skips the divisibility check of the trailing block, since it divides
+every entry.
 """
 
 from .errors import ValidationError
@@ -200,6 +204,60 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
                     raise ValidationError("transform bookkeeping broke")
         transforms = (S, Si, T, Ti)
     return SNFResult(diagonal, (m, n), transforms)
+
+
+def eliminate_units(entries, unit_cost, divide):
+    """Sparse unit-pivot elimination: (pivots, residual rows, columns).
+
+    entries maps (row, col) to a nonzero ring element; unit_cost(a) is
+    None for a non-unit, else the cost of pivoting on a, and
+    divide(a, pivot) is the exact quotient by a unit.  Each pivot is
+    the unit of least cost, ties broken by the smallest (row, col).
+    Row operations clear its column; the matching column operations
+    would only clear the rest of the pivot row, so the pivot's row and
+    column are dropped instead.  Residual rows are dicts col -> entry,
+    in row order; the columns still holding an entry come sorted.
+    """
+    rows = {}
+    in_col = {}
+    costs = {}
+
+    def track(i, j, a):
+        cost = unit_cost(a)
+        if cost is None:
+            costs.pop((i, j), None)
+        else:
+            costs[(i, j)] = cost
+
+    for (i, j), a in entries.items():
+        rows.setdefault(i, {})[j] = a
+        in_col.setdefault(j, set()).add(i)
+        track(i, j, a)
+    pivots = 0
+    while costs:
+        _, pi, pj = min((c, i, j) for (i, j), c in costs.items())
+        prow = rows.pop(pi)
+        for j in prow:
+            in_col[j].discard(pi)
+            costs.pop((pi, j), None)
+        pivot = prow.pop(pj)
+        for i in in_col.pop(pj):
+            row = rows[i]
+            f = divide(row.pop(pj), pivot)
+            costs.pop((i, pj), None)
+            for j, b in prow.items():
+                s = row[j] - f * b if j in row else -(f * b)
+                if s:
+                    row[j] = s
+                    in_col[j].add(i)
+                    track(i, j, s)
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+                    costs.pop((i, j), None)
+        pivots += 1
+    cols = sorted(j for j, live in in_col.items() if live)
+    return pivots, [rows[i] for i in sorted(rows) if rows[i]], cols
 
 
 def row_lattice_basis(rows, ncols):

@@ -13,13 +13,14 @@ and torsion numbers.
 from fractions import Fraction
 
 from .cochains import RationalCochain1, PeriodSpace
-from .complexes import homology_of_matrices, integer_homology
+from .complexes import (build_complex, homology_of_matrices,
+                        integer_homology, sparse_product_is_zero)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
                       invariant_factors)
-from .periods import H1Presentation, gamma_basis, period_homomorphism
-from .qlinalg import q_solve
+from .periods import (H1Presentation, gamma_basis, lattice_coordinates,
+                      period_homomorphism)
 
 __all__ = ["IntegralLift", "integralize", "TwistedComplex",
            "twisted_complex", "NovikovNumbers", "novikov_numbers",
@@ -69,19 +70,10 @@ def integralize(cochain):
     X = cochain.complex
     ph = period_homomorphism(H1Presentation(X), cochain)
     basis = gamma_basis(ph)
-    r = len(basis)
     exponents = {}
-    k = cochain.space.k
-    cols = [[basis[j][i] for j in range(r)] for i in range(k)]
     for (u, v), per in zip(ph.h1.offtree, ph.fundamental_periods):
-        if not any(per):
-            continue
-        coeffs = q_solve(cols, list(per))
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise ValidationError("off-tree period escaped the period lattice")
-        exp = tuple(int(c) for c in coeffs)
-        if any(exp):
-            exponents[(u, v)] = exp
+        if any(per):
+            exponents[(u, v)] = lattice_coordinates(basis, per)
     return IntegralLift(X, ph, basis, exponents)
 
 
@@ -96,9 +88,6 @@ class TwistedComplex:
         self.ws = ws
         self.boundary = boundary
 
-    def ncells(self, q):
-        return self.complex.n_cells(q)
-
 
 def twisted_complex(lift):
     """Boundary matrices of the lift's complex over the weighted Laurent
@@ -111,45 +100,21 @@ def twisted_complex(lift):
     """
     X = lift.complex
     ws = WeightSystem(lift.basis)
-    r = ws.r
     boundary = {}
     for q in range(1, X.dim + 1):
-        entries = {}
+        entries = X.boundary_entries(q)
         idx = X.cell_index[q - 1]
         for j, cell in enumerate(X.cells[q]):
-            sign = 1
-            for drop in range(len(cell)):
-                face = cell[:drop] + cell[drop + 1:]
-                i = idx[face]
-                if drop == 0:
-                    poly = LaurentPoly.monomial(
-                        r, lift.exponent(cell[0], cell[1]), sign)
-                else:
-                    poly = LaurentPoly.const(r, sign)
-                prev = entries.get((i, j))
-                entries[(i, j)] = poly if prev is None else prev + poly
-                sign = -sign
+            entries[(idx[cell[1:]], j)] = LaurentPoly.monomial(
+                ws.r, lift.exponent(cell[0], cell[1]), 1)
         boundary[q] = WeightedLaurentMatrix(
             ws, X.n_cells(q - 1), X.n_cells(q), entries)
     for q in range(1, X.dim):
-        if not _sparse_product_is_zero(boundary[q], boundary[q + 1]):
+        if not sparse_product_is_zero(boundary[q].entries,
+                                      boundary[q + 1].entries):
             raise ValidationError(
                 "twisted boundary squared is nonzero in degree %d" % (q + 1,))
     return TwistedComplex(X, lift, ws, boundary)
-
-
-def _sparse_product_is_zero(A, B):
-    by_row = {}
-    for (k, j), p in B.entries.items():
-        by_row.setdefault(k, []).append((j, p))
-    acc = {}
-    for (i, k), a in A.entries.items():
-        for j, b in by_row.get(k, ()):
-            key = (i, j)
-            term = a * b
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return all(not p for p in acc.values())
 
 
 class NovikovNumbers:
@@ -269,8 +234,6 @@ def cyclic_cover_oracle(lift, p):
 
 
 def _explicit_cover_homology(X, lift, p):
-    from .complexes import build_complex
-
     def label(v, level):
         return "%s@%d" % (v, level)
 
@@ -294,18 +257,16 @@ def _explicit_cover_homology(X, lift, p):
 
 def _block_substitution_homology(X, tc, p):
     ncells = [X.n_cells(q) * p for q in range(X.dim + 1)]
-    boundaries = {}
+    boundaries = [{}]
     for q in range(1, X.dim + 1):
-        M = tc.boundary[q]
-        rows = ncells[q - 1]
-        cols = ncells[q]
-        mat = [[0] * cols for _ in range(rows)]
-        for (i, j), poly in M.entries.items():
+        entries = {}
+        for (i, j), poly in tc.boundary[q].entries.items():
             for (e,), c in poly.terms.items():
                 # T^e acts on levels as the cyclic shift by e
                 for level in range(p):
-                    mat[i * p + (level + e) % p][j * p + level] += c
-        boundaries[q] = mat
+                    key = (i * p + (level + e) % p, j * p + level)
+                    entries[key] = entries.get(key, 0) + c
+        boundaries.append({key: c for key, c in entries.items() if c})
     return homology_of_matrices(ncells, boundaries)
 
 

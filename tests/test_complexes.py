@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import orbinov
 from orbinov.complexes import (barycentric_subdivision, build_complex,
                                euler_characteristic, integer_homology,
                                sort_with_parity)
@@ -22,6 +26,7 @@ def test_build_and_boundary():
     assert X.vertices == ["a", "b", "c"]
     assert X.cells[1] == [("a", "b"), ("a", "c"), ("b", "c")]
     assert X.boundary_matrix(2) == [[1], [-1], [1]]
+    assert X.boundary_entries(2) == {(0, 0): 1, (1, 0): -1, (2, 0): 1}
     assert X.boundary_matrix(1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
     # out-of-range degrees give shaped zero matrices
     assert X.boundary_matrix(0) == []
@@ -123,3 +128,22 @@ def test_subdivision_respects_isolated_and_mixed_dims():
     # barycenter dictionary round-trips
     for cell, label in sd.barycenter_of.items():
         assert sd.cell_of[label] == cell
+
+
+def test_integer_guard_survives_optimized_mode():
+    # homology reaches the integer d o d check through
+    # homology_of_matrices; under -O an assert there would vanish
+    script = "\n".join([
+        "import sys",
+        "import orbinov.complexes",
+        "orbinov.complexes.sparse_product_is_zero = lambda A, B: False",
+        "from orbinov import cli",
+        "sys.exit(cli.main(['homology', 'klein']))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "validation error: boundary squared is nonzero in degree" \
+        in proc.stderr

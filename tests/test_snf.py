@@ -10,7 +10,8 @@ from sympy.polys.matrices.normalforms import invariant_factors
 
 import orbinov
 from orbinov.cli import resolve_document
-from orbinov.complexes import build_complex
+from orbinov.complexes import (IntHomology, build_complex,
+                               homology_of_matrices, integer_homology)
 from orbinov.errors import ValidationError
 from orbinov.snf import (identity_matrix, mat_mul, row_lattice_basis,
                          smith_normal_form)
@@ -182,6 +183,61 @@ def test_cover_boundaries_match_sympy(name, cname, p):
         k = rng.choice((2, 3))
         res = check_against_sympy([[k * x for x in r] for r in A])
         assert all(d % k == 0 for d in res.diagonal)
+
+
+def boundary_arg(A):
+    """The sparse entries of a dense boundary, the form that
+    homology_of_matrices takes."""
+    return {(i, j): x for i, row in enumerate(A) for j, x in enumerate(row)
+            if x}
+
+
+def homology_from_full_boundaries(ncells, mats):
+    """Betti and torsion numbers read off the dense Smith form of every
+    full boundary, each checked against sympy; mats[q - 1] maps degree
+    q to degree q - 1."""
+    ranks = [0] * (len(ncells) + 1)
+    torsion = [[] for _ in ncells]
+    for q, A in enumerate(mats, start=1):
+        if A and A[0]:
+            res = check_against_sympy(A)
+            ranks[q] = res.rank
+            torsion[q - 1] = res.torsion()
+    betti = [ncells[q] - ranks[q] - ranks[q + 1] for q in range(len(ncells))]
+    return IntHomology(betti, torsion)
+
+
+@pytest.mark.parametrize("name", ["rp2", "klein"])
+def test_integer_homology_matches_full_boundary_snf(name):
+    # both have 2-torsion, which no unit pivot can produce
+    X = resolve_document(name).space
+    mats = [X.boundary_matrix(q) for q in range(1, X.dim + 1)]
+    ncells = [X.n_cells(q) for q in range(X.dim + 1)]
+    want = homology_from_full_boundaries(ncells, mats)
+    assert integer_homology(X) == want
+    assert homology_of_matrices(
+        ncells, [[]] + [boundary_arg(A) for A in mats]) == want
+
+
+@pytest.mark.parametrize("name,cname,p", COVERS)
+def test_scaled_cover_homology_matches_full_boundary_snf(name, cname, p):
+    # scaling the rows of the first boundary, or the columns of the
+    # last, by 2s and 3s keeps d o d zero and leaves no unit entry in
+    # that degree, so its whole block is residual; the mixed factors
+    # put units into the residual's Smith form
+    rng = random.Random("scaled/%s/%s/%d" % (name, cname, p))
+    mats = cover_boundaries(name, cname, p)
+    ncells = [len(mats[0])] + [len(A[0]) for A in mats]
+    if rng.random() < 0.5:
+        mats[0] = [[k * x for x in r]
+                   for r, k in zip(mats[0], rng.choices((2, 3), k=ncells[0]))]
+    else:
+        ks = rng.choices((2, 3), k=ncells[-1])
+        mats[-1] = [[k * x for x, k in zip(r, ks)] for r in mats[-1]]
+    want = homology_from_full_boundaries(ncells, mats)
+    assert any(want.torsion)
+    assert homology_of_matrices(
+        ncells, [[]] + [boundary_arg(A) for A in mats]) == want
 
 
 def test_no_unit_entries_match_sympy():

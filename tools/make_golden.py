@@ -34,8 +34,9 @@ def commands():
                 sweep.append([sub, name, "--class", cname])
                 sweep.append([sub, name, "--class", cname, "--json"])
     for name in corpus_names():
+        sweep.append(["homology", name])
         sweep.append(["homology", name, "--transforms", "--json"])
-        for p in ("2", "5"):
+        for p in ("2", "5", "7"):
             sweep.append(["validate", name, "--cyclic", p])
         sweep.append(["validate", name, "--depth", "2", "--seed", "7",
                       "--cyclic", "3", "--json"])
