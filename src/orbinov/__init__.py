@@ -20,6 +20,6 @@ from .twisted import (IntegralLift, integralize, TwistedComplex,
                       CyclicCoverCheck, cyclic_cover_oracle, rank1_perturb)
 from .inequalities import (CriticalData, InequalityRow, InequalityReport,
                            check_inequalities)
-from .nerve import NerveCell, LocalChain, NerveModel, nerve_model
+from .nerve import NerveModel, nerve_model
 
 __version__ = "0.1.0"

@@ -256,8 +256,10 @@ def homology_of_matrices(ncells, boundaries):
     ranks = [0] * (top + 2)
     torsion = [[] for _ in range(top + 1)]
     for q in range(1, top + 1):
-        assert all(i < ncells[q - 1] and j < ncells[q]
-                   for i, j in boundaries[q])
+        if not all(0 <= i < ncells[q - 1] and 0 <= j < ncells[q]
+                   for i, j in boundaries[q]):
+            raise ValidationError("boundary entry out of range in degree %d"
+                                  % (q,))
         pivots, residual, cols = eliminate_units(
             boundaries[q], lambda a: 1 if a in (1, -1) else None, mul)
         snf = smith_normal_form([[row.get(j, 0) for j in cols]

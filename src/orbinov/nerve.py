@@ -22,98 +22,21 @@ rule) squares to zero.  identity_failures checks them on seeded random
 chains; the module itself stays agnostic about truncation except for
 refusing words longer than its depth.
 
-A face's coefficient is its cell's coefficient, signed and shifted by
-an exponent, so the operators run on flat chains {(anchor, word,
-exponent): int} without zero entries.  Each model memoizes the signed
-faces of the cells it meets, reading the exponents then.  LocalChain,
-with LaurentPoly coefficients, is the public form that the boundary
-methods convert from and to.
+A chain is a flat map {(anchor, word, exponent): int} without zero
+entries: a chain with coefficients in the group ring of the period
+lattice, spread over the monomials of each coefficient.  A face's
+coefficient is its cell's coefficient, signed and shifted by an
+exponent, so the operators never multiply polynomials.  Each model
+memoizes the signed faces of the cells it meets, reading the exponents
+then.
 """
 
 import random
 from operator import add
 
 from .errors import DocumentError, ValidationError
-from .laurent import LaurentPoly
 
-__all__ = ["NerveCell", "LocalChain", "NerveModel", "nerve_model",
-           "random_chain", "identity_failures"]
-
-
-class NerveCell:
-    """An ordered anchor simplex with a word of group elements."""
-
-    __slots__ = ("anchor", "word")
-
-    def __init__(self, anchor, word):
-        self.anchor = tuple(anchor)
-        self.word = tuple(word)
-
-    @property
-    def q(self):
-        return len(self.anchor) - 1
-
-    @property
-    def n(self):
-        return len(self.word)
-
-    def __eq__(self, other):
-        return (isinstance(other, NerveCell)
-                and self.anchor == other.anchor and self.word == other.word)
-
-    def __hash__(self):
-        return hash((self.anchor, self.word))
-
-    def __repr__(self):
-        return "NerveCell(%r, %r)" % (self.anchor, self.word)
-
-
-class LocalChain:
-    """Finite formal sum of nerve cells with Laurent coefficients."""
-
-    __slots__ = ("r", "terms")
-
-    def __init__(self, r, terms=()):
-        self.r = r
-        clean = {}
-        for cell, coeff in (terms.items() if isinstance(terms, dict)
-                            else terms):
-            if isinstance(coeff, int):
-                coeff = LaurentPoly.const(r, coeff)
-            if coeff:
-                prev = clean.get(cell)
-                total = coeff if prev is None else prev + coeff
-                if total:
-                    clean[cell] = total
-                elif cell in clean:
-                    del clean[cell]
-        self.terms = clean
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, LocalChain) and self.r == other.r
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        assert self.r == other.r
-        return LocalChain(self.r, [*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return LocalChain(self.r, {c: -p for c, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, poly):
-        if isinstance(poly, int):
-            poly = LaurentPoly.const(self.r, poly)
-        return LocalChain(self.r, {c: p * poly
-                                   for c, p in self.terms.items()})
-
-    def __repr__(self):
-        return "LocalChain(%d cells)" % (len(self.terms),)
+__all__ = ["NerveModel", "nerve_model", "random_chain", "identity_failures"]
 
 
 class NerveModel:
@@ -164,15 +87,13 @@ class NerveModel:
         raise ValidationError("no exponent for edge %r" % ((u, v),))
 
     def cell(self, anchor, word):
-        """Validated nerve cell on this model's complex and group."""
+        """Validated (anchor, word) pair on this model's complex and
+        group; the anchor may list its simplex in any vertex order."""
         anchor = tuple(anchor)
         if not anchor:
             raise DocumentError("empty anchor")
-        if len(set(anchor)) != len(anchor):
+        if not self.complex.normalize(anchor)[1]:
             raise DocumentError("anchor %r repeats a vertex" % (anchor,))
-        key = tuple(sorted(anchor, key=self.complex.vertex_index.get))
-        if not self.complex.has_cell(key):
-            raise ValidationError("anchor %r is not a simplex" % (anchor,))
         word = tuple(word)
         for g in word:
             if g not in self.action.group.index:
@@ -181,10 +102,11 @@ class NerveModel:
             raise ValidationError(
                 "word of length %d exceeds truncation depth %d"
                 % (len(word), self.depth))
-        return NerveCell(anchor, word)
+        return anchor, word
 
     def unit(self, anchor, word):
-        return LocalChain(self.r, {self.cell(anchor, word): 1})
+        """The chain of one cell with coefficient 1 at exponent 0."""
+        return {(*self.cell(anchor, word), (0,) * self.r): 1}
 
     def _cell_faces(self, anchor, word):
         """Word and anchor faces of one cell, stored in the memo, each
@@ -232,15 +154,15 @@ class NerveModel:
 
     def group_boundary(self, chain):
         """Word-direction boundary: drop, compose, or relocate."""
-        return _local(self.r, self._boundary(_flat(chain), anchor=False))
+        return self._boundary(chain, anchor=False)
 
     def face_boundary(self, chain):
         """Anchor-direction boundary, twisted on the leading face."""
-        return _local(self.r, self._boundary(_flat(chain), word=False))
+        return self._boundary(chain, word=False)
 
     def total_boundary(self, chain):
         """Total differential, with the bidegree sign rule."""
-        return _local(self.r, self._boundary(_flat(chain)))
+        return self._boundary(chain)
 
 
 def _add_faces(out, faces, exp, coeff):
@@ -255,27 +177,17 @@ def _add_faces(out, faces, exp, coeff):
             del out[key]
 
 
-def _flat(chain):
-    """The flat form {(anchor, word, exponent): int} of a LocalChain."""
-    return {(cell.anchor, cell.word, e): c
-            for cell, poly in chain.terms.items()
-            for e, c in poly.terms.items()}
+def random_chain(model, rng, max_word=3, max_cells=3):
+    """Small random chain for identity spot checks, rng driven.
 
-
-def _local(r, flat):
-    """The LocalChain of a flat chain."""
-    polys = {}
-    for (anchor, word, e), c in flat.items():
-        polys.setdefault((anchor, word), {})[e] = c
-    return LocalChain(r, {NerveCell(anchor, word): LaurentPoly(r, terms)
-                          for (anchor, word), terms in polys.items()})
-
-
-def _random_flat(model, rng, max_word, max_cells):
-    """The chain random_chain draws, as a flat chain."""
+    Anchors come from the model's complex in any vertex order, words
+    from the full element list (identities included), coefficients are
+    signed monomials with small exponents; a cell drawn twice at one
+    exponent has its coefficients summed.
+    """
     X = model.complex
     elements = model.action.group.elements
-    flat = {}
+    chain = {}
     for _ in range(rng.randrange(1, max_cells + 1)):
         q = rng.randrange(X.dim + 1)
         anchor = list(rng.choice(X.cells[q]))
@@ -284,36 +196,25 @@ def _random_flat(model, rng, max_word, max_cells):
                      for _ in range(rng.randrange(max_word + 1)))
         exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
         sign = rng.choice((1, -1))
-        cell = model.cell(anchor, word)
-        key = (cell.anchor, cell.word, exp)
-        flat[key] = flat.get(key, 0) + sign
-    return {key: c for key, c in flat.items() if c}
-
-
-def random_chain(model, rng, max_word=3, max_cells=3):
-    """Small random chain for identity spot checks, rng driven.
-
-    Anchors come from the model's complex in any vertex order, words
-    from the full element list (identities included), coefficients are
-    signed monomials with small exponents.
-    """
-    return _local(model.r, _random_flat(model, rng, max_word, max_cells))
+        key = (*model.cell(anchor, word), exp)
+        chain[key] = chain.get(key, 0) + sign
+    return {key: c for key, c in chain.items() if c}
 
 
 def identity_failures(model, seed, samples, max_word=3):
     """Check the four boundary identities on seeded random chains.
 
     Both operators must square to zero, they must commute, and the
-    signed total differential must square to zero.  The chains are the
-    ones random_chain draws, kept flat.  Returns failure descriptions;
-    an empty list is a clean pass.
+    signed total differential must square to zero on the chains that
+    random_chain draws.  Returns failure descriptions; an empty list is
+    a clean pass.
     """
     max_word = min(max_word, model.depth)
     rng = random.Random(seed)
     boundary = model._boundary
     fails = []
     for i in range(samples):
-        c = _random_flat(model, rng, max_word, 3)
+        c = random_chain(model, rng, max_word, 3)
         word, face = boundary(c, anchor=False), boundary(c, word=False)
         if boundary(word, anchor=False):
             fails.append("sample %d: word boundary squared is nonzero" % i)

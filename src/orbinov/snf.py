@@ -12,6 +12,8 @@ skips the divisibility check of the trailing block, since it divides
 every entry.
 """
 
+from heapq import heappop, heappush
+
 from .errors import ValidationError
 
 __all__ = ["SNFResult", "smith_normal_form", "identity_matrix", "mat_mul",
@@ -212,15 +214,18 @@ def eliminate_units(entries, unit_cost, divide):
     entries maps (row, col) to a nonzero ring element; unit_cost(a) is
     None for a non-unit, else the cost of pivoting on a, and
     divide(a, pivot) is the exact quotient by a unit.  Each pivot is
-    the unit of least cost, ties broken by the smallest (row, col).
-    Row operations clear its column; the matching column operations
-    would only clear the rest of the pivot row, so the pivot's row and
-    column are dropped instead.  Residual rows are dicts col -> entry,
-    in row order; the columns still holding an entry come sorted.
+    the unit of least cost, ties broken by the smallest (row, col),
+    popped from a heap that skips entries gone or repriced since they
+    were pushed.  Row operations clear its column; the matching column
+    operations would only clear the rest of the pivot row, so the
+    pivot's row and column are dropped instead.  Residual rows are
+    dicts col -> entry, in row order; the columns still holding an
+    entry come sorted.
     """
     rows = {}
     in_col = {}
     costs = {}
+    heap = []
 
     def track(i, j, a):
         cost = unit_cost(a)
@@ -228,14 +233,17 @@ def eliminate_units(entries, unit_cost, divide):
             costs.pop((i, j), None)
         else:
             costs[(i, j)] = cost
+            heappush(heap, (cost, i, j))
 
     for (i, j), a in entries.items():
         rows.setdefault(i, {})[j] = a
         in_col.setdefault(j, set()).add(i)
         track(i, j, a)
     pivots = 0
-    while costs:
-        _, pi, pj = min((c, i, j) for (i, j), c in costs.items())
+    while heap:
+        cost, pi, pj = heappop(heap)
+        if costs.get((pi, pj)) != cost:
+            continue
         prow = rows.pop(pi)
         for j in prow:
             in_col[j].discard(pi)

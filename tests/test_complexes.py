@@ -147,3 +147,23 @@ def test_integer_guard_survives_optimized_mode():
     assert proc.returncode == 2, proc.stderr
     assert "validation error: boundary squared is nonzero in degree" \
         in proc.stderr
+
+
+def test_boundary_index_guard_survives_optimized_mode():
+    # a boundary entry outside its matrix's shape must stop the
+    # computation under -O too, not slip into the pivot count
+    script = "\n".join([
+        "import sys",
+        "from orbinov.complexes import homology_of_matrices",
+        "from orbinov.errors import ValidationError",
+        "try:",
+        "    homology_of_matrices([1, 1], [{}, {(1, 0): 1}])",
+        "except ValidationError as err:",
+        "    sys.exit(str(err))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "boundary entry out of range in degree 1" in proc.stderr

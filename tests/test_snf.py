@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from sympy import ZZ
@@ -13,8 +15,8 @@ from orbinov.cli import resolve_document
 from orbinov.complexes import (IntHomology, build_complex,
                                homology_of_matrices, integer_homology)
 from orbinov.errors import ValidationError
-from orbinov.snf import (identity_matrix, mat_mul, row_lattice_basis,
-                         smith_normal_form)
+from orbinov.snf import (eliminate_units, identity_matrix, mat_mul,
+                         row_lattice_basis, smith_normal_form)
 from orbinov.twisted import integralize
 
 from oracles import gauss_rank, minor_gcd_invariant_factors
@@ -251,6 +253,79 @@ def test_no_unit_entries_match_sympy():
               for _ in range(n)] for _ in range(m)]
         A[rng.randrange(m)][rng.randrange(n)] = low
         check_against_sympy(A)
+
+
+def min_scan_elimination(entries, unit_cost, divide):
+    """eliminate_units as it was with a full min scan per pivot, plus
+    counts of pivots chosen among tied costs and of repriced entries."""
+    rows, in_col, costs = {}, {}, {}
+    seen = {"ties": 0, "repriced": 0}
+
+    def track(i, j, a):
+        cost = unit_cost(a)
+        if cost is None:
+            costs.pop((i, j), None)
+        else:
+            seen["repriced"] += costs.get((i, j), cost) != cost
+            costs[(i, j)] = cost
+
+    for (i, j), a in entries.items():
+        rows.setdefault(i, {})[j] = a
+        in_col.setdefault(j, set()).add(i)
+        track(i, j, a)
+    pivots = 0
+    while costs:
+        low, pi, pj = min((c, i, j) for (i, j), c in costs.items())
+        seen["ties"] += sum(c == low for c in costs.values()) > 1
+        prow = rows.pop(pi)
+        for j in prow:
+            in_col[j].discard(pi)
+            costs.pop((pi, j), None)
+        pivot = prow.pop(pj)
+        for i in in_col.pop(pj):
+            row = rows[i]
+            f = divide(row.pop(pj), pivot)
+            costs.pop((i, pj), None)
+            for j, b in prow.items():
+                s = row[j] - f * b if j in row else -(f * b)
+                if s:
+                    row[j] = s
+                    in_col[j].add(i)
+                    track(i, j, s)
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+                    costs.pop((i, j), None)
+        pivots += 1
+    cols = sorted(j for j, live in in_col.items() if live)
+    return (pivots, [rows[i] for i in sorted(rows) if rows[i]], cols), seen
+
+
+def small_fraction_cost(a):
+    # over Q every entry is a unit; pivot only on small ones, priced
+    # by size, so costs change as entries are updated
+    a = Fraction(a)
+    return abs(a.numerator) + a.denominator if abs(a.numerator) <= 3 else None
+
+
+@pytest.mark.parametrize("unit_cost, divide", [
+    (lambda a: 1 if a in (1, -1) else None, mul),
+    (small_fraction_cost, lambda a, p: Fraction(a) / p),
+])
+def test_unit_elimination_keeps_the_min_scan_pivot_order(unit_cost, divide):
+    rng = random.Random(41)
+    ties = repriced = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        entries = {(i, j): rng.choice((1, -1, 2, -2, 3, -3))
+                   for i in range(m) for j in range(n) if rng.random() < 0.3}
+        want, seen = min_scan_elimination(entries, unit_cost, divide)
+        assert eliminate_units(entries, unit_cost, divide) == want
+        ties += seen["ties"]
+        repriced += seen["repriced"]
+    assert ties > 100
+    if unit_cost is small_fraction_cost:
+        assert repriced > 20
 
 
 # 8 x 8, entries in [-9, 9] and no +-1 entry

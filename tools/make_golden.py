@@ -30,7 +30,8 @@ def commands():
     sweep = []
     for name in corpus_names():
         for cname in resolve_document(name).cocycle_names():
-            for sub in ("novikov", "check-inequalities", "periods"):
+            for sub in ("novikov", "check-inequalities", "periods",
+                        "perturb"):
                 sweep.append([sub, name, "--class", cname])
                 sweep.append([sub, name, "--class", cname, "--json"])
     for name in corpus_names():
