@@ -178,20 +178,21 @@ def is_regular(action):
     must satisfy v_i.g = v_i.g_i for all i.  Quantifying over tuples
     with repeated target vertices is what catches actions that flip an
     edge setwise without fixing it pointwise.
+
+    The condition depends on the element tuple only through its target
+    tuple (v_0.g_0, ..., v_q.g_q), which ranges over the product of the
+    vertex orbits, so each target tuple is tested once.
     """
     X = action.complex
-    G = action.group.elements
-    maps = action.vertex_maps
+    maps = list(action.vertex_maps.values())
     key = X.vertex_index.__getitem__
     for q in range(1, X.dim + 1):
         for cell in X.cells[q]:
-            for assign in product(G, repeat=q + 1):
-                targets = [maps[g][v] for g, v in zip(assign, cell)]
-                spanned = tuple(sorted(set(targets), key=key))
-                if not X.has_cell(spanned):
-                    continue
-                if not any(all(maps[g][v] == t for v, t in zip(cell, targets))
-                           for g in G):
+            realized = {tuple(m[v] for v in cell) for m in maps}
+            orbits = [{m[v] for m in maps} for v in cell]
+            for targets in product(*orbits):
+                if (targets not in realized and X.has_cell(
+                        tuple(sorted(set(targets), key=key)))):
                     return False
     return True
 

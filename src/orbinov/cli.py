@@ -11,6 +11,7 @@ a machine readable report with sorted keys.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -317,18 +318,20 @@ def nonnegative(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use."""
     parser = _Parser(
         prog="orbinov",
         description="Exact Novikov numbers and inequality checks for "
                     "finitely presented orbifolds.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    document_help = ("document file or corpus name (%s)"
+                     % (", ".join(corpus_names()) or "none bundled"))
 
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("document",
-                       help="document file or corpus name (%s)"
-                            % (", ".join(corpus_names()) or "none bundled"))
+        p.add_argument("document", help=document_help)
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
         p.set_defaults(func=func)

@@ -20,12 +20,14 @@ __all__ = ["PeriodSpace", "RationalCochain1", "coboundary0", "is_exact",
 class PeriodSpace:
     """Value space Q + Q*sym_1 + ... with optional decimal shadows."""
 
-    __slots__ = ("symbols", "shadows")
+    __slots__ = ("symbols", "shadows", "_zero")
 
     def __init__(self, symbols=(), shadows=None):
         self.symbols = tuple(symbols)
         if len(set(self.symbols)) != len(self.symbols):
             raise DocumentError("duplicate period symbol")
+        # one shared zero vector: tuples and Fractions are immutable
+        self._zero = (Fraction(0),) * self.k
         self.shadows = {}
         for name, value in (shadows or {}).items():
             if name not in self.symbols:
@@ -37,7 +39,7 @@ class PeriodSpace:
         return 1 + len(self.symbols)
 
     def zero(self):
-        return (Fraction(0),) * self.k
+        return self._zero
 
     def vector(self, value):
         """Coerce a number or a length-k sequence to a value vector."""
@@ -168,7 +170,9 @@ class RationalCochain1:
         return not self.values
 
     def add(self, other):
-        assert self.complex is other.complex and self.space == other.space
+        if self.complex is not other.complex or self.space != other.space:
+            raise DocumentError("cochains live on different complexes "
+                                "or period spaces")
         out = dict(self.values)
         for key, vec in other.values.items():
             out[key] = vec_add(out.get(key, self.space.zero()), vec)
@@ -245,7 +249,8 @@ def is_exact(cochain):
 def is_invariant(action, cochain):
     """Whether every group element preserves the cochain's edge values."""
     X = action.complex
-    assert cochain.complex is X
+    if cochain.complex is not X:
+        raise DocumentError("cochain does not live on the action's complex")
     for g in action.group.elements:
         for (u, v) in (X.cells[1] if X.dim >= 1 else []):
             gu = action.apply_vertex(g, u)

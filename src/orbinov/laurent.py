@@ -45,7 +45,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, r, c):
-        return cls(r, {(0,) * r: c} if c else {})
+        return cls._of(r, {(0,) * r: int(c)})
 
     @classmethod
     def monomial(cls, r, exp, coeff=1):

@@ -119,7 +119,9 @@ class H1Presentation:
 
         Torsion multiplicities are reduced into [0, order).
         """
-        assert len(coords) == len(self.offtree)
+        if len(coords) != len(self.offtree):
+            raise ValidationError("cycle needs %d off-tree coordinates, got %d"
+                                  % (len(self.offtree), len(coords)))
         out = []
         for pos, order in zip(self.positions, self.orders):
             y = sum(s * c for s, c in zip(self._S[pos], coords))
@@ -156,7 +158,10 @@ class PeriodHom:
         return total
 
     def period_of_class(self, multiplicities):
-        assert len(multiplicities) == len(self.h1.orders)
+        if len(multiplicities) != len(self.h1.orders):
+            raise ValidationError("class needs %d generator multiplicities, "
+                                  "got %d" % (len(self.h1.orders),
+                                              len(multiplicities)))
         total = self.space.zero()
         for c, p in zip(multiplicities, self.generator_periods):
             if c:

@@ -29,8 +29,10 @@ def mat_mul(A, B):
     if not A or not B:
         return [[0] * (len(B[0]) if B else 0) for _ in A]
     n = len(B)
-    assert all(len(row) == n for row in A), "shape mismatch"
     cols = len(B[0])
+    if (any(len(row) != n for row in A)
+            or any(len(row) != cols for row in B)):
+        raise ValidationError("shape mismatch in matrix product")
     out = []
     for row in A:
         acc = [0] * cols
@@ -90,7 +92,8 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
     else:
         m, n = shape
     M = [list(r) for r in rows]
-    assert len(M) == m and all(len(r) == n for r in M), "bad shape"
+    if len(M) != m or any(len(r) != n for r in M):
+        raise ValidationError("matrix does not have shape %d x %d" % (m, n))
 
     if want_transforms:
         S, Si = identity_matrix(m), identity_matrix(m)
@@ -280,7 +283,8 @@ def row_lattice_basis(rows, ncols):
     [[2, 4]]
     """
     work = [list(r) for r in rows if any(r)]
-    assert all(len(r) == ncols for r in work)
+    if any(len(r) != ncols for r in work):
+        raise ValidationError("lattice rows need %d entries" % (ncols,))
     basis = []
     for col in range(ncols):
         live = [r for r in work if r[col]]

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,10 @@ from orbinov.actions import (FiniteGroup, SimplicialAction, is_regular,
                              lift_action, quotient_complex)
 from orbinov.complexes import (barycentric_subdivision, build_complex,
                                euler_characteristic, integer_homology)
+from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
+
+from test_tools import load_make_corpus
 
 Z2 = FiniteGroup(["e", "m"], [["e", "m"], ["m", "e"]])
 
@@ -176,3 +180,82 @@ def test_projection_random_invariance():
         v = rng.choice(verts)
         g = rng.choice(act.group.elements)
         assert res.projection[act.apply_vertex(g, v)] == res.projection[v]
+
+
+def reference_is_regular(action):
+    """The element-tuple form of the definition: every tuple of group
+    elements whose targets span a simplex is realized by one element."""
+    X = action.complex
+    G = action.group.elements
+    maps = action.vertex_maps
+    key = X.vertex_index.__getitem__
+    for q in range(1, X.dim + 1):
+        for cell in X.cells[q]:
+            for assign in product(G, repeat=q + 1):
+                targets = [maps[g][v] for g, v in zip(assign, cell)]
+                spanned = tuple(sorted(set(targets), key=key))
+                if not X.has_cell(spanned):
+                    continue
+                if not any(all(maps[g][v] == t for v, t in zip(cell, targets))
+                           for g in G):
+                    return False
+    return True
+
+
+def z2_grid_actions():
+    """Point reflections of grid tori, as the pillowcase is built, and
+    mirrors of grids triangulated to make the reflection simplicial, as
+    the mirror cylinder is built."""
+    make_corpus = load_make_corpus()
+    group = FiniteGroup(make_corpus.Z2_GROUP["elements"],
+                        make_corpus.Z2_GROUP["table"])
+    for n in (3, 4, 5):
+        def label(x, y):
+            return "g%d_%d" % (x % n, y % n)
+        X = build_complex(make_corpus.torus_grid_cells(n, label))
+        yield SimplicialAction(group, X, {"m": {
+            label(x, y): label(-x, -y) for x in range(n) for y in range(n)}})
+    for ni, nj in ((3, 4), (4, 6)):
+        def label(i, j):
+            return "c%d_%d" % (i % ni, j % nj)
+        cells = []
+        for i in range(ni):
+            for j in range(nj):
+                p, q = label(i, j), label(i + 1, j)
+                r, s = label(i, j + 1), label(i + 1, j + 1)
+                if j < nj // 2:
+                    cells.extend([(p, q, s), (p, s, r)])
+                else:
+                    cells.extend([(p, q, r), (q, s, r)])
+        X = build_complex(cells)
+        yield SimplicialAction(group, X, {"m": {
+            label(i, j): label(i, -j) for i in range(ni) for j in range(nj)}})
+
+
+def rotations(n, k):
+    """Z/k rotating an n-cycle by n/k steps, a group with more than two
+    elements to realize a target tuple."""
+    labels = ["h%d" % i for i in range(n)]
+    group = FiniteGroup.cyclic(k)
+    return SimplicialAction(group, cycle_complex(labels), {
+        "g%d" % t: {"h%d" % i: "h%d" % ((i + t * n // k) % n)
+                    for i in range(n)}
+        for t in range(k)})
+
+
+def test_regularity_matches_element_tuple_definition():
+    actions = [resolve_document(name).action for name in corpus_names()]
+    actions = [act for act in actions if act is not None]
+    actions += list(z2_grid_actions())
+    actions += [hexagon_action(), mirror_square_action(),
+                antipodal_square_action(), pillowcase_action(),
+                rotations(6, 3), rotations(6, 6), rotations(4, 4)]
+    verdicts = []
+    for act in actions:
+        for stages in range(3):
+            if stages:
+                act = lift_action(act, barycentric_subdivision(act.complex))
+            verdicts.append(is_regular(act))
+            assert verdicts[-1] == reference_is_regular(act), act.complex
+    # both verdicts occur, before and after subdivision
+    assert True in verdicts and False in verdicts

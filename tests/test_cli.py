@@ -236,6 +236,25 @@ def test_usage_errors_exit_1():
         assert code == 1, argv
 
 
+def test_parser_is_built_once_and_reused_safely():
+    assert cli.build_parser() is cli.build_parser()
+    # a usage error before and after a successful call
+    assert run(["novikov", "circle"])[0] == 1
+    code, data = run_json(["validate", "circle", "--cyclic", "3"])
+    assert code == 0 and data["cyclic"] == 3
+    # values parsed by one call do not leak into the next
+    code, data = run_json(["validate", "circle"])
+    assert code == 0
+    assert data["cyclic"] is None and data["seed"] == 0
+    assert run(["novikov", "circle"])[0] == 1
+    listing = ", ".join(corpus_names())
+    for sub in ("homology", "periods", "novikov", "check-inequalities",
+                "validate", "perturb"):
+        code, out, _ = run([sub, "--help"])
+        assert code == 0
+        assert listing in " ".join(out.split()), sub
+
+
 @pytest.mark.parametrize("argv, option", [
     (["validate", "circle", "--depth", "-1"], "--depth"),
     (["perturb", "torus7", "--class", "irr", "--precision", "-1"],

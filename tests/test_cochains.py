@@ -102,6 +102,19 @@ def test_invariance():
     assert not is_invariant(act, skew)
 
 
+def test_cochains_on_other_complexes_are_refused():
+    act = hexagon_action()
+    om = hexagon_dtheta(act)
+    other = hexagon_dtheta(hexagon_action())
+    with pytest.raises(DocumentError):
+        om.add(other)
+    symbolic = RationalCochain1(act.complex, {}, PeriodSpace(["alpha"]))
+    with pytest.raises(DocumentError):
+        om.add(symbolic)
+    with pytest.raises(DocumentError):
+        is_invariant(act, other)
+
+
 def test_subdivision_preserves_sums_and_exactness():
     X = circle()
     om = circle_dtheta()

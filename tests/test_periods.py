@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbinov
 from orbinov.actions import quotient_complex
 from orbinov.cochains import RationalCochain1, coboundary0, descend_cochain
 from orbinov.complexes import build_complex
@@ -125,6 +129,36 @@ def test_torsion_period_guard():
     om = coboundary0(X, {X.vertices[0]: F(5, 7)})
     ph = period_homomorphism(h1, om)
     assert ph.generator_periods == [(F(0),)]
+
+
+@pytest.mark.parametrize("call", [
+    "h1.class_of_coords([1, 2, 3])",
+    "ph.period_of_class([1, 2])",
+])
+def test_length_guards_survive_optimized_mode(call):
+    # the triangle's boundary has one off-tree edge and one generator;
+    # a longer input must be refused under -O too, not truncated
+    script = "\n".join([
+        "import sys",
+        "from orbinov.cochains import RationalCochain1",
+        "from orbinov.complexes import build_complex",
+        "from orbinov.errors import ValidationError",
+        "from orbinov.periods import H1Presentation, period_homomorphism",
+        "X = build_complex([('a', 'b'), ('b', 'c'), ('a', 'c')])",
+        "h1 = H1Presentation(X)",
+        "ph = period_homomorphism(h1, RationalCochain1(X, {('a', 'b'): 1}))",
+        "try:",
+        "    print(%s)" % (call,),
+        "except ValidationError as err:",
+        "    sys.exit(str(err))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert "needs 1" in proc.stderr
 
 
 def test_gpath_hexagon_loop():

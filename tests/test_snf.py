@@ -129,6 +129,34 @@ def test_transform_guard_survives_optimized_mode():
     assert "transform bookkeeping broke" in proc.stderr
 
 
+@pytest.mark.parametrize("call", [
+    "smith_normal_form([[2, 0, 0], [0, 3]], shape=(2, 2))",
+    "row_lattice_basis([[2, 4, 5], [4, 8]], 2)",
+    "mat_mul([[1, 2], [3]], [[1], [1]])",
+    "mat_mul([[1, 1]], [[1, 2], [3]])",
+])
+def test_shape_guards_survive_optimized_mode(call):
+    # a ragged matrix must be refused under -O too, not read as a
+    # matrix of another shape
+    script = "\n".join([
+        "import sys",
+        "from orbinov.errors import ValidationError",
+        "from orbinov.snf import mat_mul, row_lattice_basis, "
+        "smith_normal_form",
+        "try:",
+        "    print(%s)" % (call,),
+        "except ValidationError as err:",
+        "    sys.exit(str(err))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert "shape" in proc.stderr or "entries" in proc.stderr
+
+
 def cover_boundaries(name, cname, p):
     """Boundary matrices of the degree p cyclic cover of a corpus class:
     every cell lifted to p levels, offset by the lift's exponents."""
