@@ -277,7 +277,9 @@ def subdivide_cochain(sd, cochain):
         cb = sd.cell_of[b]
         big = ca if len(ca) >= len(cb) else cb
         small = cb if big is ca else ca
-        assert set(small) < set(big), "subdivision edge is not a face flag"
+        if not set(small) < set(big):
+            raise ValidationError("subdivision edge %r is not a face flag"
+                                  % ((a, b),))
         base = big[0]
 
         def avg(cell):

@@ -107,6 +107,18 @@ class SimplicialComplex:
             mat[i][j] = sign
         return mat
 
+    def maximal_cells(self):
+        """Cells that are no face of another cell, by dimension, then
+        in stored order.  Each (q+1)-cell marks its q-faces once."""
+        out = []
+        for q, layer in enumerate(self.cells):
+            covered = set()
+            for cell in (self.cells[q + 1] if q < self.dim else ()):
+                covered.update(cell[:k] + cell[k + 1:]
+                               for k in range(len(cell)))
+            out.extend(cell for cell in layer if cell not in covered)
+        return out
+
     def edges(self):
         return self.cells[1] if self.dim >= 1 else []
 
@@ -326,13 +338,8 @@ def barycentric_subdivision(X):
         # vertex labels containing commas can alias two cells
         raise DocumentError("barycenter label collision")
     cell_of = {lab: cell for cell, lab in barycenter_of.items()}
-    maximal = []
-    for q, layer in enumerate(X.cells):
-        for cell in layer:
-            if q == X.dim or not _has_coface(X, cell, q):
-                maximal.append(cell)
     simplices = []
-    for cell in maximal:
+    for cell in X.maximal_cells():
         for perm in permutations(cell):
             chain = []
             for k in range(1, len(perm) + 1):
@@ -341,13 +348,3 @@ def barycentric_subdivision(X):
             simplices.append(tuple(chain))
     return SdResult(build_complex(simplices, vertices=order),
                     barycenter_of, cell_of)
-
-
-def _has_coface(X, cell, q):
-    if q + 1 > X.dim:
-        return False
-    cset = set(cell)
-    for cand in X.cells[q + 1]:
-        if cset.issubset(cand):
-            return True
-    return False

@@ -265,14 +265,9 @@ class OrbifoldDocument:
         return self.cocycle_specs[name]
 
     def _space_dict(self, X):
-        maximal = []
-        for q in range(X.dim, -1, -1):
-            for cell in X.cells[q]:
-                if not any(set(cell) < set(other) for other in maximal):
-                    maximal.append(cell)
         key = X.vertex_index.__getitem__
         return {"vertices": list(X.vertices),
-                "simplices": sorted([list(c) for c in maximal],
+                "simplices": sorted([list(c) for c in X.maximal_cells()],
                                     key=lambda c: [key(v) for v in c])}
 
     def to_dict(self):

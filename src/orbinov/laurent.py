@@ -62,7 +62,9 @@ class LaurentPoly:
         return hash((self.r, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        assert self.r == other.r
+        if self.r != other.r:
+            raise ValidationError("cannot add polynomials in %d and %d "
+                                  "variables" % (self.r, other.r))
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -78,7 +80,9 @@ class LaurentPoly:
         if isinstance(other, int):
             return LaurentPoly._of(self.r, {e: c * other
                                             for e, c in self.terms.items()})
-        assert self.r == other.r
+        if self.r != other.r:
+            raise ValidationError("cannot multiply polynomials in %d and %d "
+                                  "variables" % (self.r, other.r))
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -156,11 +160,12 @@ class WeightSystem:
     False
     """
 
-    __slots__ = ("weights", "k", "r", "_weight_of")
+    __slots__ = ("weights", "k", "r", "one", "_rows", "_weight_of")
 
     def __init__(self, weights):
         self.weights = [tuple(Fraction(x) for x in w) for w in weights]
         self.r = len(self.weights)
+        self.one = LaurentPoly.const(self.r, 1)
         self._weight_of = {}    # exponent -> weight vector, filled lazily
         if self.r:
             lengths = {len(w) for w in self.weights}
@@ -172,20 +177,28 @@ class WeightSystem:
                     "weight vectors are Z-dependent; monomial order collapses")
         else:
             self.k = 1
+        # one positive scale for all rows keeps the lexicographic order
+        # of weight vectors and makes every weight an int
+        scale = math.lcm(*(x.denominator for w in self.weights for x in w))
+        self._rows = [tuple(int(x * scale) for x in w) for w in self.weights]
 
     def weight_vec(self, exp):
+        """Weight vector of a monomial, in units of 1/(the common
+        denominator of the weights): an int tuple."""
         vec = self._weight_of.get(exp)
         if vec is None:
             vec = self._weight_of[exp] = tuple(
-                sum((e * w[i] for e, w in zip(exp, self.weights) if e),
-                    Fraction(0)) for i in range(self.k))
+                sum(e * w[i] for e, w in zip(exp, self._rows) if e)
+                for i in range(self.k))
         return vec
 
     def leading(self, poly):
         """(exponent, coefficient) of the maximal-weight term."""
         if not poly:
             raise ValidationError("zero polynomial has no leading term")
-        assert poly.r == self.r
+        if poly.r != self.r:
+            raise ValidationError("polynomial in %d variables, weights for %d"
+                                  % (poly.r, self.r))
         best = None
         best_w = None
         for exp in poly.terms:
@@ -227,9 +240,11 @@ def exact_divide(f, g):
     """
     if not g:
         raise ValidationError("division by the zero polynomial")
+    if f.r != g.r:
+        raise ValidationError("cannot divide polynomials in %d and %d "
+                              "variables" % (f.r, g.r))
     if not f:
         return LaurentPoly(f.r, {})
-    assert f.r == g.r
     flo, fhi = f.exp_bounds()
     glo, ghi = g.exp_bounds()
     qlo = [a - b for a, b in zip(flo, glo)]

@@ -41,7 +41,9 @@ class WeightedLaurentMatrix:
                                       % (i, j, nrows, ncols))
             if isinstance(p, int):
                 p = LaurentPoly.const(ws.r, p)
-            assert p.r == ws.r
+            if p.r != ws.r:
+                raise ValidationError("entry (%d, %d) is in %d variables, "
+                                      "the weights in %d" % (i, j, p.r, ws.r))
             if p:
                 store[(i, j)] = p
         self.entries = store
@@ -77,7 +79,7 @@ def _clear_row(row, cols, ws):
     for s in row.values():
         if s.den not in dens:
             dens.append(s.den)
-    scale = LaurentPoly.const(ws.r, 1)
+    scale = ws.one
     for d in dens:
         scale = scale * d
     zero = LaurentPoly(ws.r, {})
@@ -88,7 +90,7 @@ def _clear_row(row, cols, ws):
     return [p.shift(neg) if p else p for p in out]
 
 
-def _bareiss_rank(rows, r):
+def _bareiss_rank(rows, ws):
     """Rank over the fraction field of dense Laurent rows.
 
     Bareiss: every intermediate entry is a minor of the input, so the
@@ -96,7 +98,7 @@ def _bareiss_rank(rows, r):
     """
     A = [list(row) for row in rows]
     ncols = len(A[0]) if A else 0
-    prev = LaurentPoly.const(r, 1)
+    prev = ws.one
     rank = 0
     for j in range(ncols):
         piv = next((i for i in range(rank, len(A)) if A[i][j]), None)
@@ -120,7 +122,7 @@ def fraction_field_rank(M):
     """Rank of the matrix over the fraction field: the unit pivots,
     plus the fraction-free rank of the residual block."""
     units, residual = _eliminate_units(M)
-    return units + _bareiss_rank(residual, M.ws.r)
+    return units + _bareiss_rank(residual, M.ws)
 
 
 class InvariantFactors:
@@ -158,7 +160,7 @@ def invariant_factors(M, minor_cap=8):
     """
     ws = M.ws
     units, residual = _eliminate_units(M)
-    one = LaurentPoly.const(ws.r, 1)
+    one = ws.one
     factors = [one] * units
     if not residual:
         return InvariantFactors(ws, factors, 0)

@@ -30,7 +30,9 @@ def _spread_too_wide(p):
 
 def _dense_from_laurent(p):
     """(coeff list c_0..c_d, shift) with c_0 != 0, for r = 1 polys."""
-    assert p.r == 1 and p
+    if p.r != 1 or not p:
+        raise ValidationError("dense form needs a nonzero polynomial in one "
+                              "variable, not %r" % (p,))
     lo = min(e[0] for e in p.terms)
     hi = max(e[0] for e in p.terms)
     coeffs = [0] * (hi - lo + 1)
@@ -192,13 +194,22 @@ def _cancel(g, *polys):
 
 class LocalizedScalar:
     """A fraction num/den of Laurent polynomials with den in the
-    multiplicative set (leading coefficient one)."""
+    multiplicative set (leading coefficient one).
+
+    A monomial denominator is a unit of the Laurent ring itself, so it
+    is always absorbed into the numerator: every scalar whose
+    denominator is a monomial is stored over its ring's one, ws.one.
+    """
 
     __slots__ = ("ws", "num", "den")
 
     def __init__(self, ws, num, den=None):
         if den is None:
-            den = LaurentPoly.const(ws.r, 1)
+            den = ws.one
+        if num.r != ws.r:
+            # ws.leading checks the denominator
+            raise ValidationError("numerator in %d variables, weights for %d"
+                                  % (num.r, ws.r))
         if not den:
             raise ValidationError("scalar with zero denominator")
         lc = ws.leading(den)[1]
@@ -211,15 +222,25 @@ class LocalizedScalar:
         if num:
             num, den = self._reduce(num, den)
         else:
-            den = LaurentPoly.const(ws.r, 1)
+            den = ws.one
         self.num = num
         self.den = den
 
+    @classmethod
+    def _over_one(cls, ws, num):
+        # ring results of scalars over one: num is a clean polynomial
+        # in ws.r variables, and a denominator of one needs no reduction
+        s = cls.__new__(cls)
+        s.ws = ws
+        s.num = num
+        s.den = ws.one
+        return s
+
     def _reduce(self, num, den):
         ws = self.ws
-        one = LaurentPoly.const(ws.r, 1)
+        one = ws.one
         if den == one:
-            return num, den
+            return num, one
         full = (ws.r == 1 and den.n_terms() > 1
                 and not _spread_too_wide(num) and not _spread_too_wide(den))
         if full:
@@ -238,7 +259,17 @@ class LocalizedScalar:
             num, den = -num, -den
         if ws.leading(den)[1] != 1:
             raise ValidationError("reduction left the mult set")
+        if den.n_terms() == 1:
+            (exp,) = den.terms
+            if any(exp):
+                num = num.shift(tuple(-e for e in exp))
+            den = one
         return num, den
+
+    def _ring(self, other):
+        if self.ws is not other.ws:
+            raise ValidationError("scalars of two different weight systems")
+        return self.ws
 
     @classmethod
     def from_int(cls, ws, c):
@@ -248,29 +279,38 @@ class LocalizedScalar:
         return bool(self.num)
 
     def __add__(self, other):
-        assert self.ws is other.ws
+        ws = self._ring(other)
         if not self.num:
             return other
         if not other.num:
             return self
+        if self.den is ws.one and other.den is ws.one:
+            return LocalizedScalar._over_one(ws, self.num + other.num)
         if self.den == other.den:
-            return LocalizedScalar(self.ws, self.num + other.num, self.den)
+            return LocalizedScalar(ws, self.num + other.num, self.den)
         num = self.num * other.den + other.num * self.den
-        return LocalizedScalar(self.ws, num, self.den * other.den)
+        return LocalizedScalar(ws, num, self.den * other.den)
 
     def __neg__(self):
+        if self.den is self.ws.one:
+            return LocalizedScalar._over_one(self.ws, -self.num)
         return LocalizedScalar(self.ws, -self.num, self.den)
 
     def __sub__(self, other):
+        ws = self._ring(other)
         if not other.num:
             return self
+        if self.den is ws.one and other.den is ws.one:
+            return LocalizedScalar._over_one(ws, self.num - other.num)
         return self + (-other)
 
     def __mul__(self, other):
-        assert self.ws is other.ws
+        ws = self._ring(other)
         if not self.num or not other.num:
-            return LocalizedScalar(self.ws, LaurentPoly(self.ws.r, {}))
-        return LocalizedScalar(self.ws, self.num * other.num,
+            return LocalizedScalar(ws, LaurentPoly(ws.r, {}))
+        if self.den is ws.one and other.den is ws.one:
+            return LocalizedScalar._over_one(ws, self.num * other.num)
+        return LocalizedScalar(ws, self.num * other.num,
                                self.den * other.den)
 
     def __truediv__(self, other):
@@ -278,19 +318,26 @@ class LocalizedScalar:
 
         Unit division never needs a gcd: the divisor's numerator has
         unit leading coefficient, so it moves into the denominator
-        without leaving the multiplicative set.
+        without leaving the multiplicative set.  A divisor +-T^e over
+        one is a unit of the Laurent ring, and the quotient is the
+        numerator shifted by -e, with the sign.
         """
+        ws = self._ring(other)
         if not other.is_unit():
             raise ValidationError("division by the non-unit %r" % (other,))
         if not self.num:
-            return LocalizedScalar(self.ws, LaurentPoly(self.ws.r, {}))
-        return LocalizedScalar(self.ws, self.num * other.den,
+            return LocalizedScalar(ws, LaurentPoly(ws.r, {}))
+        if (self.den is ws.one and other.den is ws.one
+                and other.num.n_terms() == 1):
+            ((exp, c),) = other.num.terms.items()
+            q = self.num.shift(tuple(-e for e in exp))
+            return LocalizedScalar._over_one(ws, -q if c < 0 else q)
+        return LocalizedScalar(ws, self.num * other.den,
                                self.den * other.num)
 
     def exact_divide_scalar(self, other):
         """self/other if it lies in the localized ring, else None."""
-        assert self.ws is other.ws
-        ws = self.ws
+        ws = self._ring(other)
         if not other:
             raise ValidationError("division by zero")
         if not self:
@@ -325,12 +372,12 @@ class LocalizedScalar:
     def __eq__(self, other):
         if not isinstance(other, LocalizedScalar):
             return NotImplemented
-        assert self.ws is other.ws
+        self._ring(other)
         return self.num * other.den == other.num * self.den
 
     def __repr__(self):
         if not self.num:
             return "0"
-        if self.den == LaurentPoly.const(self.ws.r, 1):
+        if self.den == self.ws.one:
             return repr(self.num)
         return "(%r)/(%r)" % (self.num, self.den)

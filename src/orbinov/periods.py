@@ -297,7 +297,9 @@ class GPath:
         return self.start == self.end
 
     def concat(self, other):
-        assert self.action is other.action
+        if self.action is not other.action:
+            raise DocumentError("paths of two different actions do not "
+                                "compose")
         if self.end != other.start:
             raise ValidationError("paths do not compose: %r vs %r"
                                   % (self.end, other.start))

@@ -7,7 +7,8 @@ from orbinov.actions import quotient_complex
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain, is_exact, is_invariant,
                               subdivide_cochain)
-from orbinov.complexes import barycentric_subdivision, build_complex
+from orbinov.complexes import (SdResult, barycentric_subdivision,
+                               build_complex)
 from orbinov.errors import DocumentError, ValidationError
 
 from test_actions import (hexagon_action, mirror_square_action,
@@ -139,6 +140,16 @@ def test_subdivision_preserves_sums_and_exactness():
             du = f[("(%s)" % u)]
             dv = f[("(%s)" % v)]
             assert dv[0] - du[0] == pot[v] - pot[u]
+
+
+def test_subdivision_refuses_edges_that_are_no_face_flag():
+    sd = barycentric_subdivision(circle())
+    # the barycenter of (a,b) read back as the vertex c: the edge from
+    # (a) to it joins two vertices
+    cell_of = dict(sd.cell_of, **{"(a,b)": ("c",)})
+    bad = SdResult(sd.complex, sd.barycenter_of, cell_of)
+    with pytest.raises(ValidationError, match="not a face flag"):
+        subdivide_cochain(bad, circle_dtheta())
 
 
 def test_descend_hexagon():

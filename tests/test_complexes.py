@@ -9,6 +9,7 @@ import orbinov
 from orbinov.complexes import (barycentric_subdivision, build_complex,
                                euler_characteristic, integer_homology,
                                sort_with_parity)
+from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
 from oracles import betti_oracle
@@ -128,6 +129,22 @@ def test_subdivision_respects_isolated_and_mixed_dims():
     # barycenter dictionary round-trips
     for cell, label in sd.barycenter_of.items():
         assert sd.cell_of[label] == cell
+
+
+def _maximal_by_subsets(X):
+    cells = [c for layer in X.cells for c in layer]
+    return [c for c in cells if not any(set(c) < set(d) for d in cells)]
+
+
+def test_maximal_cells_match_the_subset_definition():
+    spaces = [rp2(), build_complex([("a", "b"), ("c",)]),
+              build_complex([("a", "b", "c"), ("c", "d"), ("d", "e"),
+                             ("b", "c", "f")])]
+    spaces += [resolve_document(name).space for name in corpus_names()]
+    for X in list(spaces):
+        spaces.append(barycentric_subdivision(X).complex)
+    for X in spaces:
+        assert X.maximal_cells() == _maximal_by_subsets(X)
 
 
 def test_integer_guard_survives_optimized_mode():

@@ -1,5 +1,7 @@
+import ast
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -23,3 +25,14 @@ def test_module_exports_resolve(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_package_has_no_asserts():
+    # python -O strips assert statements, so a check written as one
+    # guards nothing there; checks raise instead
+    found = []
+    for path in sorted(pathlib.Path(orbinov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

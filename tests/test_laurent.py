@@ -1,10 +1,14 @@
 """Laurent polynomial arithmetic, weight systems, exact division."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbinov
 from orbinov import ValidationError, laurent
 from orbinov.laurent import LaurentPoly, WeightSystem, divides, exact_divide
 
@@ -225,3 +229,76 @@ def test_shared_weight_still_raises(monkeypatch):
     for system in (ws, WeightSystem([(1,), (2,)])):
         with pytest.raises(ValidationError, match="share a weight"):
             system.leading(tie)
+
+
+def _fraction_leading(weights, poly):
+    """Leading term under exact Fraction weight vectors, compared
+    lexicographically: the order the int weight keys must keep."""
+    rows = [tuple(Fraction(x) for x in w) for w in weights]
+    k = len(rows[0])
+
+    def weight(exp):
+        return tuple(sum((e * w[i] for e, w in zip(exp, rows)), Fraction(0))
+                     for i in range(k))
+
+    best = max(poly.terms, key=weight)
+    return best, poly.terms[best]
+
+
+WEIGHT_POOL = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 6), Fraction(-1),
+               Fraction(2), Fraction(0), Fraction(-5, 4)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_int_weight_keys_match_fraction_order(k):
+    # rows with different denominators: scaling each row by its own lcm
+    # would reweigh the variables against each other
+    rng = random.Random(600 + k)
+    systems = [[(Fraction(1, 3),)], [(Fraction(-2, 5),)]] if k == 1 else [
+        [(Fraction(1, 3), Fraction(-2, 5)), (Fraction(7, 6), Fraction(-1))],
+        [(Fraction(7, 6), 0), (Fraction(-2, 5), Fraction(1, 3))]]
+    while len(systems) < 30:
+        r = rng.randint(1, k)
+        weights = [tuple(rng.choice(WEIGHT_POOL) for _ in range(k))
+                   for _ in range(r)]
+        try:
+            WeightSystem(weights)
+        except ValidationError:
+            continue    # Z-dependent rows
+        systems.append(weights)
+    for weights in systems:
+        ws = WeightSystem(weights)
+        for _ in range(30):
+            p = _random_poly(rng, ws.r, max_terms=5, span=3)
+            assert ws.leading(p) == _fraction_leading(weights, p)
+            assert all(type(x) is int
+                       for exp in p.terms for x in ws.weight_vec(exp))
+
+
+def test_rank_guards_survive_optimized_mode():
+    # mixing rings must be refused under -O too, not computed on
+    # truncated or mixed-length exponents
+    calls = [
+        "LaurentPoly(1, {(1,): 1}) + LaurentPoly(2, {(0, 0): 1})",
+        "LaurentPoly(1, {(1,): 1}) * LaurentPoly(2, {(0, 1): 1})",
+        "WeightSystem([(1,)]).leading(LaurentPoly(2, {(0, 1): 1}))",
+        "exact_divide(LaurentPoly(2, {(1, 1): 1}), LaurentPoly(1, {(1,): 1}))",
+        "exact_divide(LaurentPoly(2, {}), LaurentPoly(1, {(1,): 1}))",
+    ]
+    script = "\n".join([
+        "from orbinov.errors import ValidationError",
+        "from orbinov.laurent import LaurentPoly, WeightSystem, exact_divide",
+        "for call in %r:" % (calls,),
+        "    try:",
+        "        eval(call)",
+        "    except ValidationError:",
+        "        print('refused')",
+        "    else:",
+        "        print('accepted', call)",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == ["refused"] * len(calls), \
+        proc.stdout + proc.stderr

@@ -1,17 +1,24 @@
 """Rank and invariant factors of matrices over the weighted ring."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 
-from orbinov import UnsupportedOperationError, smith_normal_form
+import orbinov
+from orbinov import UnsupportedOperationError, lmatrix, smith_normal_form
 from orbinov.laurent import LaurentPoly, WeightSystem
 from orbinov.lmatrix import (WeightedLaurentMatrix, _eliminate_units,
                              fraction_field_rank, invariant_factors)
-from orbinov.localized import associates
+from orbinov.localized import LocalizedScalar, associates
+from orbinov.snf import eliminate_units
 
 from oracles import gauss_rank
+from test_localized import ConstructorScalar
 
 WS0 = WeightSystem([])
 WS1 = WeightSystem([(1,)])
@@ -267,3 +274,63 @@ def test_zero_rows_do_not_count_toward_minor_cap():
              for j in range(9)] for i in range(9)]
     inv = invariant_factors(mat(WS0, rows), minor_cap=8)
     assert inv.rank == 2 and inv.nonunit_count == 2
+
+
+def _pivots(M, scalar):
+    """eliminate_units on M's entries as scalars of the given class:
+    (pivot count, residual rows)."""
+    units, rows, _ = eliminate_units(
+        {key: scalar(M.ws, p) for key, p in M.entries.items()},
+        lambda s: s.num.n_terms() if s.is_unit() else None, truediv)
+    return units, rows
+
+
+@pytest.mark.parametrize("ws", [WS0, WS1, WS2], ids=["r0", "r1", "r2"])
+def test_elimination_matches_constructor_reference(ws, monkeypatch):
+    # the same elimination with every scalar built through the public
+    # constructor must pivot the same entries and leave the same block
+    rng = random.Random(3030 + ws.r)
+    residuals = 0
+    for _ in range(100):
+        M = _boundary_like(rng, ws, rng.randint(1, 8), rng.randint(1, 8))
+        units, rows = _pivots(M, LocalizedScalar)
+        ref_units, ref_rows = _pivots(M, ConstructorScalar)
+        assert units == ref_units
+        assert rows == ref_rows
+        residuals += bool(rows)
+        if ws.r >= 2:
+            rank = fraction_field_rank(M)
+            with monkeypatch.context() as patched:
+                patched.setattr(lmatrix, "LocalizedScalar", ConstructorScalar)
+                assert fraction_field_rank(M) == rank
+            continue
+        inv = invariant_factors(M)
+        with monkeypatch.context() as patched:
+            patched.setattr(lmatrix, "LocalizedScalar", ConstructorScalar)
+            ref = invariant_factors(M)
+        assert (inv.rank, inv.nonunit_count) == (ref.rank, ref.nonunit_count)
+        assert all(associates(x, y, ws)
+                   for x, y in zip(inv.factors, ref.factors))
+    assert residuals >= 5
+
+
+def test_entry_rank_guard_survives_optimized_mode():
+    # an entry in the wrong number of variables must be refused under -O
+    # too, not stored in a matrix over another ring
+    script = "\n".join([
+        "import sys",
+        "from orbinov.errors import ValidationError",
+        "from orbinov.laurent import LaurentPoly, WeightSystem",
+        "from orbinov.lmatrix import WeightedLaurentMatrix",
+        "try:",
+        "    WeightedLaurentMatrix(WeightSystem([(1,)]), 1, 1,",
+        "                          {(0, 0): LaurentPoly(2, {(1, 0): 1})})",
+        "except ValidationError as err:",
+        "    sys.exit(str(err))",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "in 2 variables" in proc.stderr

@@ -230,3 +230,143 @@ def test_reduction_guard_survives_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "gcd does not divide its arguments" in proc.stderr
+
+
+class ConstructorScalar(LocalizedScalar):
+    """A localized scalar whose every ring result goes through the
+    public constructor, with the fraction formulas of the general case:
+    the reference for the trusted results over one."""
+
+    __slots__ = ()
+
+    def _make(self, num, den=None):
+        return ConstructorScalar(self.ws, num, den)
+
+    def __add__(self, other):
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        if self.den == other.den:
+            return self._make(self.num + other.num, self.den)
+        return self._make(self.num * other.den + other.num * self.den,
+                          self.den * other.den)
+
+    def __neg__(self):
+        return self._make(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other) if other.num else self
+
+    def __mul__(self, other):
+        if not self.num or not other.num:
+            return self._make(LaurentPoly(self.ws.r, {}))
+        return self._make(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if not other.is_unit():
+            raise ValidationError("division by the non-unit %r" % (other,))
+        return self._make(self.num * other.den, self.den * other.num)
+
+
+def _seeded_fraction(rng, ws):
+    """(num, den) with den in the multiplicative set up to sign: one,
+    a signed monomial, or at rank >= 1 a polynomial with lead +-1."""
+    def poly(max_terms, coeffs):
+        return LaurentPoly(ws.r, {
+            tuple(rng.randint(-2, 2) for _ in range(ws.r)): rng.choice(coeffs)
+            for _ in range(rng.randint(1, max_terms))})
+
+    num = poly(rng.choice((1, 3)), (-3, -2, -1, 1, 1, 2))
+    kind = rng.choice(("one", "one", "monomial", "poly") if ws.r else
+                      ("one", "monomial"))
+    if kind == "one":
+        return num, None
+    if kind == "monomial":
+        return num, poly(1, (1, -1))
+    den = poly(3, (-2, 1, 3))
+    lead, _ = ws.leading(den)
+    terms = dict(den.terms)
+    terms[lead] = rng.choice((1, -1))
+    return num, LaurentPoly(ws.r, terms)
+
+
+@pytest.mark.parametrize("ws", [WS0, WS1, WS2], ids=["r0", "r1", "r2"])
+def test_fast_paths_match_the_constructor(ws):
+    # monomial denominators are absorbed, so seeded scalars over one
+    # outnumber the rest, as in twisted boundaries
+    rng = random.Random(700 + ws.r)
+    pairs = []
+    for _ in range(40):
+        num, den = _seeded_fraction(rng, ws)
+        pairs.append((LocalizedScalar(ws, num, den),
+                      ConstructorScalar(ws, num, den)))
+    over_one = 0
+    monomial_divisors = set()
+    for (a, ra), (b, rb) in [(rng.choice(pairs), rng.choice(pairs))
+                             for _ in range(400)]:
+        cases = [(a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                 (a * b, ra * rb)]
+        if b.is_unit():
+            cases.append((a / b, ra / rb))
+            if b.num.n_terms() == 1 and b.den is ws.one:
+                monomial_divisors.add(b.num)
+        else:
+            with pytest.raises(ValidationError):
+                a / b
+        for got, want in cases:
+            assert (got.num, got.den) == (want.num, want.den)
+            if got.den == ws.one:
+                assert got.den is ws.one
+                over_one += 1
+    assert over_one > 1000
+    assert {ws.leading(p)[1] for p in monomial_divisors} == {1, -1}
+
+
+def test_monomial_denominators_are_absorbed():
+    s = LocalizedScalar(WS1, const(1) + T(), T())
+    assert s.num == const(1) + T(-1) and s.den is WS1.one
+    s = LocalizedScalar(WS1, T(3) * 2, -T(2))
+    assert s.num == T() * -2 and s.den is WS1.one
+    t1 = LaurentPoly.monomial(2, (1, 0))
+    s = LocalizedScalar(WS2, t1 - const(1, 2), LaurentPoly.monomial(2, (1, 1)))
+    assert s.num == LaurentPoly(2, {(0, -1): 1, (-1, -1): -1})
+    assert s.den is WS2.one
+    s = LocalizedScalar(WS1, T(2) - const(1), T() - const(1))
+    assert s.num == T() + const(1) and s.den is WS1.one
+    assert LocalizedScalar(WS0, const(-3, 0), const(-1, 0)).den is WS0.one
+
+
+def test_ring_guards_survive_optimized_mode():
+    # scalars of two weight systems must be refused under -O too, not
+    # combined as if they shared one
+    calls = [
+        "a + b", "a - b", "a * b", "a / b", "a == b",
+        "a.exact_divide_scalar(b)",
+        "LocalizedScalar(ws, LaurentPoly(2, {(1, 0): 1}))",
+        "LocalizedScalar(ws, LaurentPoly(1, {(1,): 1}), "
+        "LaurentPoly(2, {(0, 0): 1}))",
+        "localized_gcd(LaurentPoly(2, {(1, 0): 1}), "
+        "LaurentPoly(2, {(0, 1): 2}), ws)",
+    ]
+    script = "\n".join([
+        "from orbinov.errors import ValidationError",
+        "from orbinov.laurent import LaurentPoly, WeightSystem",
+        "from orbinov.localized import LocalizedScalar, localized_gcd",
+        "ws = WeightSystem([(1,)])",
+        "a = LocalizedScalar(ws, LaurentPoly(1, {(1,): 1}))",
+        "b = LocalizedScalar(WeightSystem([(1,)]), LaurentPoly(1, {(0,): 1}))",
+        "for call in %r:" % (calls,),
+        "    try:",
+        "        eval(call)",
+        "    except ValidationError:",
+        "        print('refused')",
+        "    else:",
+        "        print('accepted', call)",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == ["refused"] * len(calls), \
+        proc.stdout + proc.stderr

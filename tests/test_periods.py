@@ -199,6 +199,9 @@ def test_gpath_concat_inverse():
     assert gpath_period(inv, om) == (F(-1, 2),)
     with pytest.raises(ValidationError):
         b.concat(b)
+    other = GPath(hexagon_action(), [["h2", "h3"]], [])
+    with pytest.raises(DocumentError, match="two different actions"):
+        a.concat(other)
 
 
 def test_gpath_subdivided_quotient():
