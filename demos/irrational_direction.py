@@ -7,8 +7,7 @@ so the engine reports betti numbers, declines the torsion, and offers
 a rational perturbation that collapses the lattice to rank one.
 """
 
-from orbinov import (H1Presentation, gamma_basis, novikov_numbers,
-                     period_homomorphism, rank1_perturb)
+from orbinov import novikov_numbers, rank1_perturb
 from orbinov.cli import resolve_document
 
 
@@ -19,24 +18,21 @@ def main():
     print("symbols:", space.symbols, "shadows:",
           {s: str(v) for s, v in space.shadows.items()})
 
-    ph = period_homomorphism(H1Presentation(doc.space), om)
-    basis = gamma_basis(ph)
+    nums = novikov_numbers(om)
+    basis = nums.lift.basis
     print("period lattice basis:", [space.format(v) for v in basis])
     assert len(basis) == 2
-
-    nums = novikov_numbers(om)
     print("twisted betti:", nums.betti)
     print("torsion:", nums.torsion)
     print("note:", nums.note)
     assert nums.torsion is None
 
     flat = rank1_perturb(om, precision=4)
-    ph2 = period_homomorphism(H1Presentation(doc.space), flat)
-    basis2 = gamma_basis(ph2)
+    nums2 = novikov_numbers(flat)
+    basis2 = nums2.lift.basis
     print("after perturbation, lattice basis:",
           [flat.space.format(v) for v in basis2])
     assert len(basis2) == 1
-    nums2 = novikov_numbers(flat)
     print("perturbed numbers: betti %s, torsion %s (route %s)"
           % (nums2.betti, nums2.torsion, nums2.route))
     assert nums2.betti == nums.betti

@@ -7,9 +7,7 @@ the untwisted counts must pay for the torsion in both families of
 inequalities.
 """
 
-from orbinov import (H1Presentation, check_inequalities, gamma_basis,
-                     integer_homology, novikov_numbers,
-                     period_homomorphism)
+from orbinov import check_inequalities, integer_homology, novikov_numbers
 from orbinov.cli import resolve_document
 
 
@@ -38,9 +36,8 @@ def main():
     assert plain_deg1.rhs == 2 and plain_deg1.slack == 0
 
     om = doc.cochain("dy")
-    ph = period_homomorphism(H1Presentation(doc.space), om)
-    print("dy period lattice basis:", gamma_basis(ph))
     nums = novikov_numbers(om)
+    print("dy period lattice basis:", nums.lift.basis)
     print("dy twisted numbers: betti %s, torsion counts %s"
           % (nums.betti, nums.torsion))
     assert nums.betti == [0, 0, 0] and nums.torsion == [0, 0, 0]

@@ -25,6 +25,8 @@ from .errors import (DocumentError, UnsupportedOperationError,
                      ValidationError)
 from .inequalities import check_inequalities
 from .nerve import identity_failures, nerve_model
+from .periods import (H1Presentation, gamma_basis, is_integral,
+                      period_homomorphism)
 from .snf import smith_normal_form
 from .twisted import (cyclic_cover_oracle, integralize, novikov_numbers,
                       rank1_perturb)
@@ -113,9 +115,9 @@ def cmd_homology(args):
 def cmd_periods(args):
     doc = resolve_document(args.document)
     om = doc.cochain(args.cocycle)
-    _, _, down = _orbit_space(doc)
-    lift = integralize(down(om))
-    ph = lift.periods
+    X, _, down = _orbit_space(doc)
+    ph = period_homomorphism(H1Presentation(X), down(om))
+    basis = gamma_basis(ph)
     free = [om.space.format(p) for p in ph.free_periods()]
     payload = {"command": "periods", "document": doc.name,
                "cocycle": args.cocycle,
@@ -123,9 +125,9 @@ def cmd_periods(args):
                "h1_torsion_orders": ph.h1.torsion_orders,
                "free_generator_periods": free,
                "gamma_basis": [[format_fraction(x) for x in vec]
-                               for vec in lift.basis],
-               "rank": lift.rank,
-               "integral": ph.is_integral()}
+                               for vec in basis],
+               "rank": len(basis),
+               "integral": is_integral(basis)}
     lines = ["%s, cocycle %s: periods" % (doc.name, args.cocycle),
              "  h1 free rank %d, torsion orders %r"
              % (payload["h1_free_rank"], payload["h1_torsion_orders"])]
@@ -170,7 +172,7 @@ def cmd_novikov(args):
     payload = {"command": "novikov", "document": doc.name,
                "cocycle": args.cocycle, "rank": numbers.rank,
                "route": numbers.route,
-               "integral": numbers.lift.periods.is_integral(),
+               "integral": is_integral(numbers.lift.basis),
                "betti": list(numbers.betti),
                "torsion": (None if numbers.torsion is None
                            else list(numbers.torsion)),

@@ -217,19 +217,25 @@ def coboundary0(complex, potential, space=None):
     return RationalCochain1(complex, values, space)
 
 
-def forest_potential(cochain, parent, order):
-    """Vertex function integrating the cochain along a spanning forest.
+def forest_periods(cochain, parent, order):
+    """Potential and edge periods of the cochain along a spanning forest.
 
-    parent and order are those of bfs_forest; roots get zero, so the
-    cochain minus the coboundary of the result vanishes on the forest.
+    parent and order are those of bfs_forest.  f vanishes at the roots
+    and agrees with the cochain on the forest; periods maps each edge
+    where the cochain differs from the coboundary of f to that
+    difference, so tree edges never appear.
     """
+    zero = cochain.space.zero()
     f = {}
     for v in order:
-        if v in parent:
-            f[v] = vec_add(f[parent[v]], cochain.value(parent[v], v))
-        else:
-            f[v] = cochain.space.zero()
-    return f
+        f[v] = (vec_add(f[parent[v]], cochain.value(parent[v], v))
+                if v in parent else zero)
+    periods = {}
+    for (u, v) in cochain.complex.edges():
+        per = vec_sub(cochain.values.get((u, v), zero), vec_sub(f[v], f[u]))
+        if any(per):
+            periods[(u, v)] = per
+    return f, periods
 
 
 def is_exact(cochain):
@@ -237,13 +243,9 @@ def is_exact(cochain):
 
     The potential vanishes at the lowest vertex of each component.
     """
-    X = cochain.complex
-    _, parent, order = bfs_forest(X)
-    f = forest_potential(cochain, parent, order)
-    for (u, v) in (X.cells[1] if X.dim >= 1 else []):
-        if vec_sub(f[v], f[u]) != cochain.value(u, v):
-            return None
-    return f
+    parent, order = bfs_forest(cochain.complex)
+    f, periods = forest_periods(cochain, parent, order)
+    return None if periods else f
 
 
 def is_invariant(action, cochain):

@@ -185,10 +185,10 @@ def euler_characteristic(X):
 def bfs_forest(X):
     """Breadth-first spanning forest of the 1-skeleton.
 
-    Returns (roots, parent, order): one root per connected component
-    (its lowest vertex), parent[v] = previous vertex on the tree path
-    (roots absent), and the visit order.  Deterministic: neighbors are
-    taken in vertex order.
+    Returns (parent, order): parent[v] = previous vertex on the tree
+    path, absent for the root of each component (its lowest vertex),
+    and the visit order.  Deterministic: neighbors are taken in vertex
+    order.
     """
     adj = {v: [] for v in X.vertices}
     for (u, v) in (X.cells[1] if X.dim >= 1 else []):
@@ -196,14 +196,12 @@ def bfs_forest(X):
         adj[v].append(u)
     for v in adj:
         adj[v].sort(key=X.vertex_index.__getitem__)
-    roots = []
     parent = {}
     order = []
     seen = set()
     for start in X.vertices:
         if start in seen:
             continue
-        roots.append(start)
         seen.add(start)
         queue = deque([start])
         while queue:
@@ -214,7 +212,7 @@ def bfs_forest(X):
                     seen.add(w)
                     parent[w] = u
                     queue.append(w)
-    return roots, parent, order
+    return parent, order
 
 
 class IntHomology:

@@ -11,14 +11,15 @@ coordinates, so torsion generators are forced to have period zero.
 import math
 from fractions import Fraction
 
-from .cochains import forest_potential, vec_add, vec_scale, vec_sub
+from .cochains import forest_periods, vec_add, vec_scale
 from .complexes import bfs_forest
 from .errors import DocumentError, ValidationError
 from .qlinalg import q_solve
 from .snf import row_lattice_basis, smith_normal_form
 
 __all__ = ["H1Presentation", "PeriodHom", "period_homomorphism",
-           "gamma_basis", "GPath", "gpath_period", "hurewicz_class"]
+           "lattice_basis", "gamma_basis", "is_integral", "GPath",
+           "gpath_period", "hurewicz_class"]
 
 
 class H1Presentation:
@@ -37,15 +38,11 @@ class H1Presentation:
 
     def __init__(self, complex):
         self.complex = complex
-        _, parent, order = bfs_forest(complex)
+        parent, order = bfs_forest(complex)
         self.order = order
         self.parent = parent
-        key_of = complex.vertex_index.__getitem__
-        tree_edges = set()
-        for v, u in parent.items():
-            tree_edges.add((u, v) if key_of(u) < key_of(v) else (v, u))
-        self.offtree = [e for e in (complex.cells[1] if complex.dim >= 1 else [])
-                        if e not in tree_edges]
+        self.offtree = [(u, v) for (u, v) in complex.edges()
+                        if parent.get(v) != u and parent.get(u) != v]
         self.offtree_index = {e: i for i, e in enumerate(self.offtree)}
         n_ot = len(self.offtree)
         triangles = complex.cells[2] if complex.dim >= 2 else []
@@ -135,6 +132,15 @@ class H1Presentation:
         return "H1Presentation(orders=%r)" % (self.orders,)
 
 
+def _combination(space, coeffs, vectors):
+    """The integer combination sum(c * v) in the value space."""
+    total = space.zero()
+    for c, v in zip(coeffs, vectors):
+        if c:
+            total = vec_add(total, vec_scale(Fraction(c), v))
+    return total
+
+
 class PeriodHom:
     """Periods of a closed cochain against an H_1 presentation."""
 
@@ -151,30 +157,15 @@ class PeriodHom:
                 if d == 0]
 
     def period_of_coords(self, coords):
-        total = self.space.zero()
-        for c, p in zip(coords, self.fundamental_periods):
-            if c:
-                total = vec_add(total, vec_scale(Fraction(c), p))
-        return total
+        return _combination(self.space, coords, self.fundamental_periods)
 
     def period_of_class(self, multiplicities):
         if len(multiplicities) != len(self.h1.orders):
             raise ValidationError("class needs %d generator multiplicities, "
                                   "got %d" % (len(self.h1.orders),
                                               len(multiplicities)))
-        total = self.space.zero()
-        for c, p in zip(multiplicities, self.generator_periods):
-            if c:
-                total = vec_add(total, vec_scale(Fraction(c), p))
-        return total
-
-    def is_integral(self):
-        """True when every free period is a plain integer (no symbol
-        part, denominator one)."""
-        for p in self.free_periods():
-            if any(p[1:]) or p[0].denominator != 1:
-                return False
-        return True
+        return _combination(self.space, multiplicities,
+                            self.generator_periods)
 
     def __repr__(self):
         return "PeriodHom(%d generators)" % (len(self.generator_periods),)
@@ -188,45 +179,60 @@ def period_homomorphism(h1, cochain):
     """
     if cochain.complex is not h1.complex:
         raise DocumentError("cochain lives on a different complex")
-    f = forest_potential(cochain, h1.parent, h1.order)
-    fundamental = []
-    for (u, v) in h1.offtree:
-        per = vec_sub(cochain.value(u, v), vec_sub(f[v], f[u]))
-        fundamental.append(per)
-    gen_periods = []
+    _, periods = forest_periods(cochain, h1.parent, h1.order)
+    fundamental = [periods.get(e, cochain.space.zero()) for e in h1.offtree]
+    ph = PeriodHom(h1, cochain.space, fundamental, [])
     for cyc, order_ in zip(h1.generator_cycles, h1.orders):
-        total = cochain.space.zero()
-        for c, p in zip(cyc, fundamental):
-            if c:
-                total = vec_add(total, vec_scale(Fraction(c), p))
+        total = ph.period_of_coords(cyc)
         if order_ and any(total):
             raise ValidationError(
                 "torsion generator has nonzero period %r" % (total,))
-        gen_periods.append(total)
-    return PeriodHom(h1, cochain.space, fundamental, gen_periods)
+        ph.generator_periods.append(total)
+    return ph
+
+
+def lattice_basis(vectors, k):
+    """Z-basis of the lattice spanned by a collection of rational
+    vectors of length k.
+
+    Clears denominators, runs row_lattice_basis and scales back; that
+    echelon form is canonical, so any spanning set gives the same basis.
+
+    >>> from fractions import Fraction as F
+    >>> lattice_basis([(F(1, 2),), (F(3, 4),)], 1)
+    [(Fraction(1, 4),)]
+    >>> lattice_basis([(F(1, 4),)], 1)
+    [(Fraction(1, 4),)]
+    """
+    denom = math.lcm(*(x.denominator for p in vectors for x in p))
+    rows = [[int(x * denom) for x in p] for p in vectors]
+    return [tuple(Fraction(x, denom) for x in row)
+            for row in row_lattice_basis(rows, k)]
 
 
 def gamma_basis(ph):
     """Z-basis of the period lattice, as vectors in the value space.
 
-    Clears denominators, reduces the integer rows to a Hermite basis,
-    and scales back; every generator period is then re-checked to be
-    an integer combination of the basis.
+    Every free generator period is re-checked to be an integer
+    combination of the basis.
     """
     free = ph.free_periods()
-    k = ph.space.k
-    if not free:
-        return []
-    denom = 1
-    for p in free:
-        for x in p:
-            denom = math.lcm(denom, x.denominator)
-    rows = [[int(x * denom) for x in p] for p in free]
-    basis_int = row_lattice_basis(rows, k)
-    basis = [tuple(Fraction(x, denom) for x in row) for row in basis_int]
+    basis = lattice_basis(free, ph.space.k)
     for p in free:
         lattice_coordinates(basis, p)
     return basis
+
+
+def is_integral(basis):
+    """Whether every vector has no symbol part and denominator one.
+
+    >>> from fractions import Fraction as F
+    >>> is_integral([(F(2), F(0))])
+    True
+    >>> is_integral([(F(1, 2), F(0))])
+    False
+    """
+    return all(not any(b[1:]) and b[0].denominator == 1 for b in basis)
 
 
 def lattice_coordinates(basis, vec):

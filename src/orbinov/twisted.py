@@ -12,15 +12,14 @@ and torsion numbers.
 
 from fractions import Fraction
 
-from .cochains import RationalCochain1, PeriodSpace
-from .complexes import (build_complex, homology_of_matrices,
+from .cochains import RationalCochain1, PeriodSpace, forest_periods
+from .complexes import (bfs_forest, build_complex, homology_of_matrices,
                         integer_homology, sparse_product_is_zero)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
                       invariant_factors)
-from .periods import (H1Presentation, gamma_basis, lattice_coordinates,
-                      period_homomorphism)
+from .periods import lattice_basis, lattice_coordinates
 
 __all__ = ["IntegralLift", "integralize", "TwistedComplex",
            "twisted_complex", "NovikovNumbers", "novikov_numbers",
@@ -30,19 +29,17 @@ __all__ = ["IntegralLift", "integralize", "TwistedComplex",
 class IntegralLift:
     """Integer exponent cochain representing a closed cochain's class.
 
-    periods is the period map the lift was read from, and basis spans
-    its period lattice.  exponents maps an off-tree edge of the period
-    map's spanning forest to the integer coordinates of its period in
-    that basis; every other edge has exponent zero.  The lifted cochain
-    differs from the original by a coboundary, so every loop period is
-    preserved.
+    basis spans the period lattice.  exponents maps each off-tree edge
+    of bfs_forest's spanning forest with a nonzero period to the integer
+    coordinates of that period in the basis; every other edge has
+    exponent zero.  The lifted cochain differs from the original by a
+    coboundary, so every loop period is preserved.
     """
 
-    __slots__ = ("complex", "periods", "basis", "exponents")
+    __slots__ = ("complex", "basis", "exponents")
 
-    def __init__(self, complex, periods, basis, exponents):
+    def __init__(self, complex, basis, exponents):
         self.complex = complex
-        self.periods = periods
         self.basis = basis
         self.exponents = exponents
 
@@ -62,19 +59,17 @@ class IntegralLift:
 def integralize(cochain):
     """Integral lift of a closed cochain's class.
 
-    Presents H_1 of the cochain's complex, takes the period map on that
-    presentation, reduces the free periods to a lattice basis, and
-    expands the period of each off-tree edge in the basis; each stage
-    runs once, and every expansion must come out integral.
+    The fundamental cycles of a spanning forest generate H_1, so the
+    off-tree periods span the period lattice.  Each nonzero one is
+    expanded in its basis, and every expansion must be integral.
     """
     X = cochain.complex
-    ph = period_homomorphism(H1Presentation(X), cochain)
-    basis = gamma_basis(ph)
-    exponents = {}
-    for (u, v), per in zip(ph.h1.offtree, ph.fundamental_periods):
-        if any(per):
-            exponents[(u, v)] = lattice_coordinates(basis, per)
-    return IntegralLift(X, ph, basis, exponents)
+    parent, order = bfs_forest(X)
+    _, periods = forest_periods(cochain, parent, order)
+    basis = lattice_basis(periods.values(), cochain.space.k)
+    exponents = {e: lattice_coordinates(basis, per)
+                 for e, per in periods.items()}
+    return IntegralLift(X, basis, exponents)
 
 
 class TwistedComplex:
@@ -280,10 +275,7 @@ def rank1_perturb(cochain, precision=6):
     collapse) is refused since it no longer points anywhere.
     """
     X = cochain.complex
-    h1 = H1Presentation(X)
-    ph = period_homomorphism(h1, cochain)
-    rank = len(gamma_basis(ph))
-    if rank == 0:
+    if integralize(cochain).rank == 0:
         raise ValidationError("the zero class cannot be perturbed")
     if not cochain.space.symbols:
         return cochain
@@ -302,8 +294,7 @@ def rank1_perturb(cochain, precision=6):
             if any(c):
                 values[(u, v)] = c
     out = RationalCochain1(X, values, space)
-    ph2 = period_homomorphism(h1, out)
-    if len(gamma_basis(ph2)) == 0:
+    if integralize(out).rank == 0:
         raise ValidationError(
             "perturbation collapsed the class to zero; raise precision")
     return out

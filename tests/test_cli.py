@@ -327,20 +327,25 @@ def stage_counts(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, want", [
+    # the lift reads the period lattice off the spanning forest, so
+    # no Novikov path presents H_1 or runs a dense Smith form
     (["novikov", "klein", "--class", "dy"],
-     {"H1Presentation": 1, "bfs_forest": 1, "smith_normal_form": 1}),
+     {"H1Presentation": 0, "bfs_forest": 1, "smith_normal_form": 0}),
     (["novikov", "pillowcase", "--class", "zero"],
-     {"H1Presentation": 1, "bfs_forest": 1, "quotient_complex": 1}),
+     {"H1Presentation": 0, "bfs_forest": 1, "quotient_complex": 1}),
     (["check-inequalities", "rp2", "--class", "zero"], {"bfs_forest": 1}),
-    # one quotient per document; one descent, one lift and one H_1 per
-    # class, shared by the nerve model and the cover oracle; invariance
-    # is checked once per class, by the descent
+    # one quotient per document; one descent and one lift per class,
+    # shared by the nerve model and the cover oracle; invariance is
+    # checked once per class, by the descent
     (["validate", "hexagon_z2", "--cyclic", "3"],
-     {"quotient_complex": 1, "H1Presentation": 2, "bfs_forest": 2,
+     {"quotient_complex": 1, "H1Presentation": 0, "bfs_forest": 2,
       "descend_cochain": 2, "integralize": 2, "is_invariant": 2}),
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
-     {"quotient_complex": 1, "H1Presentation": 2, "integralize": 2}),
+     {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
+    # periods prints the H_1 presentation and builds no lift
+    (["periods", "klein", "--class", "dy"],
+     {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

@@ -111,7 +111,8 @@ def test_row_lattice_basis_known():
 
 def test_transform_guard_survives_optimized_mode():
     # every H_1 presentation checks its Smith transforms; a product
-    # that comes out wrong must still stop the command under -O
+    # that comes out wrong must still stop the command under -O.
+    # periods is the command that presents H_1
     script = "\n".join([
         "import sys",
         "import orbinov.snf",
@@ -119,7 +120,7 @@ def test_transform_guard_survives_optimized_mode():
         "orbinov.snf.mat_mul = lambda A, B: [[x + 1 for x in row]",
         "                                    for row in product(A, B)]",
         "from orbinov import cli",
-        "sys.exit(cli.main(['novikov', 'klein', '--class', 'dy']))",
+        "sys.exit(cli.main(['periods', 'klein', '--class', 'dy']))",
     ])
     src = os.path.dirname(os.path.dirname(orbinov.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -9,10 +9,15 @@ from fractions import Fraction
 import pytest
 
 import orbinov
-from orbinov.cochains import PeriodSpace, RationalCochain1, coboundary0
+from orbinov.actions import quotient_complex
+from orbinov.cli import corpus_names, resolve_document
+from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
+                              descend_cochain)
 from orbinov.complexes import IntHomology, build_complex, integer_homology
 from orbinov.errors import UnsupportedOperationError, ValidationError
 from orbinov.laurent import LaurentPoly
+from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
+                             period_homomorphism)
 from orbinov.twisted import (cyclic_cover_oracle, integralize,
                              novikov_numbers, rank1_perturb, twisted_complex)
 
@@ -293,3 +298,77 @@ def test_result_guard_survives_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "boundary squared is nonzero" in proc.stderr
+
+
+def assert_lift_matches_h1(om):
+    """The forest lift against the H_1 route: the same lattice basis,
+    the same integrality verdict, and exponents that give back every
+    off-tree period."""
+    lift = integralize(om)
+    h1 = H1Presentation(om.complex)
+    ph = period_homomorphism(h1, om)
+    assert lift.basis == gamma_basis(ph)
+    assert is_integral(lift.basis) == is_integral(ph.free_periods())
+    assert set(lift.exponents) <= set(h1.offtree)
+    for e, per in zip(h1.offtree, ph.fundamental_periods):
+        total = om.space.zero()
+        for c, b in zip(lift.exponent(*e), lift.basis):
+            total = tuple(t + c * x for t, x in zip(total, b))
+        assert total == per
+    return lift
+
+
+def test_lift_matches_h1_route_on_the_corpus():
+    pairs = 0
+    for name in corpus_names():
+        doc = resolve_document(name)
+        qres = quotient_complex(doc.action) if doc.action else None
+        for cname in doc.cocycle_names():
+            om = doc.cochain(cname)
+            assert_lift_matches_h1(descend_cochain(qres, om) if qres else om)
+            pairs += 1
+    assert pairs == 15
+
+
+def mixed_class(X, space, rows, parts):
+    """Cochain whose coordinate i is the combination rows[i] of the
+    rational cochains in parts."""
+    values = {}
+    for e in X.edges():
+        vec = tuple(sum((c * p.value(*e)[0] for c, p in zip(row, parts)),
+                        F(0)) for row in rows)
+        if any(vec):
+            values[e] = vec
+    return RationalCochain1(X, values, space)
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lift_matches_h1_route_on_seeded_grids(surface, n):
+    rng = random.Random(1000 * n + len(surface))
+    if surface == "torus":
+        X = torus_grid(n)
+        parts = [grid_dx(X, n), grid_dy(X, n)]
+    else:
+        X = klein_grid(n)
+        parts = [grid_dy(X, n)]
+    plain = PeriodSpace()
+    symbolic = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
+
+    def coeff():
+        return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+
+    ranks = set()
+    verdicts = set()
+    for trial in range(6):
+        space = symbolic if trial % 2 else plain
+        rows = [[coeff() for _ in parts] for _ in range(space.k)]
+        om = mixed_class(X, space, rows, parts)
+        pot = {v: tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
+                        for _ in range(space.k)) for v in X.vertices}
+        for cochain in (om, om.add(coboundary0(X, pot, space))):
+            lift = assert_lift_matches_h1(cochain)
+            ranks.add(lift.rank)
+            verdicts.add(is_integral(lift.basis))
+    assert ranks >= ({1, 2} if surface == "torus" else {1})
+    assert verdicts == {True, False}

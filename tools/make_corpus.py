@@ -14,9 +14,8 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from orbinov import (H1Presentation, check_inequalities, gamma_basis,
-                     integer_homology, novikov_numbers, period_homomorphism,
-                     quotient_complex)
+from orbinov import (H1Presentation, check_inequalities, integer_homology,
+                     integralize, novikov_numbers, quotient_complex)
 from orbinov.cli import main as cli_main
 from orbinov.cochains import descend_cochain
 from orbinov.complexes import build_complex
@@ -122,8 +121,7 @@ def verify_inequalities(numbers, critical, want_slacks=None, want_holds=True):
 
 
 def rank_of(om):
-    return len(gamma_basis(period_homomorphism(H1Presentation(om.complex),
-                                               om)))
+    return integralize(om).rank
 
 
 # ---------------------------------------------------------------- circle
