@@ -2,9 +2,10 @@
 
 Both run on the sparse unit-pivot elimination of integer homology
 (snf.eliminate_units), here in the localized ring: every entry with a
-unit leading coefficient is pivoted away, and each pivot adds one to
-the rank and one unit invariant factor.  What remains is a residual
-block with no unit entries, usually empty for twisted boundaries.
+unit leading coefficient is pivoted away, shortest column first, and
+each pivot adds one to the rank and one unit invariant factor.  What
+remains is a residual block with no unit entries, usually empty for
+twisted boundaries.
 
 Rank then adds the fraction-free (Bareiss) rank of the residual, valid
 for any weight rank.  Invariant factors resolve the residual through
@@ -61,14 +62,28 @@ class WeightedLaurentMatrix:
             self.nrows, self.ncols, len(self.entries))
 
 
+def _unit_cost(s):
+    """Pivot cost of a localized scalar: its numerator's term count if
+    it is a unit, else None.  A one-term numerator is a unit exactly
+    when its coefficient is +-1, which needs no weight scan."""
+    terms = s.num.terms
+    if len(terms) == 1:
+        (c,) = terms.values()
+        return 1 if c in (1, -1) else None
+    return len(terms) if s.is_unit() else None
+
+
 def _eliminate_units(M):
     """(units eliminated, residual rows as from _clear_row) of M over
-    the localized ring; a unit with fewer numerator terms is the
-    cheaper pivot."""
+    the localized ring.  The shortest column goes first, so free faces
+    go first and cause no fill; then fewer numerator terms is cheaper.
+    WeightedLaurentMatrix has checked that M's entries are nonzero and
+    over M's ring, so each is a scalar over one with no reduction."""
     ws = M.ws
+    over_one = LocalizedScalar._over_one
     units, rows, cols = eliminate_units(
-        {key: LocalizedScalar(ws, p) for key, p in M.entries.items()},
-        lambda s: s.num.n_terms() if s.is_unit() else None, truediv)
+        {key: over_one(ws, p) for key, p in M.entries.items()},
+        _unit_cost, truediv)
     return units, [_clear_row(row, cols, ws) for row in rows]
 
 

@@ -2,7 +2,11 @@
 row-lattice reduction, exact arithmetic.
 
 Homology over Z and over the localized Laurent ring (see lmatrix) runs
-on one sparse elimination, eliminate_units, before any dense step.
+on one sparse elimination, eliminate_units, before any dense step.  It
+pivots on the unit whose column has the fewest live entries first:
+a column with one entry is a free face, whose elimination updates no
+row, and a short column causes little fill in the rest.
+
 Dense matrices are plain lists of rows of Python ints; no machine-word
 modes anywhere, so coefficient growth is bounded only by memory.
 Pivots are chosen with minimal absolute value to keep intermediate
@@ -217,55 +221,76 @@ def eliminate_units(entries, unit_cost, divide):
     entries maps (row, col) to a nonzero ring element; unit_cost(a) is
     None for a non-unit, else the cost of pivoting on a, and
     divide(a, pivot) is the exact quotient by a unit.  Each pivot is
-    the unit of least cost, ties broken by the smallest (row, col),
-    popped from a heap that skips entries gone or repriced since they
-    were pushed.  Row operations clear its column; the matching column
-    operations would only clear the rest of the pivot row, so the
-    pivot's row and column are dropped instead.  Residual rows are
-    dicts col -> entry, in row order; the columns still holding an
-    entry come sorted.
+    the unit that minimizes (live entries in its column, cost, row,
+    col): Markowitz's rule restricted to columns.  A column with one
+    live entry is a free face, and pivoting on it updates no row, so
+    free faces go first and a short column causes little fill.  A heap
+    holds one key per column, (length, cost and row of its cheapest
+    unit, col); a pivot changes only the columns of its row, so only
+    their keys are recomputed, and a popped key that is no longer its
+    column's is skipped.  Row operations clear the pivot column; the
+    matching column operations would only clear the rest of the pivot
+    row, so the pivot's row and column are dropped instead.  Residual
+    rows are dicts col -> entry, in row order; the columns still
+    holding an entry come sorted.
     """
     rows = {}
-    in_col = {}
-    costs = {}
+    in_col = {}    # col -> rows with an entry there
+    units = {}     # col -> {row: cost} of the unit entries there
+    keys = {}      # col -> the key of that column in the heap
     heap = []
 
-    def track(i, j, a):
-        cost = unit_cost(a)
-        if cost is None:
-            costs.pop((i, j), None)
-        else:
-            costs[(i, j)] = cost
-            heappush(heap, (cost, i, j))
+    def refresh(j):
+        col = units[j]
+        if not col:
+            keys.pop(j, None)
+            return
+        key = (len(in_col[j]), *min(zip(col.values(), col)), j)
+        if keys.get(j) != key:
+            keys[j] = key
+            heappush(heap, key)
 
     for (i, j), a in entries.items():
         rows.setdefault(i, {})[j] = a
         in_col.setdefault(j, set()).add(i)
-        track(i, j, a)
+        col = units.setdefault(j, {})
+        cost = unit_cost(a)
+        if cost is not None:
+            col[i] = cost
+    for j in units:
+        refresh(j)
     pivots = 0
     while heap:
-        cost, pi, pj = heappop(heap)
-        if costs.get((pi, pj)) != cost:
+        key = heappop(heap)
+        _, _, pi, pj = key
+        if keys.get(pj) != key:
             continue
+        del keys[pj]
         prow = rows.pop(pi)
         for j in prow:
             in_col[j].discard(pi)
-            costs.pop((pi, j), None)
+            units[j].pop(pi, None)
         pivot = prow.pop(pj)
+        del units[pj]
         for i in in_col.pop(pj):
             row = rows[i]
             f = divide(row.pop(pj), pivot)
-            costs.pop((i, pj), None)
             for j, b in prow.items():
                 s = row[j] - f * b if j in row else -(f * b)
                 if s:
                     row[j] = s
                     in_col[j].add(i)
-                    track(i, j, s)
+                    cost = unit_cost(s)
+                    if cost is None:
+                        units[j].pop(i, None)
+                    else:
+                        units[j][i] = cost
                 else:
                     del row[j]
                     in_col[j].discard(i)
-                    costs.pop((i, j), None)
+                    units[j].pop(i, None)
+        for j in prow:
+            refresh(j)
         pivots += 1
     cols = sorted(j for j, live in in_col.items() if live)
     return pivots, [rows[i] for i in sorted(rows) if rows[i]], cols

@@ -314,6 +314,30 @@ def test_elimination_matches_constructor_reference(ws, monkeypatch):
     assert residuals >= 5
 
 
+@pytest.mark.parametrize("ws", [WS0, WS1, WS2], ids=["r0", "r1", "r2"])
+def test_unit_cost_matches_the_weight_scan(ws):
+    # a one-term numerator is priced from its coefficient alone; every
+    # price must be the weight scan's, and a scalar built over one must
+    # be the constructor's
+    rng = random.Random(5050 + ws.r)
+    polys = []
+    for _ in range(20):
+        polys.extend(_boundary_like(rng, ws, 4, 4).entries.values())
+    for _ in range(20):
+        exp = tuple(rng.randint(-2, 2) for _ in range(ws.r))
+        polys.append(LaurentPoly.monomial(ws.r, exp,
+                                          rng.choice((2, -2, 3, -3))))
+    prices = set()
+    for p in polys:
+        s = LocalizedScalar(ws, p)
+        fast = LocalizedScalar._over_one(ws, p)
+        assert fast == s and fast.num == s.num and fast.den is ws.one
+        want = s.num.n_terms() if s.is_unit() else None
+        assert lmatrix._unit_cost(s) == lmatrix._unit_cost(fast) == want
+        prices.add(want)
+    assert prices == ({1, None} if ws.r == 0 else {1, 2, None})
+
+
 def test_entry_rank_guard_survives_optimized_mode():
     # an entry in the wrong number of variables must be refused under -O
     # too, not stored in a matrix over another ring

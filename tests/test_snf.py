@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 
 import pytest
 from sympy import ZZ
@@ -15,11 +15,15 @@ from orbinov.cli import resolve_document
 from orbinov.complexes import (IntHomology, build_complex,
                                homology_of_matrices, integer_homology)
 from orbinov.errors import ValidationError
+from orbinov.lmatrix import _unit_cost
+from orbinov.localized import LocalizedScalar
 from orbinov.snf import (eliminate_units, identity_matrix, mat_mul,
                          row_lattice_basis, smith_normal_form)
-from orbinov.twisted import integralize
+from orbinov.twisted import integralize, twisted_complex
 
 from oracles import gauss_rank, minor_gcd_invariant_factors
+from test_actions import torus_grid
+from test_periods import grid_dx
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -284,18 +288,21 @@ def test_no_unit_entries_match_sympy():
         check_against_sympy(A)
 
 
-def min_scan_elimination(entries, unit_cost, divide):
-    """eliminate_units as it was with a full min scan per pivot, plus
-    counts of pivots chosen among tied costs and of repriced entries."""
+def short_column_elimination(entries, unit_cost, divide):
+    """eliminate_units with a rescan of every live unit for the least
+    (column length, cost, row, col) at each pivot, plus three counts:
+    units that tied with the pivot in (length, cost) and lost on (row,
+    col); updates that changed the price of a live entry, a unit
+    turning into a non-unit or back included; and columns holding a
+    unit whose length changed between two pivots."""
     rows, in_col, costs = {}, {}, {}
-    seen = {"ties": 0, "repriced": 0}
+    seen = {"ties": 0, "repriced": 0, "resized": 0}
 
     def track(i, j, a):
         cost = unit_cost(a)
         if cost is None:
             costs.pop((i, j), None)
         else:
-            seen["repriced"] += costs.get((i, j), cost) != cost
             costs[(i, j)] = cost
 
     for (i, j), a in entries.items():
@@ -303,9 +310,16 @@ def min_scan_elimination(entries, unit_cost, divide):
         in_col.setdefault(j, set()).add(i)
         track(i, j, a)
     pivots = 0
+    lengths = {}
     while costs:
-        low, pi, pj = min((c, i, j) for (i, j), c in costs.items())
-        seen["ties"] += sum(c == low for c in costs.values()) > 1
+        keys = [(len(in_col[j]), c, i, j) for (i, j), c in costs.items()]
+        low = min(keys)
+        seen["ties"] += sum(key[:2] == low[:2] for key in keys) - 1
+        now = {j: length for length, _, _, j in keys}
+        seen["resized"] += sum(lengths.get(j, length) != length
+                               for j, length in now.items())
+        lengths = now
+        _, _, pi, pj = low
         prow = rows.pop(pi)
         for j in prow:
             in_col[j].discard(pi)
@@ -317,6 +331,8 @@ def min_scan_elimination(entries, unit_cost, divide):
             costs.pop((i, pj), None)
             for j, b in prow.items():
                 s = row[j] - f * b if j in row else -(f * b)
+                if s and j in row:
+                    seen["repriced"] += unit_cost(s) != unit_cost(row[j])
                 if s:
                     row[j] = s
                     in_col[j].add(i)
@@ -341,20 +357,61 @@ def small_fraction_cost(a):
     (lambda a: 1 if a in (1, -1) else None, mul),
     (small_fraction_cost, lambda a, p: Fraction(a) / p),
 ])
-def test_unit_elimination_keeps_the_min_scan_pivot_order(unit_cost, divide):
+def test_unit_elimination_keeps_the_short_column_pivot_order(unit_cost,
+                                                            divide):
     rng = random.Random(41)
-    ties = repriced = 0
+    ties = repriced = resized = 0
     for _ in range(80):
         m, n = rng.randint(1, 12), rng.randint(1, 12)
         entries = {(i, j): rng.choice((1, -1, 2, -2, 3, -3))
                    for i in range(m) for j in range(n) if rng.random() < 0.3}
-        want, seen = min_scan_elimination(entries, unit_cost, divide)
+        want, seen = short_column_elimination(entries, unit_cost, divide)
         assert eliminate_units(entries, unit_cost, divide) == want
         ties += seen["ties"]
         repriced += seen["repriced"]
+        resized += seen["resized"]
     assert ties > 100
-    if unit_cost is small_fraction_cost:
-        assert repriced > 20
+    assert repriced > 20
+    assert resized > 100
+
+
+def is_integer_unit(a):
+    return 1 if a in (1, -1) else None
+
+
+def divisions(entries, unit_cost, divide):
+    """eliminate_units, plus the pivot of each divide call: one call
+    per row update."""
+    calls = []
+
+    def counted(a, pivot):
+        calls.append(pivot)
+        return divide(a, pivot)
+
+    return eliminate_units(entries, unit_cost, counted), calls
+
+
+def test_short_columns_first_keep_grid_torus_fill_low():
+    # d_2 of the 8 x 8 grid torus, twisted by dx and plain; the key is
+    # exact, so every implementation of the order makes these updates
+    X = torus_grid(8)
+    M = twisted_complex(integralize(grid_dx(X, 8))).boundary[2]
+    scalars = {key: LocalizedScalar(M.ws, p) for key, p in M.entries.items()}
+    (pivots, _, _), calls = divisions(scalars, _unit_cost, truediv)
+    assert (pivots, len(calls)) == (128, 331)
+    (pivots, _, _), calls = divisions(X.boundary_entries(2), is_integer_unit,
+                                      mul)
+    assert (pivots, len(calls)) == (127, 324)
+
+
+def test_free_face_is_pivoted_first_and_updates_no_row():
+    # column 2 holds one entry, the last in (row, col) order; taken
+    # first, it drops row 2, so the pivot at (0, 0) updates row 1 only
+    entries = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (1, 1): -1,
+               (2, 2): -1}
+    result, calls = divisions(entries, is_integer_unit, mul)
+    assert result == (2, [{1: -2}], [1])
+    assert calls == [1]
 
 
 # 8 x 8, entries in [-9, 9] and no +-1 entry

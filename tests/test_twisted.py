@@ -372,3 +372,40 @@ def test_lift_matches_h1_route_on_seeded_grids(surface, n):
             verdicts.add(is_integral(lift.basis))
     assert ranks >= ({1, 2} if surface == "torus" else {1})
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein"])
+def test_cover_oracle_and_fibred_zeros_on_seeded_grids(surface):
+    # grids large enough for the pivot order to decide the fill: the
+    # two cover routes must agree, and a class that fibres the surface
+    # over the circle has zero Novikov homology
+    rng = random.Random("cross-route/" + surface)
+    symbolic = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
+    for n in range(6, 11):
+        if surface == "torus":
+            X = torus_grid(n)
+            parts = [grid_dx(X, n), grid_dy(X, n)]
+            a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (3, 1)])
+            rows = [[a, b]]
+        else:
+            X = klein_grid(n)
+            parts = [grid_dy(X, n)]
+            rows = [[1]]
+        scale = F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4))
+        rows = [[scale * c for c in row] for row in rows]
+        pot = {v: (F(rng.randint(-9, 9), rng.randint(1, 4)),)
+               for v in X.vertices}
+        om = mixed_class(X, PeriodSpace(), rows, parts).add(
+            coboundary0(X, pot))
+        lift = integralize(om)
+        assert lift.rank == 1
+        for p in (2, 3):
+            assert cyclic_cover_oracle(lift, p).consistent
+        classes = [(om, 1)]
+        if surface == "torus":
+            classes.append(
+                (mixed_class(X, symbolic, [[1, 0], [0, 1]], parts), 2))
+        for cochain, rank in classes:
+            nv = novikov_numbers(cochain)
+            assert nv.rank == rank and nv.betti == [0, 0, 0]
+            assert nv.torsion == ([0, 0, 0] if rank == 1 else None)
