@@ -6,7 +6,6 @@ from .snf import SNFResult, smith_normal_form
 from .complexes import (SimplicialComplex, build_complex, integer_homology,
                         euler_characteristic, barycentric_subdivision)
 from .laurent import LaurentPoly, WeightSystem
-from .localized import LocalizedScalar
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
                       invariant_factors)
 from .actions import (FiniteGroup, SimplicialAction, quotient_complex,

@@ -28,8 +28,8 @@ from .nerve import identity_failures, nerve_model
 from .periods import (H1Presentation, gamma_basis, is_integral,
                       period_homomorphism)
 from .snf import smith_normal_form
-from .twisted import (cyclic_cover_oracle, integralize, novikov_numbers,
-                      rank1_perturb)
+from .twisted import (check_cover_degree, cyclic_cover_oracle, integralize,
+                      novikov_numbers, rank1_perturb)
 
 __all__ = ["main", "corpus_names", "resolve_document"]
 
@@ -218,6 +218,8 @@ def cmd_check(args):
 
 
 def cmd_validate(args):
+    if args.cyclic is not None:
+        check_cover_degree(args.cyclic)
     doc = resolve_document(args.document)
     qres = None
     checks = []

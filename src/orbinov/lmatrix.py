@@ -1,11 +1,15 @@
 """Matrices over the weighted Laurent ring: rank and invariant factors.
 
 Both run on the sparse unit-pivot elimination of integer homology
-(snf.eliminate_units), here in the localized ring: every entry with a
-unit leading coefficient is pivoted away, shortest column first, and
-each pivot adds one to the rank and one unit invariant factor.  What
-remains is a residual block with no unit entries, usually empty for
-twisted boundaries.
+(snf.eliminate_units), on the Laurent polynomials themselves: every
+entry with a unit leading coefficient is pivoted away, shortest column
+first, and each pivot adds one to the rank and one unit invariant
+factor.  A pivot +-T^e is a unit of the Laurent ring, so the rows it
+clears are divided exactly, by a shift; any other unit pivot u clears
+row r as u*r - a*(pivot row), which differs from the exact step by the
+unit u of the localized ring and so changes neither rank nor invariant
+factors.  What remains is a residual block with no unit entries,
+usually empty for twisted boundaries.
 
 Rank then adds the fraction-free (Bareiss) rank of the residual, valid
 for any weight rank.  Invariant factors resolve the residual through
@@ -15,11 +19,9 @@ i-minor expands into (i-1)-minors; the divisibility chain of the
 resulting factors is then re-verified inside the localized ring.
 """
 
-from operator import truediv
-
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, exact_divide
-from .localized import LocalizedScalar, localized_gcd
+from .localized import associates, localized_gcd
 from .snf import eliminate_units
 
 __all__ = ["WeightedLaurentMatrix", "fraction_field_rank",
@@ -62,44 +64,45 @@ class WeightedLaurentMatrix:
             self.nrows, self.ncols, len(self.entries))
 
 
-def _unit_cost(s):
-    """Pivot cost of a localized scalar: its numerator's term count if
-    it is a unit, else None.  A one-term numerator is a unit exactly
-    when its coefficient is +-1, which needs no weight scan."""
-    terms = s.num.terms
+def _unit_cost(p, ws):
+    """Pivot cost of a Laurent polynomial: its term count if it is a
+    unit of the localized ring, else None.  A monomial is a unit
+    exactly when its coefficient is +-1, which needs no weight scan."""
+    terms = p.terms
     if len(terms) == 1:
         (c,) = terms.values()
         return 1 if c in (1, -1) else None
-    return len(terms) if s.is_unit() else None
+    return len(terms) if ws.is_unit_poly(p) else None
+
+
+def _divide(a, pivot):
+    """a / pivot when the pivot is +-T^e, a unit of the Laurent ring
+    itself: a shift, and none at e = 0.  None for any other unit, whose
+    row eliminate_units then clears fraction-free."""
+    if len(pivot.terms) != 1:
+        return None
+    ((exp, c),) = pivot.terms.items()
+    if any(exp):
+        a = a.shift(tuple(-e for e in exp))
+    return -a if c < 0 else a
 
 
 def _eliminate_units(M):
     """(units eliminated, residual rows as from _clear_row) of M over
     the localized ring.  The shortest column goes first, so free faces
-    go first and cause no fill; then fewer numerator terms is cheaper.
-    WeightedLaurentMatrix has checked that M's entries are nonzero and
-    over M's ring, so each is a scalar over one with no reduction."""
+    go first and cause no fill; then fewer terms is cheaper.  Entries
+    stay Laurent polynomials throughout: a row is divided only by a
+    monomial pivot, and scaled by any other one."""
     ws = M.ws
-    over_one = LocalizedScalar._over_one
     units, rows, cols = eliminate_units(
-        {key: over_one(ws, p) for key, p in M.entries.items()},
-        _unit_cost, truediv)
+        M.entries, lambda p: _unit_cost(p, ws), _divide)
     return units, [_clear_row(row, cols, ws) for row in rows]
 
 
 def _clear_row(row, cols, ws):
-    """Dense Laurent row: row times the product of its distinct
-    denominators, shifted so every exponent is nonnegative."""
-    dens = []
-    for s in row.values():
-        if s.den not in dens:
-            dens.append(s.den)
-    scale = ws.one
-    for d in dens:
-        scale = scale * d
+    """Dense Laurent row, shifted so every exponent is nonnegative."""
     zero = LaurentPoly(ws.r, {})
-    out = [row[j].num * exact_divide(scale, row[j].den) if j in row else zero
-           for j in cols]
+    out = [row.get(j, zero) for j in cols]
     lows = [p.exp_bounds()[0] for p in out if p]
     neg = tuple(-min(lo[k] for lo in lows) for k in range(ws.r))
     return [p.shift(neg) if p else p for p in out]
@@ -207,10 +210,10 @@ def invariant_factors(M, minor_cap=8):
             factors.append(one)
         else:
             factors_tail.append(d)
+    # a divides b in the localized ring exactly when gcd(a, b) is an
+    # associate of a
     for a, b in zip(factors_tail, factors_tail[1:]):
-        sa = LocalizedScalar(ws, a)
-        sb = LocalizedScalar(ws, b)
-        if sb.exact_divide_scalar(sa) is None:
+        if not associates(localized_gcd(a, b, ws), a, ws):
             raise ValidationError(
                 "invariant factor chain broke: %r does not divide %r"
                 % (a, b))

@@ -1,11 +1,13 @@
-"""The localized coefficient ring: Laurent polynomials over a
-multiplicative set of leading-coefficient-one elements.
+"""Gcd theory of the localized coefficient ring: Laurent polynomials
+over the multiplicative set of leading-coefficient-one elements.
 
-Scalars are fractions num/den with den in the multiplicative set.
-Full gcd reduction is available for rank <= 1 weight systems (rank 0
-is plain integers, rank 1 reduces to univariate integer polynomials);
-higher rank scalars only ever reduce by monomial factors, which is
-enough for the operations the engine performs there.
+A polynomial is a unit there exactly when its leading coefficient is
++-1 (WeightSystem.is_unit_poly), so matrices over the ring need no
+fractions: lmatrix eliminates on the polynomials themselves.  What
+invariant factors need beyond that lives here: gcds and the associate
+test, for weight rank <= 1 (rank 0 is plain integers, rank 1 reduces
+to univariate integer polynomials).  Higher rank has no gcd theory
+here and is refused.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, exact_divide
 
-__all__ = ["LocalizedScalar", "localized_gcd", "associates", "int_poly_gcd"]
+__all__ = ["localized_gcd", "associates", "int_poly_gcd"]
 
 # Dense univariate gcds allocate one coefficient slot per exponent in
 # the spread, so huge sparse exponents (rank one perturbations scale
@@ -190,194 +192,3 @@ def _cancel(g, *polys):
     if any(q is None for q in out):
         raise ValidationError("gcd does not divide its arguments")
     return out
-
-
-class LocalizedScalar:
-    """A fraction num/den of Laurent polynomials with den in the
-    multiplicative set (leading coefficient one).
-
-    A monomial denominator is a unit of the Laurent ring itself, so it
-    is always absorbed into the numerator: every scalar whose
-    denominator is a monomial is stored over its ring's one, ws.one.
-    """
-
-    __slots__ = ("ws", "num", "den")
-
-    def __init__(self, ws, num, den=None):
-        if den is None:
-            den = ws.one
-        if num.r != ws.r:
-            # ws.leading checks the denominator
-            raise ValidationError("numerator in %d variables, weights for %d"
-                                  % (num.r, ws.r))
-        if not den:
-            raise ValidationError("scalar with zero denominator")
-        lc = ws.leading(den)[1]
-        if lc == -1:
-            num, den = -num, -den
-        elif lc != 1:
-            raise ValidationError(
-                "denominator %r is outside the multiplicative set" % (den,))
-        self.ws = ws
-        if num:
-            num, den = self._reduce(num, den)
-        else:
-            den = ws.one
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def _over_one(cls, ws, num):
-        # ring results of scalars over one: num is a clean polynomial
-        # in ws.r variables, and a denominator of one needs no reduction
-        s = cls.__new__(cls)
-        s.ws = ws
-        s.num = num
-        s.den = ws.one
-        return s
-
-    def _reduce(self, num, den):
-        ws = self.ws
-        one = ws.one
-        if den == one:
-            return num, one
-        full = (ws.r == 1 and den.n_terms() > 1
-                and not _spread_too_wide(num) and not _spread_too_wide(den))
-        if full:
-            g = localized_gcd(num, den, ws)
-            if g != one:
-                num, den = _cancel(g, num, den)
-        else:
-            # common monomial only: exact for monomial denominators,
-            # and the safe fallback everywhere else
-            nlo = num.exp_bounds()[0]
-            dlo = den.exp_bounds()[0]
-            common = tuple(-min(a, b) for a, b in zip(nlo, dlo))
-            if any(common):
-                num, den = num.shift(common), den.shift(common)
-        if ws.leading(den)[1] == -1:
-            num, den = -num, -den
-        if ws.leading(den)[1] != 1:
-            raise ValidationError("reduction left the mult set")
-        if den.n_terms() == 1:
-            (exp,) = den.terms
-            if any(exp):
-                num = num.shift(tuple(-e for e in exp))
-            den = one
-        return num, den
-
-    def _ring(self, other):
-        if self.ws is not other.ws:
-            raise ValidationError("scalars of two different weight systems")
-        return self.ws
-
-    @classmethod
-    def from_int(cls, ws, c):
-        return cls(ws, LaurentPoly.const(ws.r, c))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        ws = self._ring(other)
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        if self.den is ws.one and other.den is ws.one:
-            return LocalizedScalar._over_one(ws, self.num + other.num)
-        if self.den == other.den:
-            return LocalizedScalar(ws, self.num + other.num, self.den)
-        num = self.num * other.den + other.num * self.den
-        return LocalizedScalar(ws, num, self.den * other.den)
-
-    def __neg__(self):
-        if self.den is self.ws.one:
-            return LocalizedScalar._over_one(self.ws, -self.num)
-        return LocalizedScalar(self.ws, -self.num, self.den)
-
-    def __sub__(self, other):
-        ws = self._ring(other)
-        if not other.num:
-            return self
-        if self.den is ws.one and other.den is ws.one:
-            return LocalizedScalar._over_one(ws, self.num - other.num)
-        return self + (-other)
-
-    def __mul__(self, other):
-        ws = self._ring(other)
-        if not self.num or not other.num:
-            return LocalizedScalar(ws, LaurentPoly(ws.r, {}))
-        if self.den is ws.one and other.den is ws.one:
-            return LocalizedScalar._over_one(ws, self.num * other.num)
-        return LocalizedScalar(ws, self.num * other.num,
-                               self.den * other.den)
-
-    def __truediv__(self, other):
-        """Division by a unit scalar; anything else is refused.
-
-        Unit division never needs a gcd: the divisor's numerator has
-        unit leading coefficient, so it moves into the denominator
-        without leaving the multiplicative set.  A divisor +-T^e over
-        one is a unit of the Laurent ring, and the quotient is the
-        numerator shifted by -e, with the sign.
-        """
-        ws = self._ring(other)
-        if not other.is_unit():
-            raise ValidationError("division by the non-unit %r" % (other,))
-        if not self.num:
-            return LocalizedScalar(ws, LaurentPoly(ws.r, {}))
-        if (self.den is ws.one and other.den is ws.one
-                and other.num.n_terms() == 1):
-            ((exp, c),) = other.num.terms.items()
-            q = self.num.shift(tuple(-e for e in exp))
-            return LocalizedScalar._over_one(ws, -q if c < 0 else q)
-        return LocalizedScalar(ws, self.num * other.den,
-                               self.den * other.num)
-
-    def exact_divide_scalar(self, other):
-        """self/other if it lies in the localized ring, else None."""
-        ws = self._ring(other)
-        if not other:
-            raise ValidationError("division by zero")
-        if not self:
-            return LocalizedScalar(ws, LaurentPoly(ws.r, {}))
-        num = self.num * other.den
-        den = self.den * other.num
-        if ws.r <= 1:
-            num, den = _cancel(localized_gcd(num, den, ws), num, den)
-        else:
-            nlo = num.exp_bounds()[0]
-            dlo = den.exp_bounds()[0]
-            common = tuple(-min(a, b) for a, b in zip(nlo, dlo))
-            num, den = num.shift(common), den.shift(common)
-        lc = ws.leading(den)[1]
-        if abs(lc) != 1:
-            if ws.r >= 2:
-                raise UnsupportedOperationError(
-                    "exact division undecidable without gcd at weight rank %d"
-                    % (ws.r,))
-            return None
-        if lc == -1:
-            num, den = -num, -den
-        return LocalizedScalar(ws, num, den)
-
-    def is_unit(self):
-        """Units are exactly the scalars with unit numerator; the
-        denominator is in the multiplicative set by construction, and
-        any polynomial common factor has leading coefficient +-1, so
-        reduction never changes the verdict."""
-        return bool(self.num) and self.ws.is_unit_poly(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalizedScalar):
-            return NotImplemented
-        self._ring(other)
-        return self.num * other.den == other.num * self.den
-
-    def __repr__(self):
-        if not self.num:
-            return "0"
-        if self.den == self.ws.one:
-            return repr(self.num)
-        return "(%r)/(%r)" % (self.num, self.den)

@@ -5,7 +5,10 @@ Homology over Z and over the localized Laurent ring (see lmatrix) runs
 on one sparse elimination, eliminate_units, before any dense step.  It
 pivots on the unit whose column has the fewest live entries first:
 a column with one entry is a free face, whose elimination updates no
-row, and a short column causes little fill in the rest.
+row, and a short column causes little fill in the rest.  Entries stay
+in the ring they came in: a row is cleared by the exact quotient where
+the ring has a cheap one (an integer unit, a monomial +-T^e), else
+fraction-free, scaled by the unit pivot as in Bareiss's step.
 
 Dense matrices are plain lists of rows of Python ints; no machine-word
 modes anywhere, so coefficient growth is bounded only by memory.
@@ -220,13 +223,17 @@ def eliminate_units(entries, unit_cost, divide):
 
     entries maps (row, col) to a nonzero ring element; unit_cost(a) is
     None for a non-unit, else the cost of pivoting on a, and
-    divide(a, pivot) is the exact quotient by a unit.  Each pivot is
-    the unit that minimizes (live entries in its column, cost, row,
-    col): Markowitz's rule restricted to columns.  A column with one
-    live entry is a free face, and pivoting on it updates no row, so
-    free faces go first and a short column causes little fill.  A heap
-    holds one key per column, (length, cost and row of its cheapest
-    unit, col); a pivot changes only the columns of its row, so only
+    divide(a, pivot) is the exact quotient by a unit, or None when the
+    ring has no cheap quotient.  Then the row is cleared fraction-free,
+    as in Bareiss's step: row := pivot * row - a * (pivot row), which
+    is invertible because the pivot is a unit, and keeps every unit a
+    unit at a new cost.  Each pivot is the unit that minimizes (live
+    entries in its column, cost, row, col): Markowitz's rule restricted
+    to columns.  A column with one live entry is a free face, and
+    pivoting on it updates no row, so free faces go first and a short
+    column causes little fill.  A heap holds one key per column,
+    (length, cost and row of its cheapest unit, col); a pivot changes
+    only the columns of its row and of the rows it scales, so only
     their keys are recomputed, and a popped key that is no longer its
     column's is skipped.  Row operations clear the pivot column; the
     matching column operations would only clear the rest of the pivot
@@ -272,9 +279,18 @@ def eliminate_units(entries, unit_cost, divide):
             units[j].pop(pi, None)
         pivot = prow.pop(pj)
         del units[pj]
+        scaled = []
         for i in in_col.pop(pj):
             row = rows[i]
-            f = divide(row.pop(pj), pivot)
+            a = row.pop(pj)
+            f = divide(a, pivot)
+            if f is None:
+                f = a
+                for j, b in row.items():
+                    row[j] = b = pivot * b
+                    if i in units[j]:
+                        units[j][i] = unit_cost(b)
+                        scaled.append(j)
             for j, b in prow.items():
                 s = row[j] - f * b if j in row else -(f * b)
                 if s:
@@ -290,6 +306,8 @@ def eliminate_units(entries, unit_cost, divide):
                     in_col[j].discard(i)
                     units[j].pop(i, None)
         for j in prow:
+            refresh(j)
+        for j in scaled:
             refresh(j)
         pivots += 1
     cols = sorted(j for j, live in in_col.items() if live)

@@ -23,7 +23,8 @@ from .periods import lattice_basis, lattice_coordinates
 
 __all__ = ["IntegralLift", "integralize", "TwistedComplex",
            "twisted_complex", "NovikovNumbers", "novikov_numbers",
-           "CyclicCoverCheck", "cyclic_cover_oracle", "rank1_perturb"]
+           "CyclicCoverCheck", "check_cover_degree", "cyclic_cover_oracle",
+           "rank1_perturb"]
 
 
 class IntegralLift:
@@ -205,6 +206,13 @@ class CyclicCoverCheck:
                 % (self.p, self.consistent, self.explicit))
 
 
+def check_cover_degree(p):
+    """Refuse a cyclic cover degree outside 2..12."""
+    if not 2 <= p <= 12:
+        raise UnsupportedOperationError(
+            "cover degree %d out of the supported range 2..12" % (p,))
+
+
 def cyclic_cover_oracle(lift, p):
     """Homology of the degree p cyclic cover, computed two ways.
 
@@ -216,9 +224,7 @@ def cyclic_cover_oracle(lift, p):
     matrices.  The two answers must agree; disagreement would expose a
     defect in the twisting conventions.
     """
-    if not 2 <= p <= 12:
-        raise UnsupportedOperationError(
-            "cover degree %d out of the supported range 2..12" % (p,))
+    check_cover_degree(p)
     if lift.rank != 1:
         raise UnsupportedOperationError(
             "cyclic covers need a rank one class, got rank %d" % (lift.rank,))

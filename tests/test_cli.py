@@ -171,6 +171,18 @@ def test_validate_cyclic_oracle():
     assert statuses["cocycle zero: cyclic cover p=3"] == "skip"
 
 
+@pytest.mark.parametrize("name, p", [("rp2", 99), ("rp2", -5),
+                                     ("circle", 13)])
+def test_validate_refuses_cover_degrees_out_of_range(monkeypatch, name, p):
+    # refused before any class is lifted, whatever the classes' ranks
+    lifted = []
+    monkeypatch.setattr(cli, "integralize", lifted.append)
+    code, out, err = run(["validate", name, "--cyclic", str(p)])
+    assert (code, out, lifted) == (3, "", [])
+    assert err == ("unsupported: cover degree %d out of the supported "
+                   "range 2..12\n" % (p,))
+
+
 def test_validate_catches_unclosed_cocycle(tmp_path):
     data = json.loads(open_corpus("rp2"))
     data["cocycles"]["leaky"] = {

@@ -5,24 +5,24 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from operator import truediv
 
 import pytest
 
 import orbinov
 from orbinov import UnsupportedOperationError, lmatrix, smith_normal_form
-from orbinov.laurent import LaurentPoly, WeightSystem
+from orbinov.laurent import LaurentPoly, WeightSystem, exact_divide
 from orbinov.lmatrix import (WeightedLaurentMatrix, _eliminate_units,
-                             fraction_field_rank, invariant_factors)
-from orbinov.localized import LocalizedScalar, associates
-from orbinov.snf import eliminate_units
+                             _minor_gcd, fraction_field_rank,
+                             invariant_factors)
+from orbinov.localized import associates
 
 from oracles import gauss_rank
-from test_localized import ConstructorScalar
 
 WS0 = WeightSystem([])
 WS1 = WeightSystem([(1,)])
 WS2 = WeightSystem([(1, 0), (0, 1)])
+WS1_NEG = WeightSystem([(-1,)])
+WS1_TWO = WeightSystem([(2,)])
 
 
 def T(power=1):
@@ -64,12 +64,13 @@ def _eval_rank(M, *point):
     return gauss_rank(rows)
 
 
-def _boundary_like(rng, ws, m, n):
+def _boundary_like(rng, ws, m, n, coeffs=(1, -1)):
     """Sparse matrix shaped like a twisted boundary: a few faces per
-    column, entries +-T^e or a sum of two such monomials."""
+    column, entries c*T^e for c in coeffs, or a sum of two such
+    monomials."""
     def monomial():
         exp = tuple(rng.randint(-1, 1) for _ in range(ws.r))
-        return LaurentPoly.monomial(ws.r, exp, rng.choice((1, -1)))
+        return LaurentPoly.monomial(ws.r, exp, rng.choice(coeffs))
 
     entries = {}
     for j in range(n):
@@ -185,8 +186,8 @@ def test_invariant_factors_denominator_clearing():
 
 
 def test_invariant_factors_mixed_units_from_division():
-    # elimination by the unit pivot T - 1 creates honest fractions and
-    # the residual entry (T*T - 7)/(T - 1) is again a unit
+    # the unit pivot T - 1 scales the other row, and the residual entry
+    # T*T - 7, the exact (T*T - 7)/(T - 1) times T - 1, is again a unit
     M = mat(WS1, [[T() - const(1), const(2)], [const(3), T() + const(1)]])
     inv = invariant_factors(M)
     assert inv.rank == 2 and inv.nonunit_count == 0
@@ -248,8 +249,9 @@ def test_elimination_differential_rank_two():
 
 
 def test_residual_with_denominators():
-    # the unit pivot T - 1 leaves a 3 x 3 residual whose rows carry the
-    # denominator T - 1; the last row is the sum of the two before it
+    # the unit pivot T - 1 is no monomial, so it scales the rows it
+    # clears: the 3 x 3 residual is the exact one times T - 1, without
+    # its denominators; the last row is the sum of the two before it
     rows = [[T() - const(1), const(2), const(2), const(0)],
             [const(4), const(2), const(0), const(2)],
             [const(4), const(0), const(2), const(2)],
@@ -276,49 +278,53 @@ def test_zero_rows_do_not_count_toward_minor_cap():
     assert inv.rank == 2 and inv.nonunit_count == 2
 
 
-def _pivots(M, scalar):
-    """eliminate_units on M's entries as scalars of the given class:
-    (pivot count, residual rows)."""
-    units, rows, _ = eliminate_units(
-        {key: scalar(M.ws, p) for key, p in M.entries.items()},
-        lambda s: s.num.n_terms() if s.is_unit() else None, truediv)
-    return units, rows
-
-
-@pytest.mark.parametrize("ws", [WS0, WS1, WS2], ids=["r0", "r1", "r2"])
-def test_elimination_matches_constructor_reference(ws, monkeypatch):
-    # the same elimination with every scalar built through the public
-    # constructor must pivot the same entries and leave the same block
-    rng = random.Random(3030 + ws.r)
-    residuals = 0
-    for _ in range(100):
-        M = _boundary_like(rng, ws, rng.randint(1, 8), rng.randint(1, 8))
-        units, rows = _pivots(M, LocalizedScalar)
-        ref_units, ref_rows = _pivots(M, ConstructorScalar)
-        assert units == ref_units
-        assert rows == ref_rows
-        residuals += bool(rows)
-        if ws.r >= 2:
-            rank = fraction_field_rank(M)
-            with monkeypatch.context() as patched:
-                patched.setattr(lmatrix, "LocalizedScalar", ConstructorScalar)
-                assert fraction_field_rank(M) == rank
-            continue
+@pytest.mark.parametrize("ws", [WS0, WS1, WS1_NEG, WS1_TWO],
+                         ids=["r0", "r1", "r1neg", "r1two"])
+def test_invariant_factors_match_determinantal_divisors(ws):
+    # an oracle with no elimination: the gcd of all i x i minors of the
+    # whole matrix is the product of the first i invariant factors, up
+    # to units of the localized ring
+    rng = random.Random("divisors %s" % (ws.weights,))
+    torsion = 0
+    for _ in range(60):
+        M = _boundary_like(rng, ws, rng.randint(1, 5), rng.randint(1, 5),
+                           coeffs=(1, -1, 2))
+        dense = [[M.entry(i, j) for j in range(M.ncols)]
+                 for i in range(M.nrows)]
+        want, prev = [], ws.one
+        for size in range(1, min(M.nrows, M.ncols) + 1):
+            delta = _minor_gcd(dense, size, ws)
+            if not delta:
+                break
+            want.append(exact_divide(delta, prev))
+            prev = delta
         inv = invariant_factors(M)
-        with monkeypatch.context() as patched:
-            patched.setattr(lmatrix, "LocalizedScalar", ConstructorScalar)
-            ref = invariant_factors(M)
-        assert (inv.rank, inv.nonunit_count) == (ref.rank, ref.nonunit_count)
-        assert all(associates(x, y, ws)
-                   for x, y in zip(inv.factors, ref.factors))
-    assert residuals >= 5
+        assert inv.rank == len(want)
+        assert inv.nonunit_count == sum(not ws.is_unit_poly(d) for d in want)
+        assert all(associates(x, y, ws) for x, y in zip(inv.factors, want))
+        torsion += inv.nonunit_count > 0
+    assert torsion >= 15
+
+
+def test_monomial_pivots_divide_exactly():
+    # a pivot +-T^e is a unit of the Laurent ring: the quotient is a
+    # shift, and at e = 0 the entry itself or its negative; any other
+    # unit leaves the row to be scaled
+    a = T(2) - const(3)
+    assert lmatrix._divide(a, T(-1)) == T(3) - T() * 3
+    assert lmatrix._divide(a, -T(2)) == const(-1) + T(-2) * 3
+    assert lmatrix._divide(a, const(1)) is a
+    assert lmatrix._divide(a, const(-1)) == -a
+    assert lmatrix._divide(a, T() - const(1)) is None
+    x, y = LaurentPoly.monomial(2, (1, 0)), LaurentPoly.monomial(2, (0, 1))
+    assert lmatrix._divide(x + y, -(x * y)) == LaurentPoly(
+        2, {(-1, 0): -1, (0, -1): -1})
 
 
 @pytest.mark.parametrize("ws", [WS0, WS1, WS2], ids=["r0", "r1", "r2"])
 def test_unit_cost_matches_the_weight_scan(ws):
-    # a one-term numerator is priced from its coefficient alone; every
-    # price must be the weight scan's, and a scalar built over one must
-    # be the constructor's
+    # a monomial is priced from its coefficient alone; every price must
+    # be the weight scan's
     rng = random.Random(5050 + ws.r)
     polys = []
     for _ in range(20):
@@ -329,11 +335,8 @@ def test_unit_cost_matches_the_weight_scan(ws):
                                           rng.choice((2, -2, 3, -3))))
     prices = set()
     for p in polys:
-        s = LocalizedScalar(ws, p)
-        fast = LocalizedScalar._over_one(ws, p)
-        assert fast == s and fast.num == s.num and fast.den is ws.one
-        want = s.num.n_terms() if s.is_unit() else None
-        assert lmatrix._unit_cost(s) == lmatrix._unit_cost(fast) == want
+        want = p.n_terms() if ws.is_unit_poly(p) else None
+        assert lmatrix._unit_cost(p, ws) == want
         prices.add(want)
     assert prices == ({1, None} if ws.r == 0 else {1, 2, None})
 

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from operator import mul, truediv
+from operator import mul
 
 import pytest
 from sympy import ZZ
@@ -15,15 +15,20 @@ from orbinov.cli import resolve_document
 from orbinov.complexes import (IntHomology, build_complex,
                                homology_of_matrices, integer_homology)
 from orbinov.errors import ValidationError
-from orbinov.lmatrix import _unit_cost
-from orbinov.localized import LocalizedScalar
+from orbinov.laurent import LaurentPoly, WeightSystem
+from orbinov.lmatrix import (WeightedLaurentMatrix, _divide, _eliminate_units,
+                             _unit_cost, fraction_field_rank)
 from orbinov.snf import (eliminate_units, identity_matrix, mat_mul,
                          row_lattice_basis, smith_normal_form)
 from orbinov.twisted import integralize, twisted_complex
 
 from oracles import gauss_rank, minor_gcd_invariant_factors
 from test_actions import torus_grid
+from test_lmatrix import EVAL_POINTS, _eval_rank
 from test_periods import grid_dx
+
+
+WS1 = WeightSystem([(1,)])
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -290,13 +295,14 @@ def test_no_unit_entries_match_sympy():
 
 def short_column_elimination(entries, unit_cost, divide):
     """eliminate_units with a rescan of every live unit for the least
-    (column length, cost, row, col) at each pivot, plus three counts:
+    (column length, cost, row, col) at each pivot, plus four counts:
     units that tied with the pivot in (length, cost) and lost on (row,
     col); updates that changed the price of a live entry, a unit
-    turning into a non-unit or back included; and columns holding a
-    unit whose length changed between two pivots."""
+    turning into a non-unit or back included; columns holding a unit
+    whose length changed between two pivots; and rows scaled by the
+    pivot because divide returned None."""
     rows, in_col, costs = {}, {}, {}
-    seen = {"ties": 0, "repriced": 0, "resized": 0}
+    seen = {"ties": 0, "repriced": 0, "resized": 0, "scaled": 0}
 
     def track(i, j, a):
         cost = unit_cost(a)
@@ -327,8 +333,16 @@ def short_column_elimination(entries, unit_cost, divide):
         pivot = prow.pop(pj)
         for i in in_col.pop(pj):
             row = rows[i]
-            f = divide(row.pop(pj), pivot)
+            a = row.pop(pj)
+            f = divide(a, pivot)
             costs.pop((i, pj), None)
+            if f is None:
+                # row := pivot * row - a * (pivot row)
+                seen["scaled"] += 1
+                f = a
+                for j in row:
+                    row[j] = pivot * row[j]
+                    track(i, j, row[j])
             for j, b in prow.items():
                 s = row[j] - f * b if j in row else -(f * b)
                 if s and j in row:
@@ -346,6 +360,15 @@ def short_column_elimination(entries, unit_cost, divide):
     return (pivots, [rows[i] for i in sorted(rows) if rows[i]], cols), seen
 
 
+def seeded_integer_entries():
+    """80 seeded sparse integer matrices up to 12 x 12."""
+    rng = random.Random(41)
+    for _ in range(80):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        yield {(i, j): rng.choice((1, -1, 2, -2, 3, -3))
+               for i in range(m) for j in range(n) if rng.random() < 0.3}
+
+
 def small_fraction_cost(a):
     # over Q every entry is a unit; pivot only on small ones, priced
     # by size, so costs change as entries are updated
@@ -359,12 +382,8 @@ def small_fraction_cost(a):
 ])
 def test_unit_elimination_keeps_the_short_column_pivot_order(unit_cost,
                                                             divide):
-    rng = random.Random(41)
     ties = repriced = resized = 0
-    for _ in range(80):
-        m, n = rng.randint(1, 12), rng.randint(1, 12)
-        entries = {(i, j): rng.choice((1, -1, 2, -2, 3, -3))
-                   for i in range(m) for j in range(n) if rng.random() < 0.3}
+    for entries in seeded_integer_entries():
         want, seen = short_column_elimination(entries, unit_cost, divide)
         assert eliminate_units(entries, unit_cost, divide) == want
         ties += seen["ties"]
@@ -377,6 +396,96 @@ def test_unit_elimination_keeps_the_short_column_pivot_order(unit_cost,
 
 def is_integer_unit(a):
     return 1 if a in (1, -1) else None
+
+
+def test_scaling_by_a_unit_keeps_integer_pivots():
+    # row := pivot * row - a * (pivot row) is the exact step times the
+    # pivot, +-1, so the same entries are pivoted and every residual
+    # row comes out the same up to sign
+    scaled_rows = 0
+    for entries in seeded_integer_entries():
+        pivots, rows, cols = eliminate_units(entries, is_integer_unit, mul)
+        got = eliminate_units(entries, is_integer_unit, lambda a, p: None)
+        assert (got[0], got[2]) == (pivots, cols)
+        assert len(got[1]) == len(rows)
+        for row, want in zip(got[1], rows):
+            assert row in (want, {j: -x for j, x in want.items()})
+            scaled_rows += row != want
+    assert scaled_rows > 20
+
+
+def test_scaled_unit_elimination_keeps_the_short_column_pivot_order():
+    # sparse entries of one to three terms at weight (1): a pivot +-T^e
+    # divides exactly, any other unit scales the rows it clears, which
+    # reprices their units outside the pivot row's columns too
+    rng = random.Random(43)
+    unit_cost = lambda p: _unit_cost(p, WS1)
+    scaled = repriced = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        entries = {}
+        for i in range(m):
+            for j in range(n):
+                p = LaurentPoly(1, {(rng.randint(-1, 1),):
+                                    rng.choice((1, -1, 2))
+                                    for _ in range(rng.randint(1, 3))})
+                if p and rng.random() < 0.35:
+                    entries[(i, j)] = p
+        want, seen = short_column_elimination(entries, unit_cost, _divide)
+        assert eliminate_units(entries, unit_cost, _divide) == want
+        scaled += seen["scaled"]
+        repriced += seen["repriced"]
+    assert scaled > 500
+    assert repriced > 500
+
+
+def dense_product(rng, n, k):
+    """n x n Laurent matrix of rank k over the fraction field: the
+    product of random n x k and k x n factors whose entries are a
+    monomial with coefficient 1, -1 or 2, sometimes plus +-T^e."""
+    def entry():
+        p = LaurentPoly.monomial(1, (rng.randint(-1, 1),),
+                                 rng.choice((1, -1, 2)))
+        if rng.random() < 0.3:
+            p = p + LaurentPoly.monomial(1, (rng.randint(-1, 1),),
+                                         rng.choice((1, -1)))
+        return p
+    U = [[entry() for _ in range(k)] for _ in range(n)]
+    V = [[entry() for _ in range(n)] for _ in range(k)]
+    zero = LaurentPoly(1, {})
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            p = sum((U[i][t] * V[t][j] for t in range(k)), zero)
+            if p:
+                entries[(i, j)] = p
+    return WeightedLaurentMatrix(WS1, n, n, entries)
+
+
+def test_dense_laurent_matrices_keep_their_rank(monkeypatch):
+    # dense entries at weight (1) make most unit pivots polynomials, so
+    # most rows are scaled rather than divided; three of the five leave
+    # a residual block, whose largest entry has 16 terms
+    calls = []
+
+    def counted(a, pivot):
+        q = _divide(a, pivot)
+        calls.append(q is None)
+        return q
+
+    monkeypatch.setattr(orbinov.lmatrix, "_divide", counted)
+    rng = random.Random(48)
+    largest = 0
+    for _ in range(5):
+        M = dense_product(rng, 12, 4)
+        assert len(M.entries) >= 140
+        assert fraction_field_rank(M) == max(_eval_rank(M, t)
+                                             for t in EVAL_POINTS)
+        _, residual = _eliminate_units(M)
+        largest = max([largest] + [p.n_terms() for row in residual
+                                   for p in row])
+    assert sum(calls) > len(calls) / 2
+    assert largest == 16
 
 
 def divisions(entries, unit_cost, divide):
@@ -396,8 +505,8 @@ def test_short_columns_first_keep_grid_torus_fill_low():
     # exact, so every implementation of the order makes these updates
     X = torus_grid(8)
     M = twisted_complex(integralize(grid_dx(X, 8))).boundary[2]
-    scalars = {key: LocalizedScalar(M.ws, p) for key, p in M.entries.items()}
-    (pivots, _, _), calls = divisions(scalars, _unit_cost, truediv)
+    (pivots, _, _), calls = divisions(
+        M.entries, lambda p: _unit_cost(p, M.ws), _divide)
     assert (pivots, len(calls)) == (128, 331)
     (pivots, _, _), calls = divisions(X.boundary_entries(2), is_integer_unit,
                                       mul)
