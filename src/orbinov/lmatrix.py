@@ -88,24 +88,16 @@ def _divide(a, pivot):
 
 
 def _eliminate_units(M):
-    """(units eliminated, residual rows as from _clear_row) of M over
-    the localized ring.  The shortest column goes first, so free faces
-    go first and cause no fill; then fewer terms is cheaper.  Entries
-    stay Laurent polynomials throughout: a row is divided only by a
-    monomial pivot, and scaled by any other one."""
+    """(units eliminated, dense residual rows over the live columns) of
+    M over the localized ring.  The shortest column goes first, so free
+    faces go first and cause no fill; then fewer terms is cheaper.
+    Entries stay Laurent polynomials throughout: a row is divided only
+    by a monomial pivot, and scaled by any other one."""
     ws = M.ws
     units, rows, cols = eliminate_units(
         M.entries, lambda p: _unit_cost(p, ws), _divide)
-    return units, [_clear_row(row, cols, ws) for row in rows]
-
-
-def _clear_row(row, cols, ws):
-    """Dense Laurent row, shifted so every exponent is nonnegative."""
     zero = LaurentPoly(ws.r, {})
-    out = [row.get(j, zero) for j in cols]
-    lows = [p.exp_bounds()[0] for p in out if p]
-    neg = tuple(-min(lo[k] for lo in lows) for k in range(ws.r))
-    return [p.shift(neg) if p else p for p in out]
+    return units, [[row.get(j, zero) for j in cols] for row in rows]
 
 
 def _bareiss_rank(rows, ws):

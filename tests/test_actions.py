@@ -10,7 +10,7 @@ from orbinov.complexes import (barycentric_subdivision, build_complex,
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
-from test_tools import load_make_corpus
+from test_tools import load_script
 
 Z2 = FiniteGroup(["e", "m"], [["e", "m"], ["m", "e"]])
 
@@ -206,7 +206,7 @@ def z2_grid_actions():
     """Point reflections of grid tori, as the pillowcase is built, and
     mirrors of grids triangulated to make the reflection simplicial, as
     the mirror cylinder is built."""
-    make_corpus = load_make_corpus()
+    make_corpus = load_script("tools", "make_corpus.py")
     group = FiniteGroup(make_corpus.Z2_GROUP["elements"],
                         make_corpus.Z2_GROUP["table"])
     for n in (3, 4, 5):

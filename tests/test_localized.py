@@ -11,7 +11,7 @@ import sympy
 import orbinov
 from orbinov import UnsupportedOperationError, ValidationError
 from orbinov.laurent import LaurentPoly, WeightSystem, exact_divide
-from orbinov.localized import associates, int_poly_gcd, localized_gcd
+from orbinov.localized import associates, localized_gcd
 
 WS1 = WeightSystem([(1,)])
 WS0 = WeightSystem([])
@@ -26,25 +26,35 @@ def const(c, r=1):
     return LaurentPoly.const(r, c)
 
 
+def _laurent(coeffs, shift=0):
+    return LaurentPoly(1, {(i + shift,): c for i, c in enumerate(coeffs)})
+
+
 def _sympy_gcd(a, b):
+    # T is a unit of the Laurent ring, so the reference is stripped of
+    # its powers of x, as localized_gcd bases its result at exponent 0
     x = sympy.symbols("x")
     pa = sum(c * x ** i for i, c in enumerate(a))
     pb = sum(c * x ** i for i, c in enumerate(b))
     g = sympy.Poly(sympy.gcd(pa, pb, x), x)
-    return [int(c) for c in reversed(g.all_coeffs())]
+    coeffs = [int(c) for c in reversed(g.all_coeffs())]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return _laurent(coeffs)
 
 
-def test_int_poly_gcd_against_sympy():
+def test_localized_gcd_against_sympy():
     rng = random.Random(404)
     for _ in range(200):
         a = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))]
         b = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))]
         if not any(a) and not any(b):
             continue
-        assert int_poly_gcd(a, b) == _sympy_gcd(a, b)
+        got = localized_gcd(_laurent(a, -len(a)), _laurent(b), WS1)
+        assert got == _sympy_gcd(a, b)
 
 
-def test_int_poly_gcd_shared_factor():
+def test_localized_gcd_shared_factor():
     rng = random.Random(405)
     x = sympy.symbols("x")
     for _ in range(80):
@@ -60,16 +70,40 @@ def test_int_poly_gcd_shared_factor():
         b = [int(c) for c in reversed(b)] or [0]
         if not any(a) and not any(b):
             continue
-        assert int_poly_gcd(a, b) == _sympy_gcd(a, b)
+        got = localized_gcd(_laurent(a), _laurent(b, -len(b)), WS1)
+        assert got == _sympy_gcd(a, b)
 
 
-def test_int_poly_gcd_edges():
-    assert int_poly_gcd([0], [-2, 4]) == [2, -4] or \
-        int_poly_gcd([0], [-2, 4]) == [-2, 4]
-    # lead is made positive on the zero branch
-    assert int_poly_gcd([], [0, -3])[-1] > 0
+def test_localized_gcd_edges():
+    # the zero branch bases the other argument at 0, lead made positive
+    assert localized_gcd(_laurent([0]), _laurent([-2, 4]), WS1) == \
+        _laurent([-2, 4])
+    assert localized_gcd(LaurentPoly(1, {}), _laurent([0, -3]), WS1) == \
+        const(3)
     with pytest.raises(ValidationError):
-        int_poly_gcd([0, 0], [])
+        localized_gcd(_laurent([0, 0]), LaurentPoly(1, {}), WS1)
+
+
+def test_localized_gcd_checks_the_variable_count():
+    # a zero argument under rank one, and a constant under rank zero
+    with pytest.raises(ValidationError, match="one variable"):
+        localized_gcd(LaurentPoly(2, {}), LaurentPoly(2, {(1, 3): -2}), WS1)
+    with pytest.raises(ValidationError, match="constants"):
+        localized_gcd(T(), const(2), WS0)
+
+
+def test_localized_gcd_spread_cap():
+    # a spread of 512 is accepted; 513 in either argument is refused
+    # with the measured spread, unless the other argument is zero
+    wide = T(512) - const(1)
+    assert localized_gcd(wide, T() - const(1), WS1) == T() - const(1)
+    assert localized_gcd(T(-1) - T(511), T() + const(1), WS1) == \
+        T() + const(1)
+    wider = T(513) - const(1)
+    for x, y in ((wider, T() - const(1)), (T() - const(1), wider.shift((-7,)))):
+        with pytest.raises(UnsupportedOperationError, match="spread 513 "):
+            localized_gcd(x, y, WS1)
+    assert localized_gcd(LaurentPoly(1, {}), wider, WS1) == wider
 
 
 def test_localized_gcd_rank_one():

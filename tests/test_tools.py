@@ -1,4 +1,5 @@
-"""The corpus generator and the demos run against the current API."""
+"""The corpus generator, the demos and the benchmark's span table run
+against the current API."""
 
 import importlib.util
 import os
@@ -15,16 +16,17 @@ DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos"))
                if name.endswith(".py"))
 
 
-def load_make_corpus():
-    path = os.path.join(ROOT, "tools", "make_corpus.py")
-    spec = importlib.util.spec_from_file_location("make_corpus", path)
+def load_script(*parts):
+    path = os.path.join(ROOT, *parts)
+    name = os.path.splitext(parts[-1])[0]
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_make_corpus_rebuilds_the_bundled_documents():
-    make_corpus = load_make_corpus()
+    make_corpus = load_script("tools", "make_corpus.py")
     corpus = os.path.join(SRC, "orbinov", "corpus")
     names = []
     for make in make_corpus.MAKERS:
@@ -43,3 +45,22 @@ def test_demo_runs(demo):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_targets_resolve(monkeypatch):
+    # the benchmark rebinds these names from outside the package, so a
+    # name deleted or renamed under src/ would otherwise fail only there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = load_script("perfbench", "spans.py")
+    missing = []
+    for _, module, attribute in spans.SPANS + spans.COUNTERS:
+        owner = importlib.import_module(module)
+        cls_name, _, attr = attribute.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+            found = attr in getattr(owner, "__dict__", {})
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append((module, attribute))
+    assert missing == []
