@@ -153,6 +153,8 @@ def build_complex(simplices, vertices=None):
     index = {v: i for i, v in enumerate(seen)}
     layers = [set((v,) for v in seen)]
     for s in gens:
+        if not s:
+            raise DocumentError("empty simplex")
         for v in s:
             if v not in index:
                 raise DocumentError("unknown vertex %r in simplex %r" % (v, s))

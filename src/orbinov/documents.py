@@ -95,7 +95,13 @@ def _parse_group(obj, where):
     if "elements" not in obj or "table" not in obj:
         raise DocumentError("%s: needs elements and table" % (where,))
     elements = _expect(obj["elements"], list, where + ".elements", "a list")
+    for g in elements:
+        _expect(g, str, where + ".elements", "element names")
     table = _expect(obj["table"], list, where + ".table", "a list")
+    for i, row in enumerate(table):
+        spot = "%s.table[%d]" % (where, i)
+        for g in _expect(row, list, spot, "a list"):
+            _expect(g, str, spot, "element names")
     return FiniteGroup(elements, table)
 
 
@@ -112,7 +118,9 @@ def _parse_action(obj, where):
     maps = {}
     for g, table in raw.items():
         spot = "%s.vertex_maps.%s" % (where, g)
-        maps[g] = dict(_expect(table, dict, spot, "an object"))
+        for image in _expect(table, dict, spot, "an object").values():
+            _expect(image, str, spot, "vertex names")
+        maps[g] = dict(table)
     return SimplicialAction(group, space, maps)
 
 

@@ -27,6 +27,8 @@ from .snf import eliminate_units
 __all__ = ["WeightedLaurentMatrix", "fraction_field_rank",
            "InvariantFactors", "invariant_factors"]
 
+MINOR_CAP = 8
+
 
 class WeightedLaurentMatrix:
     """Sparse matrix of Laurent polynomials tied to a weight system."""
@@ -160,12 +162,12 @@ class InvariantFactors:
                 % (self.rank, self.nonunit_factors()))
 
 
-def invariant_factors(M, minor_cap=8):
+def invariant_factors(M):
     """Invariant factors over the localized ring, weight rank <= 1.
 
     Unit entries are pivoted away exactly; the residual block goes
     through gcd-of-minors determinantal divisors, which is exponential
-    in its size, so residual blocks larger than minor_cap on a side
+    in its size, so residual blocks larger than MINOR_CAP on a side
     are refused rather than attempted.
     """
     ws = M.ws
@@ -179,10 +181,10 @@ def invariant_factors(M, minor_cap=8):
             "residual invariant factors need gcds; weight rank %d has none"
             % (ws.r,))
     m, n = len(residual), len(residual[0])
-    if min(m, n) > minor_cap:
+    if min(m, n) > MINOR_CAP:
         raise UnsupportedOperationError(
-            "residual block is %d x %d; gcd-of-minors is capped at %d "
-            "(raise minor_cap to force it)" % (m, n, minor_cap))
+            "residual block is %d x %d; gcd-of-minors is capped at %d"
+            % (m, n, MINOR_CAP))
     prev_delta = one
     nonunit = []
     for size in range(1, min(m, n) + 1):

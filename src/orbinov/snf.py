@@ -11,12 +11,11 @@ the ring has a cheap one (an integer unit, a monomial +-T^e), else
 fraction-free, scaled by the unit pivot as in Bareiss's step.
 
 Dense matrices are plain lists of rows of Python ints; no machine-word
-modes anywhere, so coefficient growth is bounded only by memory.
-Pivots are chosen with minimal absolute value to keep intermediate
-entries small; the search ends at the first +-1 entry in row-major
-order, which is the entry the full scan would pick, and a +-1 pivot
-skips the divisibility check of the trailing block, since it divides
-every entry.
+modes anywhere.  Every pivot is a smallest nonzero entry of the
+trailing block, and the search ends at the first +-1 entry in
+row-major order, the entry the full scan would pick.  A sweep that
+leaves a remainder beside the pivot goes back to the search; a +-1
+pivot skips the divisibility check, since it divides every entry.
 """
 
 from heapq import heappop, heappush
@@ -92,6 +91,8 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
     [2, 2, 156]
 
     With shape=(m, n) an empty list stands for any m x 0 / 0 x n matrix.
+    Every pivot is a smallest entry of the trailing block; a sweep
+    that leaves a remainder beside it goes back to the pivot search.
     """
     if shape is None:
         m = len(rows)
@@ -172,26 +173,17 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
         if best[1] != t:
             col_swap(t, best[1])
 
-        changed = True
-        while changed:
-            changed = False
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    row_add(i, t, -q)
-                    if M[i][t]:
-                        # remainder is strictly smaller; promote it
-                        row_swap(t, i)
-                        changed = True
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    col_add(j, t, -q)
-                    if M[t][j]:
-                        col_swap(t, j)
-                        changed = True
-
+        # a floor remainder is smaller than the pivot, a smallest entry,
+        # so each return to the search lowers that minimum: the loop ends
         p = M[t][t]
+        for i in range(t + 1, m):
+            if M[i][t]:
+                row_add(i, t, -(M[i][t] // p))
+        for j in range(t + 1, n):
+            if M[t][j]:
+                col_add(j, t, -(M[t][j] // p))
+        if any(M[t][t + 1:]) or any(M[i][t] for i in range(t + 1, m)):
+            continue
         bad = None
         # a unit pivot divides every entry of the trailing block
         if abs(p) != 1:

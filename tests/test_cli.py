@@ -156,6 +156,16 @@ def test_check_inequalities_needs_critical_data(tmp_path):
     assert "document error" in err
 
 
+def test_empty_simplex_is_a_document_error(tmp_path):
+    data = {"name": "tri", "orbit": {"vertices": ["a", "b", "c"],
+                                     "simplices": [["a", "b", "c"], []]}}
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(["homology", str(path)])
+    assert code == 1 and out == ""
+    assert "document error" in err and "empty simplex" in err
+
+
 def test_validate_corpus_document():
     code, out, err = run(["validate", "hexagon_z2", "--depth", "3"])
     assert code == 0 and "all checks pass" in out

@@ -45,6 +45,12 @@ def test_input_validation():
         build_complex([("a",)], vertices=["a", "a"])
 
 
+def test_empty_simplex_is_rejected():
+    # stored as a cell of the top layer, () would be a phantom 2-cell
+    with pytest.raises(DocumentError, match="empty simplex"):
+        build_complex([("a", "b", "c"), ()])
+
+
 def test_normalize():
     X = build_complex([("a", "b", "c")])
     assert X.normalize(("c", "a")) == (("a", "c"), -1)

@@ -1,11 +1,15 @@
 """Strict parsing and canonical serialization of orbifold documents."""
 
+import copy
 import json
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from orbinov import CriticalData, ValidationError
+from orbinov.cli import corpus_names
 from orbinov.documents import (OrbifoldDocument, format_fraction,
                                load_document, loads_document,
                                parse_fraction)
@@ -211,6 +215,40 @@ def test_vertex_maps_must_cover_moved_vertices():
         OrbifoldDocument.from_dict(data)
 
 
+def _set_element(data, value):
+    data["action"]["group"]["elements"][1] = value
+
+
+def _set_table_entry(data, value):
+    data["action"]["group"]["table"][0][1] = value
+
+
+def _set_table_row(data, value):
+    data["action"]["group"]["table"][1] = value
+
+
+def _set_image(data, value):
+    data["action"]["vertex_maps"]["m"]["a"] = value
+
+
+@pytest.mark.parametrize("mutate,value,where", [
+    (_set_element, ["m"], "action.group.elements"),
+    (_set_element, {"m": "m"}, "action.group.elements"),
+    (_set_table_entry, ["m"], r"action.group.table\[0\]"),
+    (_set_table_entry, {"m": "m"}, r"action.group.table\[0\]"),
+    (_set_table_row, "me", r"action.group.table\[1\]"),
+    (_set_table_row, 2, r"action.group.table\[1\]"),
+    (_set_image, ["c"], "action.vertex_maps.m"),
+    (_set_image, {"c": "c"}, "action.vertex_maps.m"),
+], ids=["element-list", "element-object", "entry-list", "entry-object",
+        "row-string", "row-int", "image-list", "image-object"])
+def test_mistyped_action_data_is_a_document_error(mutate, value, where):
+    data = swap_action()
+    mutate(data, value)
+    with pytest.raises(DocumentError, match="^" + where + ": expected"):
+        OrbifoldDocument.from_dict(data)
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(DocumentError, match="line"):
         loads_document("{\n  \"name\": oops\n}")
@@ -235,3 +273,52 @@ def test_serialize_is_sorted_json_with_trailing_newline():
     assert text.endswith("\n")
     data = json.loads(text)
     assert list(data) == sorted(data)
+
+
+# one value of each JSON type; a mutation swaps a node for another type
+JSON_VALUES = [None, True, 2, 0.5, "e", ["e"], {"e": "e"}]
+
+
+def _json_type(value):
+    return next(i for i, v in enumerate(JSON_VALUES)
+                if type(v) is type(value))
+
+
+def _nodes(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def test_mutated_corpus_documents_fail_only_as_document_errors():
+    rng = random.Random(0)
+    corpus = [json.loads((resources.files("orbinov") / "corpus"
+                          / (name + ".json")).read_text(encoding="utf-8"))
+              for name in corpus_names()]
+    assert len(corpus) == 8
+    for _ in range(3000):
+        data = copy.deepcopy(rng.choice(corpus))
+        path = rng.choice(list(_nodes(data))[1:])
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        old = _json_type(parent[path[-1]])
+        parent[path[-1]] = copy.deepcopy(rng.choice(
+            [v for i, v in enumerate(JSON_VALUES) if i != old]))
+        try:
+            doc = OrbifoldDocument.from_dict(data)
+        except (DocumentError, ValidationError):
+            continue
+        text = doc.serialize()
+        assert loads_document(text).serialize() == text
+        for cname in doc.cocycle_names():
+            try:
+                doc.cochain(cname)
+            except (DocumentError, ValidationError):
+                pass

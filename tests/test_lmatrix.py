@@ -220,12 +220,14 @@ def test_invariant_factors_rank_two_weights():
         invariant_factors(mat(WS2, [[const(2, 2)]]))
 
 
-def test_minor_cap_refusal():
+def test_minor_cap_refusal(monkeypatch):
     rows = [[const(2, 0) if i == j else const(0, 0) for j in range(9)]
             for i in range(9)]
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(UnsupportedOperationError,
+                       match="residual block is 9 x 9; .* capped at 8"):
         invariant_factors(mat(WS0, rows))
-    inv = invariant_factors(mat(WS0, rows), minor_cap=9)
+    monkeypatch.setattr(lmatrix, "MINOR_CAP", 9)
+    inv = invariant_factors(mat(WS0, rows))
     assert inv.rank == 9 and inv.nonunit_count == 9
 
 
@@ -274,7 +276,7 @@ def test_zero_rows_do_not_count_toward_minor_cap():
     # nine rows, only two of them nonzero: the residual is 2 x 9
     rows = [[const(2, 0) if i < 2 and j % 2 == i else const(0, 0)
              for j in range(9)] for i in range(9)]
-    inv = invariant_factors(mat(WS0, rows), minor_cap=8)
+    inv = invariant_factors(mat(WS0, rows))
     assert inv.rank == 2 and inv.nonunit_count == 2
 
 

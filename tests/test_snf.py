@@ -281,11 +281,10 @@ def test_scaled_cover_homology_matches_full_boundary_snf(name, cname, p):
 
 
 def test_no_unit_entries_match_sympy():
-    # dense matrices with no +-1 entry; sizes stop at 6 because of the
-    # coefficient growth pinned by the next test
+    # dense matrices with no +-1 entry
     rng = random.Random(29)
     for _ in range(60):
-        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        m, n = rng.randint(2, 10), rng.randint(2, 10)
         low = rng.choice((2, 3))
         A = [[rng.choice((0, 0, 1, -1)) * rng.randint(low, 9)
               for _ in range(n)] for _ in range(m)]
@@ -530,17 +529,29 @@ DENSE_NO_UNITS = [[5, 0, 2, -3, 0, 0, -5, 6], [-8, 0, 0, -4, 7, 0, 0, -7],
                   [0, 8, 8, 0, 0, 0, 0, 0], [0, 0, -5, -5, 0, 8, 0, 0]]
 
 
-@pytest.mark.xfail(strict=True, reason="elimination without any reduction "
-                   "of the trailing block: entry bit lengths roughly double "
-                   "with each non-unit pivot, and this matrix never finishes")
 def test_dense_matrix_without_units_finishes():
-    script = ("from orbinov.snf import smith_normal_form\n"
-              "print(smith_normal_form(%r).diagonal)" % (DENSE_NO_UNITS,))
+    # the 8 x 8 matrix above, then 200 seeded 5 x 9 matrices with entries
+    # +-2..9, a quarter of them zero, with and without transforms
+    script = (
+        "import random\n"
+        "from orbinov.snf import smith_normal_form\n"
+        "print(smith_normal_form(%r).diagonal)\n"
+        "rng = random.Random(4)\n"
+        "for _ in range(200):\n"
+        "    A = [[0 if rng.random() < 0.25 else\n"
+        "          rng.choice((-1, 1)) * rng.randint(2, 9)\n"
+        "          for _ in range(9)] for _ in range(5)]\n"
+        "    if (smith_normal_form(A).diagonal !=\n"
+        "            smith_normal_form(A, want_transforms=True).diagonal):\n"
+        "        raise SystemExit(A)\n"
+        % (DENSE_NO_UNITS,))
     src = os.path.dirname(os.path.dirname(orbinov.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     try:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=3)
     except subprocess.TimeoutExpired:
-        pytest.fail("smith_normal_form ran past 3 s on an 8 x 8 matrix")
+        pytest.fail("smith_normal_form ran past 3 s on matrices without "
+                    "unit entries")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1, 1, 1, 1, 1, 1, 1, 15641928]\n"
