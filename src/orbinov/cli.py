@@ -20,7 +20,7 @@ from importlib import resources
 from .actions import SimplicialAction, quotient_complex
 from .cochains import descend_cochain, is_invariant
 from .complexes import euler_characteristic, integer_homology
-from .documents import OrbifoldDocument, format_fraction, load_document
+from .documents import format_fraction, load_document, loads_document
 from .errors import (DocumentError, UnsupportedOperationError,
                      ValidationError)
 from .inequalities import check_inequalities
@@ -52,8 +52,7 @@ def resolve_document(spec):
         candidate = resources.files("orbinov").joinpath(
             "corpus", spec + ".json")
         if candidate.is_file():
-            return OrbifoldDocument.from_dict(
-                json.loads(candidate.read_text(encoding="utf-8")))
+            return loads_document(candidate.read_text(encoding="utf-8"))
     raise DocumentError(
         "%r is neither a file nor a corpus example (corpus: %s)"
         % (spec, ", ".join(corpus_names())))

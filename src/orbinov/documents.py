@@ -335,6 +335,8 @@ def loads_document(text):
     except json.JSONDecodeError as exc:
         raise DocumentError("line %d column %d: %s"
                             % (exc.lineno, exc.colno, exc.msg)) from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON nested too deeply") from exc
     return OrbifoldDocument.from_dict(data)
 
 
@@ -343,6 +345,6 @@ def load_document(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
     return loads_document(text)

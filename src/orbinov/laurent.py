@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .qlinalg import q_rank
+from .snf import row_lattice_basis
 
 __all__ = ["LaurentPoly", "WeightSystem", "exact_divide", "divides"]
 
@@ -172,15 +172,15 @@ class WeightSystem:
             if len(lengths) != 1:
                 raise ValidationError("weight vectors of mixed length")
             self.k = lengths.pop()
-            if q_rank(self.weights) != self.r:
-                raise ValidationError(
-                    "weight vectors are Z-dependent; monomial order collapses")
         else:
             self.k = 1
         # one positive scale for all rows keeps the lexicographic order
         # of weight vectors and makes every weight an int
         scale = math.lcm(*(x.denominator for w in self.weights for x in w))
         self._rows = [tuple(int(x * scale) for x in w) for w in self.weights]
+        if len(row_lattice_basis(self._rows, self.k)) != self.r:
+            raise ValidationError(
+                "weight vectors are Z-dependent; monomial order collapses")
 
     def weight_vec(self, exp):
         """Weight vector of a monomial, in units of 1/(the common

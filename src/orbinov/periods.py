@@ -14,7 +14,6 @@ from fractions import Fraction
 from .cochains import forest_periods, vec_add, vec_scale
 from .complexes import bfs_forest
 from .errors import DocumentError, ValidationError
-from .qlinalg import q_solve
 from .snf import row_lattice_basis, smith_normal_form
 
 __all__ = ["H1Presentation", "PeriodHom", "period_homomorphism",
@@ -236,11 +235,24 @@ def is_integral(basis):
 
 
 def lattice_coordinates(basis, vec):
-    """Integer coordinates of vec in a lattice basis; ValidationError
-    when vec is not in the lattice."""
-    cols = [[b[i] for b in basis] for i in range(len(vec))]
-    coeffs = q_solve(cols, list(vec))
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    """Integer coordinates of vec in an echelon basis from lattice_basis;
+    ValidationError when vec is not in the lattice.
+
+    Each basis vector's leading entry sits left of the next one's, so
+    back-substitution reads one coordinate per vector.
+
+    >>> from fractions import Fraction as F
+    >>> lattice_coordinates([(F(1, 2), F(1)), (F(0), F(3))], (F(1), F(5)))
+    (2, 1)
+    """
+    rest = list(vec)
+    coeffs = []
+    for b in basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        c = Fraction(rest[lead]) / b[lead]
+        coeffs.append(c)
+        rest = [x - c * y for x, y in zip(rest, b)]
+    if any(rest) or any(c.denominator != 1 for c in coeffs):
         raise ValidationError("period %r escaped the period lattice" % (vec,))
     return tuple(int(c) for c in coeffs)
 

@@ -166,6 +166,18 @@ def test_empty_simplex_is_a_document_error(tmp_path):
     assert "document error" in err and "empty simplex" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",
+    b"[" * 200000 + b"]" * 200000,
+], ids=["not_utf8", "nested_too_deep"])
+def test_malformed_file_is_a_document_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(["homology", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("document error:")
+
+
 def test_validate_corpus_document():
     code, out, err = run(["validate", "hexagon_z2", "--depth", "3"])
     assert code == 0 and "all checks pass" in out

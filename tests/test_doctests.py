@@ -3,6 +3,7 @@ import doctest
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -35,4 +36,27 @@ def test_package_has_no_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_is_stdlib_only_and_float_free():
+    # the engine answers exactly from the standard library alone: no
+    # third-party import, no float literal and no use of the name float
+    found = []
+    for path in sorted(pathlib.Path(orbinov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                modules = []
+            foreign = any(m.partition(".")[0] not in sys.stdlib_module_names
+                          for m in modules)
+            floating = (isinstance(node, ast.Constant)
+                        and isinstance(node.value, float)
+                        or isinstance(node, ast.Name) and node.id == "float")
+            if foreign or floating:
+                found.append("%s:%d" % (path.name, node.lineno))
     assert found == []

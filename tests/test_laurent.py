@@ -12,6 +12,8 @@ import orbinov
 from orbinov import ValidationError, laurent
 from orbinov.laurent import LaurentPoly, WeightSystem, divides, exact_divide
 
+from oracles import gauss_rank
+
 
 def T(r=1, coord=0, power=1):
     exp = [0] * r
@@ -219,10 +221,41 @@ def test_memoized_leading_matches_fresh_system(weights):
         assert ws.leading(p) == WeightSystem(weights).leading(p)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weight_system_accepts_exactly_independent_rows(k):
+    rng = random.Random(100 + k)
+    accepted = refused = 0
+    for _ in range(150):
+        rows = []
+        for _ in range(rng.randint(1, k + 1)):
+            kind = rng.choice(["fresh", "fresh", "zero", "repeat",
+                               "multiple"] if rows else ["fresh", "zero"])
+            if kind == "fresh":
+                rows.append(tuple(Fraction(rng.randint(-4, 4),
+                                           rng.randint(1, 3))
+                                  for _ in range(k)))
+            elif kind == "zero":
+                rows.append((Fraction(0),) * k)
+            elif kind == "repeat":
+                rows.append(rng.choice(rows))
+            else:
+                scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                rows.append(tuple(scale * x for x in rng.choice(rows)))
+        if gauss_rank(rows) == len(rows):
+            assert WeightSystem(rows).r == len(rows)
+            accepted += 1
+        else:
+            with pytest.raises(ValidationError, match="Z-dependent"):
+                WeightSystem(rows)
+            refused += 1
+    assert accepted and refused
+
+
 def test_shared_weight_still_raises(monkeypatch):
     # a validated system never has two monomials of one weight, so the
     # independence check is bypassed to reach the guard
-    monkeypatch.setattr(laurent, "q_rank", lambda rows: len(rows))
+    monkeypatch.setattr(laurent, "row_lattice_basis",
+                        lambda rows, ncols: rows)
     ws = WeightSystem([(1,), (2,)])
     assert ws.leading(T(2, 1)) == ((0, 1), 1)
     tie = LaurentPoly(2, {(2, 0): 1, (0, 1): 1})

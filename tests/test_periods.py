@@ -13,11 +13,13 @@ from orbinov.complexes import build_complex
 from orbinov.errors import DocumentError, ValidationError
 from orbinov.periods import (GPath, H1Presentation, gamma_basis,
                              gpath_period, hurewicz_class, is_integral,
+                             lattice_basis, lattice_coordinates,
                              period_homomorphism)
 
 from test_actions import hexagon_action, mirror_square_action, torus_grid
 from test_cochains import circle, circle_dtheta, hexagon_dtheta
 from test_complexes import rp2
+from oracles import gauss_rank
 
 F = Fraction
 
@@ -84,6 +86,51 @@ def test_torus_presentation_and_periods():
     ph = period_homomorphism(h1, om)
     assert gamma_basis(ph) == [(F(1),)]
     assert is_integral(gamma_basis(ph))
+
+
+def _combine(coeffs, basis, k):
+    return tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), F(0))
+                 for i in range(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lattice_coordinates_round_trip_and_refuse(k):
+    rng = random.Random(k)
+    for _ in range(60):
+        vectors = [tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
+                         for _ in range(k))
+                   for _ in range(rng.randint(1, k + 1))]
+        basis = lattice_basis(vectors, k)
+        assert len(basis) == gauss_rank(vectors)
+        for vec in vectors:
+            coeffs = lattice_coordinates(basis, vec)
+            assert _combine(coeffs, basis, k) == vec
+        coeffs = tuple(rng.randint(-5, 5) for _ in basis)
+        vec = _combine(coeffs, basis, k)
+        assert lattice_coordinates(basis, vec) == coeffs
+        if basis:
+            # in the span, but half a step off the lattice
+            half = rng.choice(basis)
+            off = tuple(x + y / 2 for x, y in zip(vec, half))
+            with pytest.raises(ValidationError, match="escaped"):
+                lattice_coordinates(basis, off)
+        leads = {next(i for i, x in enumerate(b) if x) for b in basis}
+        free = [i for i in range(k) if i not in leads]
+        if free:
+            # a unit step on a column no basis vector leads leaves the
+            # span while every quotient stays integral
+            j = rng.choice(free)
+            off = tuple(x + (i == j) for i, x in enumerate(vec))
+            with pytest.raises(ValidationError, match="escaped"):
+                lattice_coordinates(basis, off)
+
+
+def test_empty_lattice_has_only_the_zero_vector():
+    assert lattice_basis([], 2) == []
+    assert lattice_coordinates([], (F(0), F(0))) == ()
+    for vec in [(F(1), F(0)), (F(0), F(1, 3))]:
+        with pytest.raises(ValidationError, match="escaped"):
+            lattice_coordinates([], vec)
 
 
 def test_walk_coords_and_periods_factor():

@@ -5,10 +5,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import orbinov
+from orbinov.complexes import build_complex
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(orbinov.__file__))
@@ -36,6 +39,21 @@ def test_make_corpus_rebuilds_the_bundled_documents():
             assert doc.serialize() == handle.read(), doc.name
         names.append(doc.name + ".json")
     assert sorted(names) == sorted(os.listdir(corpus))
+
+
+def test_solve_cocycle_refuses_unrealizable_targets(monkeypatch):
+    make_corpus = load_script("tools", "make_corpus.py")
+    X = build_complex([("a", "b"), ("b", "c"), ("a", "c")])
+    assert make_corpus.solve_cocycle(X, [3]) == {("a", "b"): Fraction(3)}
+    # the one free generator listed twice cannot have periods 1 and 0;
+    # the refusal is a raise, so python -O keeps it
+    h1 = make_corpus.H1Presentation(X)
+    twice = SimpleNamespace(orders=h1.orders * 2,
+                            generator_cycles=h1.generator_cycles * 2,
+                            offtree=h1.offtree, tree_walk=h1.tree_walk)
+    monkeypatch.setattr(make_corpus, "H1Presentation", lambda X: twice)
+    with pytest.raises(AssertionError, match="not realizable"):
+        make_corpus.solve_cocycle(X, [1, 0])
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -21,7 +21,7 @@ from orbinov.cochains import descend_cochain
 from orbinov.complexes import build_complex
 from orbinov.documents import OrbifoldDocument, format_fraction, \
     loads_document
-from orbinov.qlinalg import q_solve
+from orbinov.snf import row_lattice_basis
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "orbinov",
                        "corpus")
@@ -66,8 +66,18 @@ def solve_cocycle(X, targets):
                 row[index[e]] += mult if e == (a, b) else -mult
         rows.append(row)
         rhs.append(target)
-    sol = q_solve(rows, [Fraction(x) for x in rhs])
-    assert sol is not None, "period targets are not realizable"
+    # the Hermite echelon of the denominator-cleared system has the
+    # pivot columns of any echelon form, so back-substitution with every
+    # non-pivot edge zero gives the one solution of that shape
+    n = len(edges)
+    aug = [[x * t.denominator for x in row] + [t.numerator]
+           for row, t in zip(rows, map(Fraction, rhs))]
+    sol = [Fraction(0)] * n
+    for erow in reversed(row_lattice_basis(aug, n + 1)):
+        lead = next(j for j, x in enumerate(erow) if x)
+        expect(lead < n, "period targets are not realizable")
+        known = sum(erow[j] * sol[j] for j in range(lead + 1, n))
+        sol[lead] = Fraction(erow[n] - known) / erow[lead]
     return {e: sol[i] for e, i in index.items() if sol[i]}
 
 
