@@ -35,7 +35,7 @@ class FiniteGroup:
     'r'
     """
 
-    __slots__ = ("elements", "index", "table", "identity")
+    __slots__ = ("elements", "index", "table", "identity", "_inverse")
 
     def __init__(self, elements, table):
         self.elements = list(elements)
@@ -62,9 +62,10 @@ class FiniteGroup:
         if ident is None:
             raise ValidationError("group table has no identity")
         self.identity = ident
+        self._inverse = {g: h for g in self.elements for h in self.elements
+                         if self.mul(g, h) == ident == self.mul(h, g)}
         for g in self.elements:
-            if not any(self.mul(g, h) == ident and self.mul(h, g) == ident
-                       for h in self.elements):
+            if g not in self._inverse:
                 raise ValidationError("element %r has no inverse" % (g,))
         # exhaustive associativity; these groups are tiny
         for a in self.elements:
@@ -79,11 +80,7 @@ class FiniteGroup:
         return self.table[self.index[g]][self.index[h]]
 
     def inverse(self, g):
-        ident = self.identity
-        for h in self.elements:
-            if self.mul(g, h) == ident:
-                return h
-        raise ValidationError("element %r has no inverse" % (g,))
+        return self._inverse[g]
 
     @property
     def order(self):
@@ -144,9 +141,7 @@ class SimplicialAction:
                 continue
             for cell in layer:
                 for g in group.elements:
-                    image = tuple(sorted((maps[g][v] for v in cell),
-                                         key=complex.vertex_index.__getitem__))
-                    if not complex.has_cell(image):
+                    if not complex.has_cell(self.apply_cell(g, cell)):
                         raise ValidationError(
                             "element %r does not map simplex %r to a simplex"
                             % (g, cell))

@@ -114,19 +114,11 @@ class RationalCochain1:
         for (u, v), raw in values.items():
             if u == v:
                 raise DocumentError("edge (%r, %r) is degenerate" % (u, v))
-            for w in (u, v):
-                if w not in complex.vertex_index:
-                    raise DocumentError("unknown vertex %r" % (w,))
+            key, sign = complex.orient(u, v)
             vec = self.space.vector(raw)
-            key = (u, v)
-            if complex.vertex_index[u] > complex.vertex_index[v]:
-                key = (v, u)
-                vec = vec_neg(vec)
-            if not complex.has_cell(key):
-                raise ValidationError("(%r, %r) is not an edge" % (u, v))
             if key in store:
                 raise DocumentError("edge (%r, %r) assigned twice" % (u, v))
-            store[key] = vec
+            store[key] = vec if sign > 0 else vec_neg(vec)
         self.values = {k: v for k, v in store.items()
                        if any(x for x in v)}
         self._check_closed()
@@ -146,16 +138,9 @@ class RationalCochain1:
         """Value on the oriented edge u -> v (antisymmetric)."""
         if u == v:
             return self.space.zero()
-        iu = self.complex.vertex_index[u]
-        iv = self.complex.vertex_index[v]
-        if iu < iv:
-            key, flip = (u, v), False
-        else:
-            key, flip = (v, u), True
-        if not self.complex.has_cell(key):
-            raise ValidationError("(%r, %r) is not an edge" % (u, v))
+        key, sign = self.complex.orient(u, v)
         vec = self.values.get(key, self.space.zero())
-        return vec_neg(vec) if flip else vec
+        return vec if sign > 0 else vec_neg(vec)
 
     def sum_along(self, walk):
         """Sum of values along a vertex walk; repeated vertices allowed
@@ -324,8 +309,8 @@ def descend_cochain(qres, cochain):
                     "edge (%r, %r) collapses but carries a nonzero value"
                     % (u, v))
             continue
-        key = tuple(sorted((pu, pv), key=Y.vertex_index.__getitem__))
-        vec = current.value(u, v) if key == (pu, pv) else current.value(v, u)
+        key, sign = Y.orient(pu, pv)
+        vec = current.value(u, v) if sign > 0 else current.value(v, u)
         if key in seen:
             if seen[key] != vec:
                 raise ValidationError(

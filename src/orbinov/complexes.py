@@ -3,9 +3,11 @@
 Vertices are arbitrary sortable hashable labels (the corpus uses
 strings).  Cells are stored as tuples in increasing vertex order; an
 input tuple in any order contributes the orientation sign of the sort
-permutation.  Homology eliminates +-1 pivots from sparse boundaries,
-as twisted homology eliminates units (snf.eliminate_units), and then
-takes the Smith normal form of the small residual block.
+permutation; SimplicialComplex.orient is the one place that maps an
+oriented edge to its stored form and sign.  Homology eliminates +-1
+pivots from sparse boundaries, as twisted homology eliminates units
+(snf.eliminate_units), and then takes the Smith normal form of the
+small residual block.
 """
 
 from collections import deque
@@ -81,6 +83,26 @@ class SimplicialComplex:
             raise ValidationError("%r is not a simplex of the complex"
                                   % (simplex,))
         return cell, sign
+
+    def orient(self, u, v):
+        """Stored form of the edge u -> v and its sign: +1 when u comes
+        first in vertex order, -1 when reversed.
+
+        Raises DocumentError on unknown vertices, ValidationError when
+        no edge joins u and v (including u == v).
+
+        >>> build_complex([("a", "b")]).orient("b", "a")
+        (('a', 'b'), -1)
+        """
+        iu = self.vertex_index.get(u)
+        iv = self.vertex_index.get(v)
+        if iu is None or iv is None:
+            raise DocumentError("unknown vertex %r"
+                                % (u if iu is None else v,))
+        key, sign = ((u, v), 1) if iu < iv else ((v, u), -1)
+        if self.dim < 1 or key not in self.cell_index[1]:
+            raise ValidationError("(%r, %r) is not an edge" % (u, v))
+        return key, sign
 
     def boundary_entries(self, q):
         """Sparse boundary C_q -> C_{q-1} as {(row, col): sign}.

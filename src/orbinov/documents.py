@@ -23,7 +23,7 @@ from fractions import Fraction
 from .actions import FiniteGroup, SimplicialAction
 from .cochains import PeriodSpace, RationalCochain1
 from .complexes import build_complex
-from .errors import DocumentError
+from .errors import DocumentError, ValidationError
 from .inequalities import CriticalData
 
 __all__ = ["OrbifoldDocument", "load_document", "loads_document",
@@ -155,12 +155,10 @@ def _parse_cocycle(obj, X, where):
         u, v, value = entry
         _expect(u, str, spot, "vertex names")
         _expect(v, str, spot, "vertex names")
-        for w in (u, v):
-            if w not in X.vertex_index:
-                raise DocumentError("%s: unknown vertex %r" % (spot, w))
-        key = (u, v) if X.vertex_index[u] < X.vertex_index[v] else (v, u)
-        if u == v or not X.has_cell(key):
-            raise DocumentError("%s: (%r, %r) is not an edge" % (spot, u, v))
+        try:
+            key, _ = X.orient(u, v)
+        except (DocumentError, ValidationError) as exc:
+            raise DocumentError("%s: %s" % (spot, exc)) from None
         if key in seen:
             raise DocumentError("%s: edge assigned twice" % (spot,))
         seen.add(key)
@@ -303,9 +301,8 @@ class OrbifoldDocument:
             spec = self.cocycle_specs[cname]
             edges = []
             for (u, v, vec) in spec["edges"]:
-                if key(u) > key(v):
-                    u, v, vec = v, u, tuple(-x for x in vec)
-                edges.append((u, v, vec))
+                (u, v), sign = self.space.orient(u, v)
+                edges.append((u, v, tuple(sign * x for x in vec)))
             edges.sort(key=lambda e: (key(e[0]), key(e[1])))
             cocycles[cname] = {
                 "symbols": list(spec["symbols"]),

@@ -80,11 +80,11 @@ class NerveModel:
         """Exponent vector along the edge u -> v, antisymmetric."""
         if u == v:
             return (0,) * self.r
-        if (u, v) in self.exponents:
-            return self.exponents[(u, v)]
-        if (v, u) in self.exponents:
-            return tuple(-e for e in self.exponents[(v, u)])
-        raise ValidationError("no exponent for edge %r" % ((u, v),))
+        key, sign = self.complex.orient(u, v)
+        e = self.exponents.get(key)
+        if e is None:
+            raise ValidationError("no exponent for edge %r" % ((u, v),))
+        return e if sign > 0 else tuple(-x for x in e)
 
     def cell(self, anchor, word):
         """Validated (anchor, word) pair on this model's complex and

@@ -97,17 +97,13 @@ class H1Presentation:
             raise ValidationError("walk from %r to %r is not closed"
                                   % (walk[0], walk[-1]))
         coords = [0] * len(self.offtree)
-        X = self.complex
-        key_of = X.vertex_index.__getitem__
         for u, v in zip(walk, walk[1:]):
             if u == v:
                 continue
-            key = (u, v) if key_of(u) < key_of(v) else (v, u)
-            if not X.has_cell(key):
-                raise ValidationError("(%r, %r) is not an edge" % (u, v))
+            key, sign = self.complex.orient(u, v)
             idx = self.offtree_index.get(key)
             if idx is not None:
-                coords[idx] += 1 if key == (u, v) else -1
+                coords[idx] += sign
         return coords
 
     def class_of_coords(self, coords):
@@ -277,17 +273,13 @@ class GPath:
             raise DocumentError("every segment needs at least one vertex")
         if len(self.segments) != len(self.arrows) + 1:
             raise DocumentError("need exactly one arrow between segments")
-        key_of = X.vertex_index.__getitem__
         for seg in self.segments:
             for v in seg:
                 if v not in X.vertex_index:
                     raise DocumentError("unknown vertex %r" % (v,))
             for u, v in zip(seg, seg[1:]):
-                if u == v:
-                    continue
-                key = (u, v) if key_of(u) < key_of(v) else (v, u)
-                if not X.has_cell(key):
-                    raise ValidationError("(%r, %r) is not an edge" % (u, v))
+                if u != v:
+                    X.orient(u, v)
         for i, (v, g) in enumerate(self.arrows):
             if v not in X.vertex_index:
                 raise DocumentError("unknown vertex %r" % (v,))

@@ -50,11 +50,11 @@ class IntegralLift:
 
     def exponent(self, u, v):
         """Exponent vector along the edge u -> v, antisymmetric."""
-        if (u, v) in self.exponents:
-            return self.exponents[(u, v)]
-        if (v, u) in self.exponents:
-            return tuple(-e for e in self.exponents[(v, u)])
-        return (0,) * self.rank
+        if u == v:
+            return (0,) * self.rank
+        key, sign = self.complex.orient(u, v)
+        e = self.exponents.get(key, (0,) * self.rank)
+        return e if sign > 0 else tuple(-x for x in e)
 
 
 def integralize(cochain):

@@ -60,6 +60,9 @@ def test_cochain_basics():
     walker = RationalCochain1(path, {("a", "b"): 1})
     with pytest.raises(ValidationError):
         walker.value("a", "c")
+    for u, v in (("a", "nope"), ("nope", "a")):
+        with pytest.raises(DocumentError, match="unknown vertex"):
+            walker.value(u, v)
     assert not om.is_zero()
     doubled = om.add(om)
     assert doubled.value("a", "b") == (F(2, 3),)

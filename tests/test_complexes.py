@@ -62,6 +62,22 @@ def test_normalize():
         Y.normalize(("a", "c"))
 
 
+def test_orient_gives_the_stored_edge_and_its_sign():
+    X = build_complex([("a", "b", "c")])
+    assert X.orient("a", "c") == (("a", "c"), 1)
+    assert X.orient("c", "a") == (("a", "c"), -1)
+    with pytest.raises(DocumentError, match="unknown vertex 'nope'"):
+        X.orient("nope", "a")
+    with pytest.raises(DocumentError, match="unknown vertex 'nope'"):
+        X.orient("a", "nope")
+    with pytest.raises(ValidationError):
+        X.orient("b", "b")
+    with pytest.raises(ValidationError):
+        build_complex([("a", "b"), ("c", "d")]).orient("c", "a")
+    with pytest.raises(ValidationError):
+        build_complex([("a",), ("b",)]).orient("a", "b")
+
+
 def test_sort_with_parity():
     key = {"a": 0, "b": 1, "c": 2, "d": 3}
     assert sort_with_parity(("d", "c", "b", "a"), key) == (("a", "b", "c", "d"), 1)

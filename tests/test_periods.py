@@ -161,6 +161,8 @@ def test_walk_validation():
         h1.coords_of_walk(["a", "b"])
     with pytest.raises(DocumentError):
         h1.coords_of_walk([])
+    with pytest.raises(DocumentError, match="unknown vertex"):
+        h1.coords_of_walk(["a", "nope", "a"])
     two = build_complex([("a", "b"), ("c", "d")])
     h2 = H1Presentation(two)
     with pytest.raises(ValidationError):

@@ -1,7 +1,9 @@
 """The corpus generator, the demos and the benchmark's span table run
 against the current API."""
 
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import orbinov
+from orbinov import cli
 from orbinov.complexes import build_complex
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -82,3 +85,20 @@ def test_perfbench_targets_resolve(monkeypatch):
         if not found:
             missing.append((module, attribute))
     assert missing == []
+
+
+def test_benchmark_cycles_answer_correctly(monkeypatch, tmp_path):
+    # a change under src/ or tools/ that made the benchmark crash or
+    # answer wrongly would otherwise fail only when the benchmark runs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    workloads = load_script("perfbench", "workloads.py")
+    problems = []
+    for name in sorted(workloads.WORKLOADS):
+        for analysis in workloads.build(name, 0, str(tmp_path / name)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(analysis.argv))
+            for problem in workloads.check(analysis, code, out.getvalue()):
+                problems.append((analysis.argv, problem))
+    assert problems == []

@@ -14,7 +14,8 @@ from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain)
 from orbinov.complexes import IntHomology, build_complex, integer_homology
-from orbinov.errors import UnsupportedOperationError, ValidationError
+from orbinov.errors import (DocumentError, UnsupportedOperationError,
+                            ValidationError)
 from orbinov.laurent import LaurentPoly
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
                              period_homomorphism)
@@ -68,6 +69,12 @@ def test_integralize_circle():
     assert lift.exponents == {("b", "c"): (1,)}
     assert lift.exponent("c", "b") == (-1,)
     assert lift.exponent("a", "b") == (0,)
+    assert lift.exponent("b", "b") == (0,)
+    path = build_complex([("a", "b"), ("b", "c")])
+    with pytest.raises(ValidationError):
+        integralize(RationalCochain1(path, {})).exponent("a", "c")
+    with pytest.raises(DocumentError):
+        lift.exponent("a", "nope")
 
 
 def test_integralize_exact_class_is_empty():

@@ -39,7 +39,6 @@ def solve_cocycle(X, targets):
     """
     edges = X.cells[1]
     index = {e: i for i, e in enumerate(edges)}
-    key = X.vertex_index.__getitem__
     rows, rhs = [], []
     for (a, b, c) in (X.cells[2] if X.dim >= 2 else []):
         row = [0] * len(edges)
@@ -62,8 +61,8 @@ def solve_cocycle(X, targets):
             for a, b in zip(walk, walk[1:]):
                 if a == b:
                     continue
-                e = (a, b) if key(a) < key(b) else (b, a)
-                row[index[e]] += mult if e == (a, b) else -mult
+                e, sign = X.orient(a, b)
+                row[index[e]] += sign * mult
         rows.append(row)
         rhs.append(target)
     # the Hermite echelon of the denominator-cleared system has the
