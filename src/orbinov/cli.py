@@ -240,8 +240,8 @@ def cmd_validate(args):
         try:
             down = descend_cochain(qres, om)
         except ValidationError:
-            # descend_cochain checks invariance first; an invariant
-            # cochain that still fails to descend trips a result guard
+            # the descent is the basic-class test; a cochain that is
+            # invariant and still fails to descend trips a result guard
             if doc.action is None or is_invariant(doc.action, om):
                 raise
             record(label + ": invariant", "fail",

@@ -238,11 +238,11 @@ def is_invariant(action, cochain):
     X = action.complex
     if cochain.complex is not X:
         raise DocumentError("cochain does not live on the action's complex")
-    for g in action.group.elements:
-        for (u, v) in (X.cells[1] if X.dim >= 1 else []):
-            gu = action.apply_vertex(g, u)
-            gv = action.apply_vertex(g, v)
-            if cochain.value(gu, gv) != cochain.value(u, v):
+    for (u, v) in X.edges():
+        value = cochain.value(u, v)
+        for g in action.group.elements:
+            if cochain.value(action.apply_vertex(g, u),
+                             action.apply_vertex(g, v)) != value:
                 return False
     return True
 
@@ -281,41 +281,31 @@ def subdivide_cochain(sd, cochain):
 
 
 def descend_cochain(qres, cochain):
-    """Push an invariant closed cochain down to the orbit space.
+    """Push a basic closed cochain down to the orbit space, in one pass.
 
     The cochain lives on the complex the quotient was computed from;
-    any subdivisions the quotient needed are applied to the cochain
-    first.  Raises ValidationError when the cochain is not invariant
-    under the (subdivided) action, i.e. not basic.
+    any subdivisions the quotient needed are applied to it first.  Each
+    edge's value is written onto its oriented orbit edge, and that pass
+    is the basic-class test.  (u, v) and (g.u, g.v) land on the same
+    orbit edge, so agreement on every orbit edge is invariance; and
+    regularity puts all edges with one image in one orbit, so an
+    invariant cochain always agrees.  Raises ValidationError on the
+    first disagreement: the cochain is not invariant, hence not basic.
     """
     current = cochain
     for sd in qres.subdivisions:
         current = subdivide_cochain(sd, current)
-    act = qres.action
-    if current.complex is not act.complex:
+    X = qres.action.complex
+    if current.complex is not X:
         raise DocumentError("cochain does not live on the quotient's complex")
-    if not is_invariant(act, current):
-        raise ValidationError("cochain is not invariant, hence not basic")
     proj = qres.projection
     Y = qres.complex
+    zero = current.space.zero()
     values = {}
-    seen = {}
-    for (u, v) in (act.complex.cells[1] if act.complex.dim >= 1 else []):
-        pu, pv = proj[u], proj[v]
-        if pu == pv:
-            # a regular action cannot send an edge to a vertex
-            if any(current.value(u, v)):
-                raise ValidationError(
-                    "edge (%r, %r) collapses but carries a nonzero value"
-                    % (u, v))
-            continue
-        key, sign = Y.orient(pu, pv)
-        vec = current.value(u, v) if sign > 0 else current.value(v, u)
-        if key in seen:
-            if seen[key] != vec:
-                raise ValidationError(
-                    "invariant cochain disagreed on an orbit")
-        else:
-            seen[key] = vec
-            values[key] = vec
+    for (u, v) in X.edges():
+        key, sign = Y.orient(proj[u], proj[v])
+        vec = current.values.get((u, v), zero)
+        vec = vec if sign > 0 else vec_neg(vec)
+        if values.setdefault(key, vec) != vec:
+            raise ValidationError("cochain is not invariant, hence not basic")
     return RationalCochain1(Y, values, current.space)

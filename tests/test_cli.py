@@ -369,17 +369,20 @@ def stage_counts(monkeypatch, argv):
      {"H1Presentation": 0, "bfs_forest": 1, "quotient_complex": 1}),
     (["check-inequalities", "rp2", "--class", "zero"], {"bfs_forest": 1}),
     # one quotient per document; one descent and one lift per class,
-    # shared by the nerve model and the cover oracle; invariance is
-    # checked once per class, by the descent
+    # shared by the nerve model and the cover oracle; the descent is
+    # the invariance check, so is_invariant only classifies failures
     (["validate", "hexagon_z2", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "bfs_forest": 2,
-      "descend_cochain": 2, "integralize": 2, "is_invariant": 2}),
+      "descend_cochain": 2, "integralize": 2, "is_invariant": 0}),
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),
+    # a basic class is recognised by its one descent alone
+    (["novikov", "hexagon_z2", "--class", "dtheta"],
+     {"descend_cochain": 1, "is_invariant": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

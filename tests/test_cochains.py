@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbinov.actions import quotient_complex
+from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain, is_exact, is_invariant,
                               subdivide_cochain)
@@ -12,7 +13,7 @@ from orbinov.complexes import (SdResult, barycentric_subdivision,
 from orbinov.errors import DocumentError, ValidationError
 
 from test_actions import (hexagon_action, mirror_square_action,
-                          pillowcase_action)
+                          pillowcase_action, z2_grid_actions)
 
 F = Fraction
 
@@ -176,8 +177,51 @@ def test_descend_requires_invariance():
     act = hexagon_action()
     res = quotient_complex(act)
     bad = coboundary0(act.complex, {"h1": F(1)})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not invariant, hence not basic"):
         descend_cochain(res, bad)
+    # the mirror flips the edge (s0, s1), so the disagreement is found
+    # on the subdivided complex
+    act = mirror_square_action()
+    res = quotient_complex(act)
+    assert res.stages == 1
+    bad = RationalCochain1(act.complex, {("s1", "s2"): F(1)})
+    with pytest.raises(ValidationError, match="not invariant, hence not basic"):
+        descend_cochain(res, bad)
+
+
+def test_descent_refuses_exactly_the_non_invariant_cochains():
+    # the descent's orbit agreement is the basic-class test; it must
+    # agree with the group-element definition in both directions
+    cases = []
+    for name in corpus_names():
+        doc = resolve_document(name)
+        if doc.action is not None:
+            cases.append((doc.action, [doc.cochain(c)
+                                       for c in doc.cocycle_names()]))
+    cases += [(act, []) for act in z2_grid_actions()]
+    rng = random.Random(19)
+    for act, classes in cases:
+        X = act.complex
+        res = quotient_complex(act)
+        pot = {v: F(rng.randint(-4, 4), rng.randint(1, 3))
+               for v in X.vertices}
+        # summing a potential over each orbit makes it invariant
+        averaged = {v: sum(pot[act.apply_vertex(g, v)]
+                           for g in act.group.elements) for v in X.vertices}
+        cochains = classes + [om.add(coboundary0(X, pot, om.space))
+                              for om in classes]
+        cochains += [coboundary0(X, pot), coboundary0(X, averaged)]
+        verdicts = set()
+        for om in cochains:
+            invariant = is_invariant(act, om)
+            verdicts.add(invariant)
+            if invariant:
+                assert descend_cochain(res, om).complex is res.complex
+            else:
+                with pytest.raises(ValidationError,
+                                   match="not invariant, hence not basic"):
+                    descend_cochain(res, om)
+        assert verdicts == {True, False}, X
 
 
 def test_descend_through_subdivision():

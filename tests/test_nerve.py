@@ -8,6 +8,7 @@ from orbinov import (DocumentError, LaurentPoly, RationalCochain1,
                      SimplicialAction, ValidationError, coboundary0,
                      descend_cochain, integralize, nerve_model,
                      quotient_complex)
+from orbinov.cli import corpus_names, resolve_document
 from orbinov.nerve import identity_failures, random_chain
 
 from test_actions import (Z2, hexagon_action, mirror_square_action,
@@ -150,6 +151,26 @@ def test_rejects_foreign_and_non_invariant_cochains():
     # dx flips sign under the point reflection, so it is not basic
     with pytest.raises(ValidationError, match="not invariant"):
         model_of(act, grid_dx(act.complex, 4), 4)
+
+
+def test_corpus_exponents_are_functions_of_orbits():
+    # the model reads its exponents through the projection and does
+    # not re-check their invariance, so pin it on every corpus class
+    ranks = []
+    for name in corpus_names():
+        doc = resolve_document(name)
+        if doc.action is None:
+            continue
+        for cname in doc.cocycle_names():
+            model = model_of(doc.action, doc.cochain(cname), 2)
+            act = model.action
+            for (u, v) in model.complex.edges():
+                for g in act.group.elements:
+                    moved = model.exp(act.apply_vertex(g, u),
+                                      act.apply_vertex(g, v))
+                    assert moved == model.exp(u, v), (name, cname, (u, v), g)
+            ranks.append(model.r)
+    assert 0 in ranks and max(ranks) >= 1
 
 
 def test_exact_descends_to_rank_zero():
