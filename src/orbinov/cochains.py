@@ -5,9 +5,11 @@ Q^k where coordinate 0 is the rational part and the remaining k-1
 coordinates are coefficients of declared irrational symbols, so "1/3 +
 2*alpha" with symbols ("alpha",) is (1/3, 2).  All arithmetic on the
 coordinates is exact; the decimal shadows attached to symbols are used
-only when a class must be perturbed to rank one.
+only when a class must be perturbed to rank one.  Values stay Fractions;
+closedness and forest periods run on their integer numerators.
 """
 
+import math
 from fractions import Fraction
 
 from .complexes import bfs_forest
@@ -124,13 +126,15 @@ class RationalCochain1:
         self._check_closed()
 
     def _check_closed(self):
-        if self.complex.dim < 2:
+        if self.complex.dim < 2 or not self.values:
             return
+        _, nums = _numerators(self)
+        zero = (0,) * self.space.k
         for tri in self.complex.cells[2]:
             a, b, c = tri
-            total = vec_add(vec_sub(self.value(a, b), self.value(a, c)),
-                            self.value(b, c))
-            if any(total):
+            if any(x - y + z for x, y, z in zip(nums.get((a, b), zero),
+                                                nums.get((a, c), zero),
+                                                nums.get((b, c), zero))):
                 raise ValidationError(
                     "cochain is not closed on triangle %r" % (tri,))
 
@@ -202,24 +206,37 @@ def coboundary0(complex, potential, space=None):
     return RationalCochain1(complex, values, space)
 
 
+def _numerators(cochain):
+    """D, the lcm of all coordinate denominators, and {stored edge: value
+    times D as ints}; scaling by D > 0 is injective, so zero sums stay."""
+    D = math.lcm(*{x.denominator for vec in cochain.values.values()
+                   for x in vec})
+    return D, {e: tuple(x.numerator * (D // x.denominator) for x in vec)
+               for e, vec in cochain.values.items()}
+
+
 def forest_periods(cochain, parent, order):
     """Potential and edge periods of the cochain along a spanning forest.
 
     parent and order are those of bfs_forest.  f vanishes at the roots
     and agrees with the cochain on the forest; periods maps each edge
     where the cochain differs from the coboundary of f to that
-    difference, so tree edges never appear.
+    difference, so tree edges never appear.  Sums run on numerators.
     """
-    zero = cochain.space.zero()
-    f = {}
+    D, nums = _numerators(cochain)
+    zero = (0,) * cochain.space.k
+    pot = {}
     for v in order:
-        f[v] = (vec_add(f[parent[v]], cochain.value(parent[v], v))
-                if v in parent else zero)
+        u = parent.get(v)
+        pot[v] = (zero if v not in parent
+                  else vec_add(pot[u], nums[(u, v)]) if (u, v) in nums
+                  else vec_sub(pot[u], nums.get((v, u), zero)))
     periods = {}
     for (u, v) in cochain.complex.edges():
-        per = vec_sub(cochain.values.get((u, v), zero), vec_sub(f[v], f[u]))
+        per = vec_sub(nums.get((u, v), zero), vec_sub(pot[v], pot[u]))
         if any(per):
-            periods[(u, v)] = per
+            periods[(u, v)] = tuple(Fraction(n, D) for n in per)
+    f = {v: tuple(Fraction(n, D) for n in vec) for v, vec in pot.items()}
     return f, periods
 
 

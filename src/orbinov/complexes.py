@@ -258,8 +258,8 @@ class IntHomology:
 
 
 def sparse_product_is_zero(A, B):
-    """Whether the product of two sparse matrices {(row, col): entry}
-    vanishes; entries are ints or Laurent polynomials."""
+    """Whether the product of two sparse integer matrices
+    {(row, col): int} vanishes; entries of any ring work as well."""
     by_row = {}
     for (k, j), b in B.items():
         by_row.setdefault(k, []).append((j, b))

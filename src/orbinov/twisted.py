@@ -11,10 +11,11 @@ and torsion numbers.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .cochains import RationalCochain1, PeriodSpace, forest_periods
 from .complexes import (bfs_forest, build_complex, homology_of_matrices,
-                        integer_homology, sparse_product_is_zero)
+                        integer_homology)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -91,26 +92,48 @@ def twisted_complex(lift):
 
     The face that drops a cell's first vertex changes basepoint, so
     its coefficient is transported by the monomial of the first edge's
-    exponent; all other faces keep plain alternating signs.  The
-    composite of consecutive maps is verified to vanish.
+    exponent; all other faces keep plain alternating signs.  Entries are
+    built as signed monomials (exponent, sign), and consecutive maps
+    must compose to zero before they become Laurent polynomials.
     """
     X = lift.complex
     ws = WeightSystem(lift.basis)
-    boundary = {}
+    zero = (0,) * ws.r
+    monomials = {}
     for q in range(1, X.dim + 1):
-        entries = X.boundary_entries(q)
         idx = X.cell_index[q - 1]
+        entries = {}
         for j, cell in enumerate(X.cells[q]):
-            entries[(idx[cell[1:]], j)] = LaurentPoly.monomial(
-                ws.r, lift.exponent(cell[0], cell[1]), 1)
-        boundary[q] = WeightedLaurentMatrix(
-            ws, X.n_cells(q - 1), X.n_cells(q), entries)
+            entries[(idx[cell[1:]], j)] = (
+                lift.exponents.get(cell[:2], zero), 1)
+            for drop in range(1, q + 1):
+                entries[(idx[cell[:drop] + cell[drop + 1:]], j)] = (
+                    zero, -1 if drop % 2 else 1)
+        monomials[q] = entries
     for q in range(1, X.dim):
-        if not sparse_product_is_zero(boundary[q].entries,
-                                      boundary[q + 1].entries):
+        if not _monomial_product_is_zero(monomials[q], monomials[q + 1]):
             raise ValidationError(
                 "twisted boundary squared is nonzero in degree %d" % (q + 1,))
+    boundary = {q: WeightedLaurentMatrix(
+        ws, X.n_cells(q - 1), X.n_cells(q),
+        {key: LaurentPoly._of(ws.r, {e: sign})
+         for key, (e, sign) in entries.items()})
+        for q, entries in monomials.items()}
     return TwistedComplex(X, lift, ws, boundary)
+
+
+def _monomial_product_is_zero(A, B):
+    """Whether a product of sparse signed-monomial matrices
+    {(row, col): (exponent, sign)} vanishes; signs add per exponent."""
+    by_row = {}
+    for (k, j), b in B.items():
+        by_row.setdefault(k, []).append((j, b))
+    acc = {}
+    for (i, k), (e1, s1) in A.items():
+        for j, (e2, s2) in by_row.get(k, ()):
+            key = (i, j, tuple(map(add, e1, e2)))
+            acc[key] = acc.get(key, 0) + s1 * s2
+    return not any(acc.values())
 
 
 class NovikovNumbers:

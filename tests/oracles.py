@@ -121,3 +121,46 @@ def betti_of_matrices(ncells, boundaries):
     for q in range(1, top + 1):
         ranks[q] = gauss_rank(boundaries[q])
     return [ncells[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
+
+
+def _edge_value(X, values, zero, u, v):
+    """Value on u -> v of {stored edge: Fraction vector}, by a direct
+    look at which orientation is stored."""
+    if (u, v) in X.cell_index[1]:
+        return values.get((u, v), zero)
+    return tuple(-x for x in values.get((v, u), zero))
+
+
+def forest_periods_oracle(cochain, parent, order):
+    """Potential and off-forest periods in Fractions, one edge at a
+    time: the reference for cochains.forest_periods."""
+    X = cochain.complex
+    zero = (Fraction(0),) * cochain.space.k
+    f = {}
+    for v in order:
+        if v in parent:
+            step = _edge_value(X, cochain.values, zero, parent[v], v)
+            f[v] = tuple(a + b for a, b in zip(f[parent[v]], step))
+        else:
+            f[v] = zero
+    periods = {}
+    for (u, v) in (X.cells[1] if X.dim >= 1 else []):
+        per = tuple(c - (b - a) for c, a, b
+                    in zip(cochain.values.get((u, v), zero), f[u], f[v]))
+        if any(per):
+            periods[(u, v)] = per
+    return f, periods
+
+
+def first_open_triangle(X, values, k):
+    """First triangle in stored order on which values, a map
+    {stored edge: Fraction vector}, do not sum to zero; None if closed."""
+    zero = (Fraction(0),) * k
+    for tri in (X.cells[2] if X.dim >= 2 else []):
+        a, b, c = tri
+        total = [x - y + z for x, y, z in zip(values.get((a, b), zero),
+                                              values.get((a, c), zero),
+                                              values.get((b, c), zero))]
+        if any(total):
+            return tri
+    return None

@@ -12,7 +12,7 @@ from orbinov.actions import quotient_complex
 from orbinov import ValidationError, cli
 from orbinov.cli import corpus_names, main
 from orbinov.cochains import descend_cochain, is_invariant
-from orbinov.complexes import bfs_forest
+from orbinov.complexes import bfs_forest, sparse_product_is_zero
 from orbinov.documents import loads_document
 from orbinov.periods import H1Presentation
 from orbinov.snf import smith_normal_form
@@ -349,7 +349,8 @@ def stage_counts(monkeypatch, argv):
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "orbinov" or name.startswith("orbinov.")]
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
-               descend_cochain, integralize, is_invariant):
+               descend_cochain, integralize, is_invariant,
+               sparse_product_is_zero):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -383,6 +384,9 @@ def stage_counts(monkeypatch, argv):
     # a basic class is recognised by its one descent alone
     (["novikov", "hexagon_z2", "--class", "dtheta"],
      {"descend_cochain": 1, "is_invariant": 0}),
+    # the twisted d o d guard runs on signed monomials, not through
+    # the integer product check
+    (["novikov", "klein", "--class", "dy"], {"sparse_product_is_zero": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

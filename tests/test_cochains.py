@@ -1,4 +1,7 @@
+import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,14 +9,15 @@ import pytest
 from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
-                              descend_cochain, is_exact, is_invariant,
-                              subdivide_cochain)
+                              descend_cochain, forest_periods, is_exact,
+                              is_invariant, subdivide_cochain)
 from orbinov.complexes import (SdResult, barycentric_subdivision,
-                               build_complex)
+                               bfs_forest, build_complex)
 from orbinov.errors import DocumentError, ValidationError
 
+from oracles import first_open_triangle, forest_periods_oracle
 from test_actions import (hexagon_action, mirror_square_action,
-                          pillowcase_action, z2_grid_actions)
+                          pillowcase_action, torus_grid, z2_grid_actions)
 
 F = Fraction
 
@@ -250,3 +254,120 @@ def test_descend_pillowcase_zero_and_bump():
     assert is_invariant(act, bump)
     b_y = descend_cochain(res, bump)
     assert is_exact(b_y) is not None
+
+
+ALPHA = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
+
+
+def grid_class(X, n, a, b, space):
+    """a * dx + b * dy on torus_grid(n); a and b hold one coefficient
+    per coordinate of space."""
+    values = {}
+    for (u, v) in X.cells[1]:
+        (xu, yu), (xv, yv) = (map(int, w[1:].split("_")) for w in (u, v))
+        dx = (xv - xu + 1) % n - 1
+        dy = (yv - yu + 1) % n - 1
+        vec = tuple(F(dx * p + dy * q, n) for p, q in zip(a, b))
+        if any(vec):
+            values[(u, v)] = vec
+    return RationalCochain1(X, values, space)
+
+
+def gauged(rng, om):
+    """om times a positive rational plus the coboundary of a seeded
+    potential with denominators up to 12."""
+    pot = {v: tuple(F(rng.randint(-9, 9), rng.randint(1, 12))
+                    for _ in range(om.space.k)) for v in om.complex.vertices}
+    scale = F(rng.randint(1, 9), rng.randint(1, 12))
+    return om.scale(scale).add(coboundary0(om.complex, pot, om.space))
+
+
+def assert_kernels_match(om, rng):
+    """Integer periods and closedness against the Fraction reference:
+    equal periods and potential, and after a seeded one-edge bump the
+    same first open triangle, or none."""
+    X = om.complex
+    parent, order = bfs_forest(X)
+    f, periods = forest_periods(om, parent, order)
+    assert (f, periods) == forest_periods_oracle(om, parent, order)
+    assert is_exact(om) == (None if periods else f)
+    if X.dim < 1:
+        return
+    values = dict(om.values)
+    edge = rng.choice(X.cells[1])
+    vec = list(values.get(edge, om.space.zero()))
+    vec[rng.randrange(om.space.k)] += F(rng.choice((-1, 1)),
+                                        rng.randint(1, 12))
+    values[edge] = tuple(vec)
+    tri = first_open_triangle(X, values, om.space.k)
+    if tri is None:
+        RationalCochain1(X, values, om.space)
+    else:
+        msg = "cochain is not closed on triangle %r" % (tri,)
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            RationalCochain1(X, values, om.space)
+
+
+def test_integer_kernels_match_fractions_on_the_corpus():
+    rng = random.Random("kernels/corpus")
+    count = 0
+    for name in corpus_names():
+        doc = resolve_document(name)
+        qres = quotient_complex(doc.action) if doc.action else None
+        for cname in doc.cocycle_names():
+            om = doc.cochain(cname)
+            classes = [om, descend_cochain(qres, om)] if qres else [om]
+            for cochain in classes:
+                assert_kernels_match(cochain, rng)
+                assert_kernels_match(gauged(rng, cochain), rng)
+                count += 1
+    assert count >= 15
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_integer_kernels_match_fractions_on_seeded_grids(n):
+    rng = random.Random("kernels/grid/%d" % n)
+    X = torus_grid(n)
+    for space in (PeriodSpace(), ALPHA):
+        for _ in range(3):
+            a, b = ([rng.randint(-4, 4) for _ in range(space.k)]
+                    for _ in range(2))
+            om = grid_class(X, n, a, b, space)
+            assert_kernels_match(om, rng)
+            assert_kernels_match(gauged(rng, om), rng)
+
+
+def test_integer_kernels_on_degenerate_complexes():
+    rng = random.Random("kernels/degenerate")
+    path = build_complex([("a", "b"), ("b", "c"), ("c", "d")])
+    points = build_complex([("a",), ("b",)])
+    surface = torus_grid(3)
+    for space in (PeriodSpace(), ALPHA):
+        for X in (circle(), path, points, surface):
+            zero = RationalCochain1(X, {}, space)
+            assert_kernels_match(zero, rng)
+            assert is_exact(zero) == {v: space.zero() for v in X.vertices}
+            if X.dim >= 1:
+                assert_kernels_match(gauged(rng, zero), rng)
+        loop = {("a", "b"): (F(1, 3),) * space.k, ("b", "c"): space.zero(),
+                ("a", "c"): (F(-2, 7),) * space.k}
+        assert_kernels_match(RationalCochain1(circle(), loop, space), rng)
+
+
+def test_integer_kernels_with_200_prime_denominators():
+    primes = [p for p in range(2, 1300)
+              if all(p % d for d in range(2, p))][:200]
+    X = torus_grid(15)
+    pot = {v: F(1, p) for v, p in zip(X.vertices, primes)}
+    values = coboundary0(X, pot).add(
+        grid_class(X, 15, [1], [2], PeriodSpace())).values
+    start = time.perf_counter()
+    om = RationalCochain1(X, values)
+    parent, order = bfs_forest(X)
+    f, periods = forest_periods(om, parent, order)
+    assert time.perf_counter() - start < 1.0
+    assert (f, periods) == forest_periods_oracle(om, parent, order)
+    assert periods
+    common = math.lcm(*(x.denominator for vec in values.values()
+                        for x in vec))
+    assert len(primes) == 200 and all(common % p == 0 for p in primes)

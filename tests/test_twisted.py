@@ -13,17 +13,20 @@ from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain)
-from orbinov.complexes import IntHomology, build_complex, integer_homology
+from orbinov.complexes import (IntHomology, build_complex, integer_homology,
+                               sparse_product_is_zero)
 from orbinov.errors import (DocumentError, UnsupportedOperationError,
                             ValidationError)
-from orbinov.laurent import LaurentPoly
+from orbinov.laurent import LaurentPoly, WeightSystem
+from orbinov.lmatrix import WeightedLaurentMatrix
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
                              period_homomorphism)
-from orbinov.twisted import (cyclic_cover_oracle, integralize,
+from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
+                             cyclic_cover_oracle, integralize,
                              novikov_numbers, rank1_perturb, twisted_complex)
 
-from test_actions import torus_grid
-from test_cochains import circle, circle_dtheta
+from test_actions import torus_grid, z2_grid_actions
+from test_cochains import ALPHA, circle, circle_dtheta
 from test_periods import grid_dx
 
 F = Fraction
@@ -291,11 +294,20 @@ def test_cyclic_cover_random_gauge_stability():
 
 def test_result_guard_survives_optimized_mode():
     # klein is two dimensional, so its twisted boundaries compose and
-    # the d o d guard runs; under -O an assert there would vanish
+    # the d o d guard runs; one exponent raised by 1 leaves the lift
+    # open on the triangles of that edge, and under -O an assert
+    # there would vanish
     script = "\n".join([
         "import sys",
         "import orbinov.twisted",
-        "orbinov.twisted.sparse_product_is_zero = lambda A, B: False",
+        "lift_of = orbinov.twisted.integralize",
+        "def corrupted(cochain):",
+        "    lift = lift_of(cochain)",
+        "    edge = min(lift.exponents)",
+        "    first, *rest = lift.exponents[edge]",
+        "    lift.exponents[edge] = (first + 1, *rest)",
+        "    return lift",
+        "orbinov.twisted.integralize = corrupted",
         "from orbinov import cli",
         "sys.exit(cli.main(['novikov', 'klein', '--class', 'dy']))",
     ])
@@ -416,3 +428,173 @@ def test_cover_oracle_and_fibred_zeros_on_seeded_grids(surface):
             nv = novikov_numbers(cochain)
             assert nv.rank == rank and nv.betti == [0, 0, 0]
             assert nv.torsion == ([0, 0, 0] if rank == 1 else None)
+
+
+def laurent_boundaries(lift):
+    """Twisted boundaries built entry by entry as Laurent polynomials:
+    the integer boundary with each first face replaced by a monomial."""
+    X = lift.complex
+    ws = WeightSystem(lift.basis)
+    out = {}
+    for q in range(1, X.dim + 1):
+        entries = X.boundary_entries(q)
+        idx = X.cell_index[q - 1]
+        for j, cell in enumerate(X.cells[q]):
+            entries[(idx[cell[1:]], j)] = LaurentPoly.monomial(
+                ws.r, lift.exponent(cell[0], cell[1]), 1)
+        out[q] = WeightedLaurentMatrix(ws, X.n_cells(q - 1), X.n_cells(q),
+                                       entries)
+    return out
+
+
+def as_monomials(M):
+    """{(row, col): (exponent, sign)} of a matrix of signed monomials."""
+    out = {}
+    for key, poly in M.entries.items():
+        ((exp, sign),) = poly.terms.items()
+        out[key] = (exp, sign)
+    return out
+
+
+def bumped(lift, rng):
+    """The lift with one exponent coordinate of one triangle edge moved
+    by 1, which opens the exponent cochain on that triangle."""
+    X = lift.complex
+    a, b, c = rng.choice(X.cells[2])
+    edge = rng.choice([(a, b), (a, c), (b, c)])
+    exps = dict(lift.exponents)
+    vec = list(exps.get(edge, (0,) * lift.rank))
+    vec[rng.randrange(lift.rank)] += rng.choice((-1, 1))
+    exps[edge] = tuple(vec)
+    return IntegralLift(X, lift.basis, exps)
+
+
+def assert_monomial_build_matches(lift, rng):
+    """The monomial build against the Laurent one, and the monomial
+    d o d guard against sparse_product_is_zero on the Laurent entries,
+    for the lift and for a bumped copy that both must refuse."""
+    X = lift.complex
+    want = laurent_boundaries(lift)
+    tc = twisted_complex(lift)
+    assert sorted(tc.boundary) == sorted(want)
+    for q, M in want.items():
+        got = tc.boundary[q]
+        assert (got.nrows, got.ncols) == (M.nrows, M.ncols)
+        assert list(got.entries.items()) == list(M.entries.items())
+    if X.dim < 2:
+        return
+    bad = bumped(lift, rng)
+    for boundary, closed in ((want, True), (laurent_boundaries(bad), False)):
+        verdicts = []
+        for q in range(1, X.dim):
+            A, B = boundary[q], boundary[q + 1]
+            verdict = sparse_product_is_zero(A.entries, B.entries)
+            assert _monomial_product_is_zero(
+                as_monomials(A), as_monomials(B)) == verdict
+            verdicts.append(verdict)
+        assert all(verdicts) == closed
+    with pytest.raises(ValidationError,
+                       match="twisted boundary squared is nonzero"):
+        twisted_complex(bad)
+
+
+def test_monomial_build_matches_laurent_build_on_the_corpus():
+    rng = random.Random("monomials/corpus")
+    lifts = 0
+    for name in corpus_names():
+        doc = resolve_document(name)
+        qres = quotient_complex(doc.action) if doc.action else None
+        for cname in doc.cocycle_names():
+            om = doc.cochain(cname)
+            lift = integralize(descend_cochain(qres, om) if qres else om)
+            if lift.rank >= 1:
+                assert_monomial_build_matches(lift, rng)
+                lifts += 1
+    assert lifts == 6
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein"])
+def test_monomial_build_matches_laurent_build_on_seeded_grids(surface):
+    rng = random.Random("monomials/" + surface)
+    ranks = set()
+    for n in range(3, 9):
+        if surface == "torus":
+            X = torus_grid(n)
+            parts = [grid_dx(X, n), grid_dy(X, n)]
+        else:
+            X = klein_grid(n)
+            parts = [grid_dy(X, n)]
+        for space in (PeriodSpace(), ALPHA):
+            rows = [[F(rng.randint(1, 5), rng.randint(1, 4)) for _ in parts]
+                    for _ in range(space.k)]
+            pot = {v: tuple(F(rng.randint(-9, 9), rng.randint(1, 12))
+                            for _ in range(space.k)) for v in X.vertices}
+            om = mixed_class(X, space, rows, parts).add(
+                coboundary0(X, pot, space))
+            lift = integralize(om)
+            ranks.add(lift.rank)
+            assert_monomial_build_matches(lift, rng)
+    assert ranks == ({1, 2} if surface == "torus" else {1})
+
+
+def test_exact_orbit_constant_classes_give_integer_homology():
+    # rank 0 must come out of the forest periods exactly, whatever the
+    # potential's denominators; the numbers are then integer homology
+    rng = random.Random("rank0/z2")
+    for act in z2_grid_actions():
+        X = act.complex
+        res = quotient_complex(act)
+        Y = res.complex
+        ih = integer_homology(Y)
+        rep = {v: min((act.apply_vertex(g, v) for g in act.group.elements),
+                      key=X.vertex_index.__getitem__) for v in X.vertices}
+        for space in (PeriodSpace(), ALPHA):
+            val = {v: tuple(F(rng.randint(-9, 9), rng.randint(1, 12))
+                            for _ in range(space.k))
+                   for v in sorted(set(rep.values()))}
+            om = coboundary0(X, {v: val[rep[v]] for v in X.vertices}, space)
+            assert not om.is_zero()
+            nv = novikov_numbers(descend_cochain(res, om))
+            assert (nv.route, nv.rank) == ("integral", 0)
+            assert nv.betti == list(ih.betti)
+            assert nv.torsion == [len(t) for t in ih.torsion]
+
+
+def rank_two_torus_class(rng, n, denominators):
+    """Seeded class on torus_grid(n) with two independent symbolic
+    directions, plus the coboundary of a seeded potential."""
+    X = torus_grid(n)
+    parts = [grid_dx(X, n), grid_dy(X, n)]
+    rows = [[0, 0], [0, 0]]
+    while rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]:
+        rows = [[F(rng.randint(-5, 5), rng.choice(denominators))
+                 for _ in parts] for _ in range(2)]
+    pot = {v: tuple(F(rng.randint(-9, 9), rng.choice(denominators))
+                    for _ in range(2)) for v in X.vertices}
+    return mixed_class(X, ALPHA, rows, parts).add(
+        coboundary0(X, pot, ALPHA))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 10])
+def test_rank1_perturb_keeps_betti_only_numbers_on_grid_tori(n):
+    # denominators 2^a 5^b and 14 digits make every rounded shadow
+    # exact, so the stand-in is the shadow class itself
+    rng = random.Random("perturb/%d" % n)
+    for _ in range(2):
+        om = rank_two_torus_class(rng, n, (1, 2, 4, 5))
+        nv = novikov_numbers(om)
+        assert (nv.route, nv.rank) == ("betti-only", 2)
+        flat = rank1_perturb(om, precision=14)
+        for e in om.complex.edges():
+            assert flat.value(*e) == (ALPHA.shadow_value(om.value(*e)),)
+        numbers = novikov_numbers(flat)
+        assert (numbers.route, numbers.rank) == ("rank-one", 1)
+        assert numbers.betti == nv.betti
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="rank1_perturb rounds each edge on its own, so "
+                          "the rounded values need not close on a triangle")
+def test_rank1_perturb_of_a_gauged_class_stays_closed():
+    om = rank_two_torus_class(random.Random("perturb/open"), 4, (1, 3, 7))
+    assert rank1_perturb(om, precision=6).complex is om.complex
