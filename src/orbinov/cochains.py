@@ -6,7 +6,9 @@ coordinates are coefficients of declared irrational symbols, so "1/3 +
 2*alpha" with symbols ("alpha",) is (1/3, 2).  All arithmetic on the
 coordinates is exact; the decimal shadows attached to symbols are used
 only when a class must be perturbed to rank one.  Values stay Fractions;
-closedness and forest periods run on their integer numerators.
+closedness and forest periods run on their integer numerators over one
+common denominator D.  Fractions start again only where a caller divides
+by D: is_exact's potential, the period map and the period lattice basis.
 """
 
 import math
@@ -216,12 +218,13 @@ def _numerators(cochain):
 
 
 def forest_periods(cochain, parent, order):
-    """Potential and edge periods of the cochain along a spanning forest.
+    """Potential and edge periods of the cochain along a spanning forest,
+    as integer numerators over D, the cochain's common denominator.
 
-    parent and order are those of bfs_forest.  f vanishes at the roots
-    and agrees with the cochain on the forest; periods maps each edge
-    where the cochain differs from the coboundary of f to that
-    difference, so tree edges never appear.  Sums run on numerators.
+    Returns (D, pot, periods).  parent and order are those of bfs_forest.
+    pot vanishes at the roots and agrees with the cochain on the forest;
+    periods maps each edge where the cochain differs from the coboundary
+    of pot to that difference, so tree edges never appear.
     """
     D, nums = _numerators(cochain)
     zero = (0,) * cochain.space.k
@@ -235,9 +238,8 @@ def forest_periods(cochain, parent, order):
     for (u, v) in cochain.complex.edges():
         per = vec_sub(nums.get((u, v), zero), vec_sub(pot[v], pot[u]))
         if any(per):
-            periods[(u, v)] = tuple(Fraction(n, D) for n in per)
-    f = {v: tuple(Fraction(n, D) for n in vec) for v, vec in pot.items()}
-    return f, periods
+            periods[(u, v)] = per
+    return D, pot, periods
 
 
 def is_exact(cochain):
@@ -246,8 +248,10 @@ def is_exact(cochain):
     The potential vanishes at the lowest vertex of each component.
     """
     parent, order = bfs_forest(cochain.complex)
-    f, periods = forest_periods(cochain, parent, order)
-    return None if periods else f
+    D, pot, periods = forest_periods(cochain, parent, order)
+    if periods:
+        return None
+    return {v: tuple(Fraction(n, D) for n in vec) for v, vec in pot.items()}
 
 
 def is_invariant(action, cochain):

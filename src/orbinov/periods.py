@@ -6,6 +6,10 @@ boundaries span the relation lattice, and Smith reduction of the
 relation matrix converts off-tree coordinates into generator
 multiplicities.  Periods of a closed cochain are linear in those
 coordinates, so torsion generators are forced to have period zero.
+
+Forest periods arrive as integer numerators over one denominator; the
+period map turns them into Fractions, while the period lattice is
+reduced on the numerators and only its basis comes back as Fractions.
 """
 
 import math
@@ -17,7 +21,7 @@ from .errors import DocumentError, ValidationError
 from .snf import row_lattice_basis, smith_normal_form
 
 __all__ = ["H1Presentation", "PeriodHom", "period_homomorphism",
-           "lattice_basis", "gamma_basis", "is_integral", "GPath",
+           "period_lattice", "gamma_basis", "is_integral", "GPath",
            "gpath_period", "hurewicz_class"]
 
 
@@ -174,8 +178,10 @@ def period_homomorphism(h1, cochain):
     """
     if cochain.complex is not h1.complex:
         raise DocumentError("cochain lives on a different complex")
-    _, periods = forest_periods(cochain, h1.parent, h1.order)
-    fundamental = [periods.get(e, cochain.space.zero()) for e in h1.offtree]
+    D, _, periods = forest_periods(cochain, h1.parent, h1.order)
+    zero = (0,) * cochain.space.k
+    fundamental = [tuple(Fraction(n, D) for n in periods.get(e, zero))
+                   for e in h1.offtree]
     ph = PeriodHom(h1, cochain.space, fundamental, [])
     for cyc, order_ in zip(h1.generator_cycles, h1.orders):
         total = ph.period_of_coords(cyc)
@@ -186,23 +192,35 @@ def period_homomorphism(h1, cochain):
     return ph
 
 
-def lattice_basis(vectors, k):
-    """Z-basis of the lattice spanned by a collection of rational
-    vectors of length k.
+def period_lattice(vectors, D, k):
+    """Z-basis of the lattice spanned by integer vectors of length k over
+    a common denominator D, and each vector's integer coordinates in it.
 
-    Clears denominators, runs row_lattice_basis and scales back; that
-    echelon form is canonical, so any spanning set gives the same basis.
+    row_lattice_basis runs once on the numerators.  Its echelon is
+    canonical and scales with its input, so any spanning set over any
+    common denominator gives the same basis, returned as Fractions over
+    D.  Each basis vector's leading entry sits left of the next one's,
+    so back-substitution reads one floor quotient per vector; echelon
+    form keeps any remainder, which raises ValidationError.
 
-    >>> from fractions import Fraction as F
-    >>> lattice_basis([(F(1, 2),), (F(3, 4),)], 1)
-    [(Fraction(1, 4),)]
-    >>> lattice_basis([(F(1, 4),)], 1)
-    [(Fraction(1, 4),)]
+    >>> period_lattice([(2,), (3,)], 4, 1)
+    ([(Fraction(1, 4),)], [(2,), (3,)])
     """
-    denom = math.lcm(*(x.denominator for p in vectors for x in p))
-    rows = [[int(x * denom) for x in p] for p in vectors]
-    return [tuple(Fraction(x, denom) for x in row)
-            for row in row_lattice_basis(rows, k)]
+    rows = row_lattice_basis(vectors, k)
+    leads = [next(i for i, x in enumerate(b) if x) for b in rows]
+    coords = []
+    for vec in vectors:
+        rest = list(vec)
+        coeffs = []
+        for lead, b in zip(leads, rows):
+            c = rest[lead] // b[lead]
+            coeffs.append(c)
+            rest = [x - c * y for x, y in zip(rest, b)]
+        if any(rest):
+            raise ValidationError("period %r/%d escaped the period lattice"
+                                  % (vec, D))
+        coords.append(tuple(coeffs))
+    return [tuple(Fraction(x, D) for x in b) for b in rows], coords
 
 
 def gamma_basis(ph):
@@ -212,9 +230,9 @@ def gamma_basis(ph):
     combination of the basis.
     """
     free = ph.free_periods()
-    basis = lattice_basis(free, ph.space.k)
-    for p in free:
-        lattice_coordinates(basis, p)
+    D = math.lcm(*(x.denominator for p in free for x in p))
+    basis, _ = period_lattice([[int(x * D) for x in p] for p in free],
+                              D, ph.space.k)
     return basis
 
 
@@ -228,29 +246,6 @@ def is_integral(basis):
     False
     """
     return all(not any(b[1:]) and b[0].denominator == 1 for b in basis)
-
-
-def lattice_coordinates(basis, vec):
-    """Integer coordinates of vec in an echelon basis from lattice_basis;
-    ValidationError when vec is not in the lattice.
-
-    Each basis vector's leading entry sits left of the next one's, so
-    back-substitution reads one coordinate per vector.
-
-    >>> from fractions import Fraction as F
-    >>> lattice_coordinates([(F(1, 2), F(1)), (F(0), F(3))], (F(1), F(5)))
-    (2, 1)
-    """
-    rest = list(vec)
-    coeffs = []
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        c = Fraction(rest[lead]) / b[lead]
-        coeffs.append(c)
-        rest = [x - c * y for x, y in zip(rest, b)]
-    if any(rest) or any(c.denominator != 1 for c in coeffs):
-        raise ValidationError("period %r escaped the period lattice" % (vec,))
-    return tuple(int(c) for c in coeffs)
 
 
 class GPath:

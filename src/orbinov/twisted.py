@@ -3,11 +3,12 @@
 A closed rational cochain is first replaced by an integer-valued
 exponent cochain: the periods of the off-tree edges of a spanning
 forest are expanded in a lattice basis of the period group, and tree
-edges get exponent zero.  The boundary maps of the complex then pick
-up monomial coefficients (the face dropping the first vertex is
-transported along its first edge), giving matrices over the weighted
-Laurent ring whose ranks and invariant factors are the Novikov betti
-and torsion numbers.
+edges get exponent zero.  The expansion runs on integer numerators;
+Fractions appear only in the lattice basis, which weights the ring.
+The boundary maps of the complex then pick up monomial coefficients
+(the face dropping the first vertex is transported along its first
+edge), giving matrices over the weighted Laurent ring whose ranks and
+invariant factors are the Novikov betti and torsion numbers.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
                       invariant_factors)
-from .periods import lattice_basis, lattice_coordinates
+from .periods import period_lattice
 
 __all__ = ["IntegralLift", "integralize", "TwistedComplex",
            "twisted_complex", "NovikovNumbers", "novikov_numbers",
@@ -67,11 +68,10 @@ def integralize(cochain):
     """
     X = cochain.complex
     parent, order = bfs_forest(X)
-    _, periods = forest_periods(cochain, parent, order)
-    basis = lattice_basis(periods.values(), cochain.space.k)
-    exponents = {e: lattice_coordinates(basis, per)
-                 for e, per in periods.items()}
-    return IntegralLift(X, basis, exponents)
+    D, _, periods = forest_periods(cochain, parent, order)
+    basis, coords = period_lattice(list(periods.values()), D,
+                                   cochain.space.k)
+    return IntegralLift(X, basis, dict(zip(periods, coords)))
 
 
 class TwistedComplex:

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -53,6 +53,22 @@ def torus_grid(n):
             tris.append((p, q, s))
             tris.append((p, s, r))
     return build_complex(tris)
+
+
+def torus3_grid(n):
+    """Freudenthal triangulation of the 3-torus on an n^3 grid: each cube
+    splits into six tetrahedra along its main diagonal, one for each
+    order of the three unit steps."""
+    tets = []
+    for corner in product(range(n), repeat=3):
+        for steps in permutations(range(3)):
+            p = list(corner)
+            cell = ["t%d_%d_%d" % tuple(p)]
+            for axis in steps:
+                p[axis] += 1
+                cell.append("t%d_%d_%d" % tuple(c % n for c in p))
+            tets.append(tuple(cell))
+    return build_complex(tets)
 
 
 def pillowcase_action():

@@ -14,6 +14,7 @@ from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
 from orbinov.complexes import (SdResult, barycentric_subdivision,
                                bfs_forest, build_complex)
 from orbinov.errors import DocumentError, ValidationError
+from orbinov.twisted import integralize
 
 from oracles import first_open_triangle, forest_periods_oracle
 from test_actions import (hexagon_action, mirror_square_action,
@@ -282,14 +283,20 @@ def gauged(rng, om):
     return om.scale(scale).add(coboundary0(om.complex, pot, om.space))
 
 
+def over(D, table):
+    """{key: integer numerator vector} divided by D, as Fractions."""
+    return {key: tuple(F(n, D) for n in vec) for key, vec in table.items()}
+
+
 def assert_kernels_match(om, rng):
     """Integer periods and closedness against the Fraction reference:
-    equal periods and potential, and after a seeded one-edge bump the
-    same first open triangle, or none."""
+    equal periods and potential once divided by D, and after a seeded
+    one-edge bump the same first open triangle, or none."""
     X = om.complex
     parent, order = bfs_forest(X)
-    f, periods = forest_periods(om, parent, order)
-    assert (f, periods) == forest_periods_oracle(om, parent, order)
+    D, pot, periods = forest_periods(om, parent, order)
+    f, oracle_periods = forest_periods_oracle(om, parent, order)
+    assert over(D, pot) == f and over(D, periods) == oracle_periods
     assert is_exact(om) == (None if periods else f)
     if X.dim < 1:
         return
@@ -358,16 +365,23 @@ def test_integer_kernels_with_200_prime_denominators():
     primes = [p for p in range(2, 1300)
               if all(p % d for d in range(2, p))][:200]
     X = torus_grid(15)
-    pot = {v: F(1, p) for v, p in zip(X.vertices, primes)}
-    values = coboundary0(X, pot).add(
+    gauge = {v: F(1, p) for v, p in zip(X.vertices, primes)}
+    values = coboundary0(X, gauge).add(
         grid_class(X, 15, [1], [2], PeriodSpace())).values
     start = time.perf_counter()
     om = RationalCochain1(X, values)
     parent, order = bfs_forest(X)
-    f, periods = forest_periods(om, parent, order)
+    D, pot, periods = forest_periods(om, parent, order)
+    lift = integralize(om)
     assert time.perf_counter() - start < 1.0
-    assert (f, periods) == forest_periods_oracle(om, parent, order)
-    assert periods
+    f, oracle_periods = forest_periods_oracle(om, parent, order)
+    assert over(D, pot) == f and over(D, periods) == oracle_periods
+    assert periods and lift.rank == 1
+    assert lift.exponents.keys() == oracle_periods.keys()
+    for e, exps in lift.exponents.items():
+        assert tuple(sum((c * b[i] for c, b in zip(exps, lift.basis)), F(0))
+                     for i in range(om.space.k)) == oracle_periods[e]
     common = math.lcm(*(x.denominator for vec in values.values()
                         for x in vec))
     assert len(primes) == 200 and all(common % p == 0 for p in primes)
+    assert D == common

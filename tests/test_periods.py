@@ -13,8 +13,8 @@ from orbinov.complexes import build_complex
 from orbinov.errors import DocumentError, ValidationError
 from orbinov.periods import (GPath, H1Presentation, gamma_basis,
                              gpath_period, hurewicz_class, is_integral,
-                             lattice_basis, lattice_coordinates,
-                             period_homomorphism)
+                             period_homomorphism, period_lattice)
+from orbinov.snf import row_lattice_basis
 
 from test_actions import hexagon_action, mirror_square_action, torus_grid
 from test_cochains import circle, circle_dtheta, hexagon_dtheta
@@ -94,43 +94,46 @@ def _combine(coeffs, basis, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_lattice_coordinates_round_trip_and_refuse(k):
+def test_lattice_coordinates_round_trip_and_refuse(k, monkeypatch):
     rng = random.Random(k)
+    cases = []
     for _ in range(60):
-        vectors = [tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
-                         for _ in range(k))
+        D = rng.randint(1, 12)
+        vectors = [tuple(rng.randint(-24, 24) for _ in range(k))
                    for _ in range(rng.randint(1, k + 1))]
-        basis = lattice_basis(vectors, k)
+        basis, coords = period_lattice(vectors, D, k)
         assert len(basis) == gauss_rank(vectors)
-        for vec in vectors:
-            coeffs = lattice_coordinates(basis, vec)
-            assert _combine(coeffs, basis, k) == vec
-        coeffs = tuple(rng.randint(-5, 5) for _ in basis)
-        vec = _combine(coeffs, basis, k)
-        assert lattice_coordinates(basis, vec) == coeffs
-        if basis:
-            # in the span, but half a step off the lattice
-            half = rng.choice(basis)
-            off = tuple(x + y / 2 for x, y in zip(vec, half))
-            with pytest.raises(ValidationError, match="escaped"):
-                lattice_coordinates(basis, off)
-        leads = {next(i for i, x in enumerate(b) if x) for b in basis}
-        free = [i for i in range(k) if i not in leads]
-        if free:
-            # a unit step on a column no basis vector leads leaves the
-            # span while every quotient stays integral
-            j = rng.choice(free)
-            off = tuple(x + (i == j) for i, x in enumerate(vec))
-            with pytest.raises(ValidationError, match="escaped"):
-                lattice_coordinates(basis, off)
+        assert len(coords) == len(vectors)
+        for vec, c in zip(vectors, coords):
+            assert _combine(c, basis, k) == tuple(F(x, D) for x in vec)
+        # the echelon scales with its input, so the basis over D does not
+        # depend on which common denominator the numerators use
+        m = rng.randint(2, 9)
+        scaled = [tuple(m * x for x in vec) for vec in vectors]
+        assert period_lattice(scaled, m * D, k) == (basis, coords)
+        cases.append((vectors, D, basis))
+    # every input spans its lattice, so a basis that lost its last row
+    # (leaves the span) or doubled it (half a step off the lattice)
+    # must let some vector escape
+    for damage in (lambda b: b[:-1],
+                   lambda b: b[:-1] + [[2 * x for x in b[-1]]]):
+        monkeypatch.setattr(orbinov.periods, "row_lattice_basis",
+                            lambda rows, ncols: damage(
+                                row_lattice_basis(rows, ncols)))
+        for vectors, D, basis in cases:
+            if basis:
+                with pytest.raises(ValidationError, match="escaped"):
+                    period_lattice(vectors, D, k)
 
 
-def test_empty_lattice_has_only_the_zero_vector():
-    assert lattice_basis([], 2) == []
-    assert lattice_coordinates([], (F(0), F(0))) == ()
-    for vec in [(F(1), F(0)), (F(0), F(1, 3))]:
+def test_empty_lattice_has_only_the_zero_vector(monkeypatch):
+    assert period_lattice([], 1, 2) == ([], [])
+    assert period_lattice([(0, 0)], 3, 2) == ([], [()])
+    monkeypatch.setattr(orbinov.periods, "row_lattice_basis",
+                        lambda rows, ncols: [])
+    for vec in [(1, 0), (0, 3)]:
         with pytest.raises(ValidationError, match="escaped"):
-            lattice_coordinates([], vec)
+            period_lattice([vec], 3, 2)
 
 
 def test_walk_coords_and_periods_factor():

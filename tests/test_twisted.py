@@ -25,7 +25,7 @@ from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
                              cyclic_cover_oracle, integralize,
                              novikov_numbers, rank1_perturb, twisted_complex)
 
-from test_actions import torus_grid, z2_grid_actions
+from test_actions import torus3_grid, torus_grid, z2_grid_actions
 from test_cochains import ALPHA, circle, circle_dtheta
 from test_periods import grid_dx
 
@@ -359,6 +359,36 @@ def mixed_class(X, space, rows, parts):
         if any(vec):
             values[e] = vec
     return RationalCochain1(X, values, space)
+
+
+def torus3_axis(X, n, axis):
+    """Unit displacement along one axis of torus3_grid(n): a closed
+    cochain with period 1 around that circle factor."""
+    values = {}
+    for (u, v) in X.cells[1]:
+        a, b = (int(w[1:].split("_")[axis]) for w in (u, v))
+        d = (b - a + 1) % n - 1
+        if d:
+            values[(u, v)] = F(d, n)
+    return RationalCochain1(X, values)
+
+
+def test_three_torus_gives_fibred_zeros():
+    # the first input of dimension 3: twisted boundaries in degree 3,
+    # a d∘d check across three degrees, and a cover of a 3-manifold
+    n = 3
+    X = torus3_grid(n)
+    assert [X.n_cells(q) for q in range(4)] == [27, 189, 324, 162]
+    ih = integer_homology(X)
+    assert ih.betti == [1, 3, 3, 1] and not any(ih.torsion)
+    dx, dy = (torus3_axis(X, n, axis) for axis in (0, 1))
+    nv = novikov_numbers(dx)
+    assert nv.route == "rank-one"
+    assert nv.betti == [0, 0, 0, 0] and nv.torsion == [0, 0, 0, 0]
+    assert cyclic_cover_oracle(nv.lift, 2).consistent
+    nv = novikov_numbers(mixed_class(X, ALPHA, [[1, 0], [0, 1]], [dx, dy]))
+    assert nv.route == "betti-only" and nv.rank == 2
+    assert nv.betti == [0, 0, 0, 0] and nv.torsion is None
 
 
 @pytest.mark.parametrize("surface", ["torus", "klein"])
