@@ -7,7 +7,8 @@ permutation; SimplicialComplex.orient is the one place that maps an
 oriented edge to its stored form and sign.  Homology eliminates +-1
 pivots from sparse boundaries, as twisted homology eliminates units
 (snf.eliminate_units), and then takes the Smith normal form of the
-small residual block.
+small residual block; each boundary first drops the rows that the one
+below it paired away.
 """
 
 from collections import deque
@@ -278,9 +279,12 @@ def homology_of_matrices(ncells, boundaries):
 
     ncells[q] is the rank in degree q; boundaries[q] maps degree q to
     q-1 as sparse entries {(row, col): int} (boundaries[0] is ignored).
-    Each boundary loses its +-1 pivots, which are their own inverses;
-    the Smith form of the residual gives the rest of the rank and the
-    torsion.  The composite of consecutive maps is checked to vanish.
+    The composite of consecutive maps is checked to vanish.  Going up
+    in degree, each boundary loses its +-1 pivots, which are their own
+    inverses, and the Smith form of the residual gives the rest of the
+    rank and the torsion.  A pivot (s, t) splits s and t off the complex
+    with no homology, so the next boundary drops row t before its own
+    elimination; ranks and torsion stay those of the full boundaries.
     """
     top = len(ncells) - 1
     for q in range(1, top):
@@ -289,17 +293,21 @@ def homology_of_matrices(ncells, boundaries):
                                   % (q + 1,))
     ranks = [0] * (top + 2)
     torsion = [[] for _ in range(top + 1)]
+    paired = set()
     for q in range(1, top + 1):
         if not all(0 <= i < ncells[q - 1] and 0 <= j < ncells[q]
                    for i, j in boundaries[q]):
             raise ValidationError("boundary entry out of range in degree %d"
                                   % (q,))
-        pivots, residual, cols = eliminate_units(
-            boundaries[q], lambda a: 1 if a in (1, -1) else None, mul)
+        pairs, residual, cols = eliminate_units(
+            {key: a for key, a in boundaries[q].items()
+             if key[0] not in paired},
+            lambda a: 1 if a in (1, -1) else None, mul)
         snf = smith_normal_form([[row.get(j, 0) for j in cols]
                                  for row in residual])
-        ranks[q] = pivots + snf.rank
+        ranks[q] = len(pairs) + snf.rank
         torsion[q - 1] = snf.torsion()
+        paired = {j for _, j in pairs}
     betti = [ncells[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
     if any(b < 0 for b in betti):
         raise ValidationError("negative betti number; ranks are inconsistent")

@@ -29,7 +29,7 @@ from .inequalities import CriticalData
 __all__ = ["OrbifoldDocument", "load_document", "loads_document",
            "parse_fraction", "format_fraction"]
 
-_FRACTION_RE = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
+_FRACTION_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
 _DECIMAL_RE = re.compile(r"-?\d+(\.\d+)?\Z")
 
 
@@ -39,10 +39,12 @@ def parse_fraction(text, where):
     >>> parse_fraction("-3/6", "x")
     Fraction(-1, 2)
     """
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+    match = _FRACTION_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise DocumentError("%s: expected a p/q string, got %r"
                             % (where, text))
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def format_fraction(fr):

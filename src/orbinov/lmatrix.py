@@ -9,7 +9,9 @@ clears are divided exactly, by a shift; any other unit pivot u clears
 row r as u*r - a*(pivot row), which differs from the exact step by the
 unit u of the localized ring and so changes neither rank nor invariant
 factors.  What remains is a residual block with no unit entries,
-usually empty for twisted boundaries.
+usually empty for twisted boundaries.  Both also return the pivot
+pairs (row, col), so that a twisted complex hands the next boundary
+only the rows not paired away (see twisted._novikov_of_lift).
 
 Rank then adds the fraction-free (Bareiss) rank of the residual, valid
 for any weight rank.  Invariant factors resolve the residual through
@@ -56,6 +58,14 @@ class WeightedLaurentMatrix:
     def entry(self, i, j):
         return self.entries.get((i, j), LaurentPoly(self.ws.r, {}))
 
+    def without_rows(self, rows):
+        """The matrix with the given rows cleared.  Its entries were
+        checked when self was built, so they are not checked again."""
+        M = WeightedLaurentMatrix(self.ws, self.nrows, self.ncols, {})
+        M.entries = {key: p for key, p in self.entries.items()
+                     if key[0] not in rows}
+        return M
+
     def transpose(self):
         return WeightedLaurentMatrix(
             self.ws, self.ncols, self.nrows,
@@ -90,16 +100,16 @@ def _divide(a, pivot):
 
 
 def _eliminate_units(M):
-    """(units eliminated, dense residual rows over the live columns) of
-    M over the localized ring.  The shortest column goes first, so free
-    faces go first and cause no fill; then fewer terms is cheaper.
-    Entries stay Laurent polynomials throughout: a row is divided only
-    by a monomial pivot, and scaled by any other one."""
+    """(pivot pairs (row, col), dense residual rows over the live
+    columns) of M over the localized ring.  The shortest column goes
+    first, so free faces go first and cause no fill; then fewer terms
+    is cheaper.  Entries stay Laurent polynomials throughout: a row is
+    divided only by a monomial pivot, and scaled by any other one."""
     ws = M.ws
-    units, rows, cols = eliminate_units(
+    pairs, rows, cols = eliminate_units(
         M.entries, lambda p: _unit_cost(p, ws), _divide)
     zero = LaurentPoly(ws.r, {})
-    return units, [[row.get(j, zero) for j in cols] for row in rows]
+    return pairs, [[row.get(j, zero) for j in cols] for row in rows]
 
 
 def _bareiss_rank(rows, ws):
@@ -131,10 +141,10 @@ def _bareiss_rank(rows, ws):
 
 
 def fraction_field_rank(M):
-    """Rank of the matrix over the fraction field: the unit pivots,
-    plus the fraction-free rank of the residual block."""
-    units, residual = _eliminate_units(M)
-    return units + _bareiss_rank(residual, M.ws)
+    """(rank over the fraction field, unit pivot pairs): the rank is
+    the unit pivots plus the fraction-free rank of the residual."""
+    pairs, residual = _eliminate_units(M)
+    return len(pairs) + _bareiss_rank(residual, M.ws), pairs
 
 
 class InvariantFactors:
@@ -143,16 +153,18 @@ class InvariantFactors:
     factors lists the nonzero invariant factors up to units, units
     first (reported as the constant 1); rank counts them;
     nonunit_count is the number of factors that are not units, which
-    is the torsion contribution.
+    is the torsion contribution; pairs lists the unit pivots (row, col)
+    that eliminate_units took, in pivot order.
     """
 
-    __slots__ = ("ws", "factors", "rank", "nonunit_count")
+    __slots__ = ("ws", "factors", "rank", "nonunit_count", "pairs")
 
-    def __init__(self, ws, factors, nonunit_count):
+    def __init__(self, ws, factors, nonunit_count, pairs):
         self.ws = ws
         self.factors = factors
         self.rank = len(factors)
         self.nonunit_count = nonunit_count
+        self.pairs = pairs
 
     def nonunit_factors(self):
         return self.factors[self.rank - self.nonunit_count:]
@@ -171,11 +183,11 @@ def invariant_factors(M):
     are refused rather than attempted.
     """
     ws = M.ws
-    units, residual = _eliminate_units(M)
+    pairs, residual = _eliminate_units(M)
     one = ws.one
-    factors = [one] * units
+    factors = [one] * len(pairs)
     if not residual:
-        return InvariantFactors(ws, factors, 0)
+        return InvariantFactors(ws, factors, 0, pairs)
     if ws.r >= 2:
         raise UnsupportedOperationError(
             "residual invariant factors need gcds; weight rank %d has none"
@@ -212,7 +224,7 @@ def invariant_factors(M):
                 "invariant factor chain broke: %r does not divide %r"
                 % (a, b))
     factors.extend(factors_tail)
-    return InvariantFactors(ws, factors, len(factors_tail))
+    return InvariantFactors(ws, factors, len(factors_tail), pairs)
 
 
 def _minor_gcd(rows, size, ws):

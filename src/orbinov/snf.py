@@ -211,7 +211,7 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
 
 
 def eliminate_units(entries, unit_cost, divide):
-    """Sparse unit-pivot elimination: (pivots, residual rows, columns).
+    """Sparse unit-pivot elimination: (pairs, residual rows, columns).
 
     entries maps (row, col) to a nonzero ring element; unit_cost(a) is
     None for a non-unit, else the cost of pivoting on a, and
@@ -229,9 +229,10 @@ def eliminate_units(entries, unit_cost, divide):
     their keys are recomputed, and a popped key that is no longer its
     column's is skipped.  Row operations clear the pivot column; the
     matching column operations would only clear the rest of the pivot
-    row, so the pivot's row and column are dropped instead.  Residual
-    rows are dicts col -> entry, in row order; the columns still
-    holding an entry come sorted.
+    row, so the pivot's row and column are dropped instead.  pairs
+    lists the pivots (row, col) in pivot order; no two share a row or
+    a column.  Residual rows are dicts col -> entry, in row order; the
+    columns still holding an entry come sorted.
     """
     rows = {}
     in_col = {}    # col -> rows with an entry there
@@ -258,7 +259,7 @@ def eliminate_units(entries, unit_cost, divide):
             col[i] = cost
     for j in units:
         refresh(j)
-    pivots = 0
+    pairs = []
     while heap:
         key = heappop(heap)
         _, _, pi, pj = key
@@ -301,9 +302,9 @@ def eliminate_units(entries, unit_cost, divide):
             refresh(j)
         for j in scaled:
             refresh(j)
-        pivots += 1
+        pairs.append((pi, pj))
     cols = sorted(j for j, live in in_col.items() if live)
-    return pivots, [rows[i] for i in sorted(rows) if rows[i]], cols
+    return pairs, [rows[i] for i in sorted(rows) if rows[i]], cols
 
 
 def row_lattice_basis(rows, ncols):

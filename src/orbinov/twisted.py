@@ -182,6 +182,12 @@ def novikov_numbers(cochain):
 
 
 def _novikov_of_lift(lift):
+    """Novikov numbers of an integral lift, one boundary at a time,
+    going up in degree.
+
+    Block lemma: a unit pivot (s, t) of d_q splits s and t off with no
+    homology, so d_{q+1} drops row t and keeps its ranks and torsion.
+    """
     X = lift.complex
     r = lift.rank
     if r == 0:
@@ -193,13 +199,16 @@ def _novikov_of_lift(lift):
     top = X.dim
     rho = [0] * (top + 2)
     torsion = [0] * (top + 1)
+    paired = set()
     for q in range(1, top + 1):
+        d = tc.boundary[q].without_rows(paired)
         if r == 1:
-            inv = invariant_factors(tc.boundary[q])
-            rho[q] = inv.rank
+            inv = invariant_factors(d)
+            rho[q], pairs = inv.rank, inv.pairs
             torsion[q - 1] = inv.nonunit_count
         else:
-            rho[q] = fraction_field_rank(tc.boundary[q])
+            rho[q], pairs = fraction_field_rank(d)
+        paired = {j for _, j in pairs}
     betti = [X.n_cells(q) - rho[q] - rho[q + 1] for q in range(top + 1)]
     if any(b < 0 for b in betti):
         raise ValidationError("negative twisted betti number")

@@ -4,11 +4,22 @@ Everything here is written from scratch against the definitions, on
 purpose not sharing code with the package: rational row reduction for
 betti numbers, gcd-of-minors determinantal divisors for invariant
 factors.  Keep these dumb and obviously correct.
+
+The per-boundary references at the end are the one exception: they
+call the package's reduction of a single matrix, but reduce every
+boundary on its own with all its rows, so they check only the step
+that carries pivot pairs from one degree to the next.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
+
+from orbinov.complexes import IntHomology
+from orbinov.lmatrix import fraction_field_rank, invariant_factors
+from orbinov.snf import eliminate_units, smith_normal_form
+from orbinov.twisted import twisted_complex
 
 
 def gauss_rank(rows):
@@ -114,6 +125,36 @@ def minor_gcd_invariant_factors(rows):
     return factors
 
 
+def integer_kernel(rows, ncols):
+    """Primitive integer vectors spanning the kernel over Q of an
+    integer matrix, one per free column of its reduced echelon form."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        piv = next((i for i in range(len(pivots), len(M)) if M[i][col]),
+                   None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        M[r], M[piv] = M[piv], M[r]
+        M[r] = [x / M[r][col] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col]:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+    out = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, col in zip(M, pivots):
+            v[col] = -row[free]
+        scale = math.lcm(*(x.denominator for x in v))
+        v = [int(x * scale) for x in v]
+        g = math.gcd(*v)
+        out.append([x // g for x in v])
+    return out
+
+
 def betti_of_matrices(ncells, boundaries):
     """Betti numbers straight from rank counting on given boundaries."""
     top = len(ncells) - 1
@@ -164,3 +205,46 @@ def first_open_triangle(X, values, k):
         if any(total):
             return tri
     return None
+
+
+def per_boundary_homology(ncells, boundaries):
+    """Integer homology with every boundary reduced on its own, all rows
+    kept: the reference for complexes.homology_of_matrices."""
+    top = len(ncells) - 1
+    ranks = [0] * (top + 2)
+    torsion = [[] for _ in range(top + 1)]
+    for q in range(1, top + 1):
+        pairs, residual, cols = eliminate_units(
+            boundaries[q], lambda a: 1 if a in (1, -1) else None, mul)
+        snf = smith_normal_form([[row.get(j, 0) for j in cols]
+                                 for row in residual])
+        ranks[q] = len(pairs) + snf.rank
+        torsion[q - 1] = snf.torsion()
+    return IntHomology([ncells[q] - ranks[q] - ranks[q + 1]
+                        for q in range(top + 1)], torsion)
+
+
+def per_boundary_novikov(lift):
+    """(betti, torsion, route) of an integral lift with every twisted
+    boundary reduced on its own, all rows kept: the reference for
+    twisted.novikov_numbers."""
+    X = lift.complex
+    ncells = [X.n_cells(q) for q in range(X.dim + 1)]
+    if lift.rank == 0:
+        ih = per_boundary_homology(
+            ncells, [X.boundary_entries(q) for q in range(X.dim + 1)])
+        return ih.betti, [len(t) for t in ih.torsion], "integral"
+    tc = twisted_complex(lift)
+    rho = [0] * (X.dim + 2)
+    torsion = [0] * (X.dim + 1)
+    for q in range(1, X.dim + 1):
+        if lift.rank == 1:
+            inv = invariant_factors(tc.boundary[q])
+            rho[q] = inv.rank
+            torsion[q - 1] = inv.nonunit_count
+        else:
+            rho[q] = fraction_field_rank(tc.boundary[q])[0]
+    betti = [ncells[q] - rho[q] - rho[q + 1] for q in range(X.dim + 1)]
+    if lift.rank == 1:
+        return betti, torsion, "rank-one"
+    return betti, None, "betti-only"

@@ -66,6 +66,19 @@ def test_parse_fraction_strictness():
             parse_fraction(bad, "x")
 
 
+def test_parse_fraction_matches_fraction_of_the_text():
+    # the value comes from the matched digit groups, not a second parse
+    for text in ("0", "-0", "-0/7", "007", "-007/12", "12/8", "-12/8",
+                 "٣", "-١٢/8", "3/1٢", "10/4٠"):
+        got = parse_fraction(text, "x")
+        assert got == Fraction(text) and type(got) is Fraction
+    for bad, shown in (("1/٣", "'1/٣'"), ("1/02", "'1/02'"), (3, "3"),
+                       (None, "None")):
+        with pytest.raises(DocumentError) as err:
+            parse_fraction(bad, "x.y")
+        assert str(err.value) == "x.y: expected a p/q string, got " + shown
+
+
 def test_format_fraction_round_trips():
     for fr in (Fraction(0), Fraction(5), Fraction(-1, 2), Fraction(22, 7)):
         assert parse_fraction(format_fraction(fr), "x") == fr

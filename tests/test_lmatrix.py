@@ -42,6 +42,21 @@ def mat(ws, rows):
                                  entries)
 
 
+def assert_pivot_pairs(pairs):
+    """The pivot-pair contract: no two pivots share a row or a column."""
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) \
+        == len(pairs)
+
+
+def rank_of(M):
+    """fraction_field_rank's rank, once its pivot pairs pass the
+    contract and number at most the rank."""
+    rank, pairs = fraction_field_rank(M)
+    assert_pivot_pairs(pairs)
+    assert len(pairs) <= rank
+    return rank
+
+
 def int_mat(rows):
     return mat(WS0, [[const(c, 0) for c in row] for row in rows])
 
@@ -96,14 +111,14 @@ def test_matrix_container():
 
 
 def test_rank_examples():
-    assert fraction_field_rank(mat(WS1, [[T() - const(1), const(0)],
-                                         [const(0), const(2)]])) == 2
+    assert rank_of(mat(WS1, [[T() - const(1), const(0)],
+                             [const(0), const(2)]])) == 2
     # second row is (T - 1) times the first, so rank drops
     dep = mat(WS1, [[const(1), T()],
                     [T() - const(1), T(2) - T()]])
-    assert fraction_field_rank(dep) == 1
-    assert fraction_field_rank(mat(WS1, [[LaurentPoly(1, {})]])) == 0
-    assert fraction_field_rank(WeightedLaurentMatrix(WS1, 0, 3, {})) == 0
+    assert rank_of(dep) == 1
+    assert rank_of(mat(WS1, [[LaurentPoly(1, {})]])) == 0
+    assert rank_of(WeightedLaurentMatrix(WS1, 0, 3, {})) == 0
 
 
 def test_rank_rank_two_weights():
@@ -111,9 +126,9 @@ def test_rank_rank_two_weights():
     t2 = LaurentPoly.monomial(2, (0, 1))
     one = const(1, 2)
     M = mat(WS2, [[t1 - one, t2 - one], [t2 - one, t1 - one]])
-    assert fraction_field_rank(M) == 2
+    assert rank_of(M) == 2
     N = mat(WS2, [[t1, t2], [t1, t2]])
-    assert fraction_field_rank(N) == 1
+    assert rank_of(N) == 1
 
 
 def test_rank_random_against_evaluation():
@@ -130,7 +145,7 @@ def test_rank_random_against_evaluation():
                 row.append(LaurentPoly(1, terms))
             rows.append(row)
         M = mat(WS1, rows)
-        got = fraction_field_rank(M)
+        got = rank_of(M)
         # evaluation can only lose rank, and generic points lose none
         samples = [_eval_rank(M, Fraction(p, q))
                    for p, q in [(7, 3), (-11, 5), (13, 2)]]
@@ -200,10 +215,12 @@ def test_invariant_factors_match_snf_rank_zero():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         inv = invariant_factors(int_mat(rows))
+        assert_pivot_pairs(inv.pairs)
+        assert len(inv.pairs) <= inv.rank - inv.nonunit_count
         snf = smith_normal_form(rows)
         expected = [d for d in snf.diagonal if d != 0]
         assert inv.rank == len(expected)
-        assert fraction_field_rank(int_mat(rows)) == len(expected)
+        assert rank_of(int_mat(rows)) == len(expected)
         got = [abs(p.terms.get((), 0)) for p in inv.factors]
         assert got == expected
         assert inv.nonunit_count == sum(1 for d in expected if d > 1)
@@ -235,7 +252,7 @@ def test_elimination_differential_rank_one():
     rng = random.Random(2024)
     for _ in range(40):
         M = _boundary_like(rng, WS1, rng.randint(1, 12), rng.randint(1, 12))
-        rank = fraction_field_rank(M)
+        rank = rank_of(M)
         samples = [_eval_rank(M, t) for t in EVAL_POINTS]
         assert rank == max(samples)
         assert invariant_factors(M).rank == rank
@@ -246,7 +263,7 @@ def test_elimination_differential_rank_two():
     pairs = list(zip(EVAL_POINTS, reversed(EVAL_POINTS)))
     for _ in range(40):
         M = _boundary_like(rng, WS2, rng.randint(1, 10), rng.randint(1, 10))
-        rank = fraction_field_rank(M)
+        rank = rank_of(M)
         assert rank == max(_eval_rank(M, s, t) for s, t in pairs)
 
 
@@ -259,12 +276,12 @@ def test_residual_with_denominators():
             [const(4), const(0), const(2), const(2)],
             [const(8), const(2), const(2), const(4)]]
     M = mat(WS1, rows)
-    units, residual = _eliminate_units(M)
-    assert units == 1 and len(residual) == 3
+    pairs, residual = _eliminate_units(M)
+    assert pairs == [(0, 0)] and len(residual) == 3
     # (2 - 8/(T-1), -8/(T-1), 2) times T - 1
     assert residual[0] == [T() * 2 - const(10), const(-8),
                            T() * 2 - const(2)]
-    assert fraction_field_rank(M) == 3
+    assert rank_of(M) == 3
     assert max(_eval_rank(M, t) for t in EVAL_POINTS) == 3
     inv = invariant_factors(M)
     # modulo 2 only the pivot survives, so two factors are even
@@ -301,6 +318,8 @@ def test_invariant_factors_match_determinantal_divisors(ws):
             want.append(exact_divide(delta, prev))
             prev = delta
         inv = invariant_factors(M)
+        assert_pivot_pairs(inv.pairs)
+        assert len(inv.pairs) <= inv.rank - inv.nonunit_count
         assert inv.rank == len(want)
         assert inv.nonunit_count == sum(not ws.is_unit_poly(d) for d in want)
         assert all(associates(x, y, ws) for x, y in zip(inv.factors, want))

@@ -17,14 +17,15 @@ from orbinov.complexes import (IntHomology, build_complex,
 from orbinov.errors import ValidationError
 from orbinov.laurent import LaurentPoly, WeightSystem
 from orbinov.lmatrix import (WeightedLaurentMatrix, _divide, _eliminate_units,
-                             _unit_cost, fraction_field_rank)
+                             _unit_cost)
 from orbinov.snf import (eliminate_units, identity_matrix, mat_mul,
                          row_lattice_basis, smith_normal_form)
 from orbinov.twisted import integralize, twisted_complex
 
-from oracles import gauss_rank, minor_gcd_invariant_factors
+from oracles import (gauss_rank, integer_kernel, minor_gcd_invariant_factors,
+                     per_boundary_homology)
 from test_actions import torus_grid
-from test_lmatrix import EVAL_POINTS, _eval_rank
+from test_lmatrix import EVAL_POINTS, _eval_rank, assert_pivot_pairs, rank_of
 from test_periods import grid_dx
 
 
@@ -280,6 +281,54 @@ def test_scaled_cover_homology_matches_full_boundary_snf(name, cname, p):
         ncells, [[]] + [boundary_arg(A) for A in mats]) == want
 
 
+def seeded_chain_complex(rng):
+    """Ranks and dense boundaries d_1, d_2, d_3 of a seeded integer chain
+    complex: d_1 is random, and each later boundary's columns are
+    integer combinations of kernel vectors of the one below, so that
+    consecutive maps compose to zero; the coefficients 2 and 3 make
+    torsion."""
+    ncells = [rng.randint(2, 6), rng.randint(3, 9), rng.randint(2, 8),
+              rng.randint(1, 4)]
+    mats = [[[rng.choice((0, 0, 1, -1, 2)) for _ in range(ncells[1])]
+             for _ in range(ncells[0])]]
+    for q in (2, 3):
+        kernel = integer_kernel(mats[-1], ncells[q - 1])
+        cols = []
+        for _ in range(ncells[q]):
+            col = [0] * ncells[q - 1]
+            for v in kernel:
+                c = rng.choice((0, 0, 1, -1, 2, -2, 3))
+                col = [a + c * b for a, b in zip(col, v)]
+            cols.append(col)
+        mats.append([list(row) for row in zip(*cols)])
+    return ncells, mats
+
+
+def test_reduced_complex_matches_per_boundary_reference(monkeypatch):
+    # each boundary drops the rows its lower neighbour paired away; the
+    # reference eliminates every boundary on its own, with all rows
+    handed = []
+
+    def recording(entries, unit_cost, divide):
+        handed.append(len(entries))
+        return eliminate_units(entries, unit_cost, divide)
+
+    monkeypatch.setattr(orbinov.complexes, "eliminate_units", recording)
+    rng = random.Random("reduced complex")
+    with_torsion = dropped = 0
+    for _ in range(300):
+        ncells, mats = seeded_chain_complex(rng)
+        boundaries = [{}] + [boundary_arg(A) for A in mats]
+        del handed[:]
+        got = homology_of_matrices(ncells, boundaries)
+        assert got == per_boundary_homology(ncells, boundaries)
+        with_torsion += any(got.torsion)
+        dropped += handed[2] < len(boundaries[3])
+    assert with_torsion > 200
+    # d_3 lost rows in about a third of the complexes
+    assert dropped > 90
+
+
 def test_no_unit_entries_match_sympy():
     # dense matrices with no +-1 entry
     rng = random.Random(29)
@@ -314,7 +363,7 @@ def short_column_elimination(entries, unit_cost, divide):
         rows.setdefault(i, {})[j] = a
         in_col.setdefault(j, set()).add(i)
         track(i, j, a)
-    pivots = 0
+    pairs = []
     lengths = {}
     while costs:
         keys = [(len(in_col[j]), c, i, j) for (i, j), c in costs.items()]
@@ -354,9 +403,9 @@ def short_column_elimination(entries, unit_cost, divide):
                     del row[j]
                     in_col[j].discard(i)
                     costs.pop((i, j), None)
-        pivots += 1
+        pairs.append((pi, pj))
     cols = sorted(j for j, live in in_col.items() if live)
-    return (pivots, [rows[i] for i in sorted(rows) if rows[i]], cols), seen
+    return (pairs, [rows[i] for i in sorted(rows) if rows[i]], cols), seen
 
 
 def seeded_integer_entries():
@@ -385,6 +434,7 @@ def test_unit_elimination_keeps_the_short_column_pivot_order(unit_cost,
     for entries in seeded_integer_entries():
         want, seen = short_column_elimination(entries, unit_cost, divide)
         assert eliminate_units(entries, unit_cost, divide) == want
+        assert_pivot_pairs(want[0])
         ties += seen["ties"]
         repriced += seen["repriced"]
         resized += seen["resized"]
@@ -403,9 +453,9 @@ def test_scaling_by_a_unit_keeps_integer_pivots():
     # row comes out the same up to sign
     scaled_rows = 0
     for entries in seeded_integer_entries():
-        pivots, rows, cols = eliminate_units(entries, is_integer_unit, mul)
+        pairs, rows, cols = eliminate_units(entries, is_integer_unit, mul)
         got = eliminate_units(entries, is_integer_unit, lambda a, p: None)
-        assert (got[0], got[2]) == (pivots, cols)
+        assert (got[0], got[2]) == (pairs, cols)
         assert len(got[1]) == len(rows)
         for row, want in zip(got[1], rows):
             assert row in (want, {j: -x for j, x in want.items()})
@@ -432,6 +482,7 @@ def test_scaled_unit_elimination_keeps_the_short_column_pivot_order():
                     entries[(i, j)] = p
         want, seen = short_column_elimination(entries, unit_cost, _divide)
         assert eliminate_units(entries, unit_cost, _divide) == want
+        assert_pivot_pairs(want[0])
         scaled += seen["scaled"]
         repriced += seen["repriced"]
     assert scaled > 500
@@ -478,8 +529,7 @@ def test_dense_laurent_matrices_keep_their_rank(monkeypatch):
     for _ in range(5):
         M = dense_product(rng, 12, 4)
         assert len(M.entries) >= 140
-        assert fraction_field_rank(M) == max(_eval_rank(M, t)
-                                             for t in EVAL_POINTS)
+        assert rank_of(M) == max(_eval_rank(M, t) for t in EVAL_POINTS)
         _, residual = _eliminate_units(M)
         largest = max([largest] + [p.n_terms() for row in residual
                                    for p in row])
@@ -504,12 +554,14 @@ def test_short_columns_first_keep_grid_torus_fill_low():
     # exact, so every implementation of the order makes these updates
     X = torus_grid(8)
     M = twisted_complex(integralize(grid_dx(X, 8))).boundary[2]
-    (pivots, _, _), calls = divisions(
+    (pairs, _, _), calls = divisions(
         M.entries, lambda p: _unit_cost(p, M.ws), _divide)
-    assert (pivots, len(calls)) == (128, 331)
-    (pivots, _, _), calls = divisions(X.boundary_entries(2), is_integer_unit,
-                                      mul)
-    assert (pivots, len(calls)) == (127, 324)
+    assert (len(pairs), len(calls)) == (128, 331)
+    assert_pivot_pairs(pairs)
+    (pairs, _, _), calls = divisions(X.boundary_entries(2), is_integer_unit,
+                                     mul)
+    assert (len(pairs), len(calls)) == (127, 324)
+    assert_pivot_pairs(pairs)
 
 
 def test_free_face_is_pivoted_first_and_updates_no_row():
@@ -518,7 +570,7 @@ def test_free_face_is_pivoted_first_and_updates_no_row():
     entries = {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1, (1, 1): -1,
                (2, 2): -1}
     result, calls = divisions(entries, is_integer_unit, mul)
-    assert result == (2, [{1: -2}], [1])
+    assert result == ([(2, 2), (0, 0)], [{1: -2}], [1])
     assert calls == [1]
 
 

@@ -87,18 +87,41 @@ def test_perfbench_targets_resolve(monkeypatch):
     assert missing == []
 
 
+# spans each workload must reach: a refactor that bypassed a wrapped
+# function would otherwise quietly zero a per-layer metric
+TRACED = {"twisted": ["lmatrix.fraction_field_rank",
+                      "lmatrix.invariant_factors"],
+          "integral": ["complexes.integer_homology"],
+          "oracle": ["nerve.identity_failures",
+                     "twisted.cyclic_cover_oracle"]}
+
+
 def test_benchmark_cycles_answer_correctly(monkeypatch, tmp_path):
     # a change under src/ or tools/ that made the benchmark crash or
-    # answer wrongly would otherwise fail only when the benchmark runs
+    # answer wrongly would otherwise fail only when the benchmark runs;
+    # each cycle runs under the benchmark's tracer
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setattr(sys, "path", list(sys.path))
     workloads = load_script("perfbench", "workloads.py")
+    spans = load_script("perfbench", "spans.py")
     problems = []
+    unreached = []
     for name in sorted(workloads.WORKLOADS):
-        for analysis in workloads.build(name, 0, str(tmp_path / name)):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(list(analysis.argv))
-            for problem in workloads.check(analysis, code, out.getvalue()):
-                problems.append((analysis.argv, problem))
+        cycle = workloads.build(name, 0, str(tmp_path / name))
+        tracer = spans.Tracer()
+        restore = spans.install(tracer)
+        try:
+            for analysis in cycle:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(list(analysis.argv))
+                for problem in workloads.check(analysis, code,
+                                               out.getvalue()):
+                    problems.append((analysis.argv, problem))
+        finally:
+            restore()
+        calls = tracer.calls()
+        unreached += [(name, span) for span in TRACED[name]
+                      if not calls[span]]
     assert problems == []
+    assert unreached == []

@@ -17,6 +17,7 @@ from orbinov.complexes import (IntHomology, build_complex, integer_homology,
                                sparse_product_is_zero)
 from orbinov.errors import (DocumentError, UnsupportedOperationError,
                             ValidationError)
+from orbinov.inequalities import CriticalData, check_inequalities
 from orbinov.laurent import LaurentPoly, WeightSystem
 from orbinov.lmatrix import WeightedLaurentMatrix
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
@@ -25,6 +26,7 @@ from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
                              cyclic_cover_oracle, integralize,
                              novikov_numbers, rank1_perturb, twisted_complex)
 
+from oracles import per_boundary_novikov
 from test_actions import torus3_grid, torus_grid, z2_grid_actions
 from test_cochains import ALPHA, circle, circle_dtheta
 from test_periods import grid_dx
@@ -337,15 +339,22 @@ def assert_lift_matches_h1(om):
     return lift
 
 
-def test_lift_matches_h1_route_on_the_corpus():
-    pairs = 0
+def corpus_classes():
+    """Every class of the bundled corpus, descended to the orbit space
+    where the document has an action."""
     for name in corpus_names():
         doc = resolve_document(name)
         qres = quotient_complex(doc.action) if doc.action else None
         for cname in doc.cocycle_names():
             om = doc.cochain(cname)
-            assert_lift_matches_h1(descend_cochain(qres, om) if qres else om)
-            pairs += 1
+            yield descend_cochain(qres, om) if qres else om
+
+
+def test_lift_matches_h1_route_on_the_corpus():
+    pairs = 0
+    for om in corpus_classes():
+        assert_lift_matches_h1(om)
+        pairs += 1
     assert pairs == 15
 
 
@@ -531,15 +540,11 @@ def assert_monomial_build_matches(lift, rng):
 def test_monomial_build_matches_laurent_build_on_the_corpus():
     rng = random.Random("monomials/corpus")
     lifts = 0
-    for name in corpus_names():
-        doc = resolve_document(name)
-        qres = quotient_complex(doc.action) if doc.action else None
-        for cname in doc.cocycle_names():
-            om = doc.cochain(cname)
-            lift = integralize(descend_cochain(qres, om) if qres else om)
-            if lift.rank >= 1:
-                assert_monomial_build_matches(lift, rng)
-                lifts += 1
+    for om in corpus_classes():
+        lift = integralize(om)
+        if lift.rank >= 1:
+            assert_monomial_build_matches(lift, rng)
+            lifts += 1
     assert lifts == 6
 
 
@@ -620,6 +625,131 @@ def test_rank1_perturb_keeps_betti_only_numbers_on_grid_tori(n):
         numbers = novikov_numbers(flat)
         assert (numbers.route, numbers.rank) == ("rank-one", 1)
         assert numbers.betti == nv.betti
+
+
+def seeded_grid_classes(surface, seed):
+    """Seeded classes on n x n torus or Klein grids, n = 3..8, each plus
+    the coboundary of a seeded potential: rank one in plain rationals,
+    and up to rank two in the symbol alpha."""
+    rng = random.Random("%s/%s" % (seed, surface))
+    for n in range(3, 9):
+        if surface == "torus":
+            X = torus_grid(n)
+            parts = [grid_dx(X, n), grid_dy(X, n)]
+        else:
+            X = klein_grid(n)
+            parts = [grid_dy(X, n)]
+        for space in (PeriodSpace(), ALPHA):
+            rows = [[F(rng.choice((1, -1)) * rng.randint(1, 5),
+                       rng.randint(1, 4)) for _ in parts]
+                    for _ in range(space.k)]
+            pot = {v: tuple(F(rng.randint(-9, 9), rng.randint(1, 6))
+                            for _ in range(space.k)) for v in X.vertices}
+            yield mixed_class(X, space, rows, parts).add(
+                coboundary0(X, pot, space))
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """Records, per twisted boundary that novikov_numbers reduces in
+    degree order, the matrix it was handed and its pivot pairs."""
+    seen = []
+    inv, rank = orbinov.twisted.invariant_factors, \
+        orbinov.twisted.fraction_field_rank
+
+    def invariant_factors(M):
+        out = inv(M)
+        seen.append((M, out.pairs))
+        return out
+
+    def fraction_field_rank(M):
+        out = rank(M)
+        seen.append((M, out[1]))
+        return out
+
+    monkeypatch.setattr(orbinov.twisted, "invariant_factors",
+                        invariant_factors)
+    monkeypatch.setattr(orbinov.twisted, "fraction_field_rank",
+                        fraction_field_rank)
+    return seen
+
+
+def assert_matches_per_boundary(cochain):
+    """Novikov numbers of the reduced complex against the reference
+    that reduces every boundary on its own: the same betti and torsion
+    numbers, and the same route."""
+    nv = novikov_numbers(cochain)
+    assert (nv.betti, nv.torsion, nv.route) == per_boundary_novikov(nv.lift)
+    return nv
+
+
+def test_reduced_complex_matches_per_boundary_reference_on_the_corpus():
+    routes = [assert_matches_per_boundary(om).route
+              for om in corpus_classes()]
+    assert sorted(set(routes)) == ["betti-only", "integral", "rank-one"]
+    assert len(routes) == 15
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein"])
+def test_reduced_complex_matches_per_boundary_reference_on_seeded_grids(
+        surface, reduced):
+    ranks = set()
+    dropped = 0
+    for om in seeded_grid_classes(surface, "reduced"):
+        del reduced[:]
+        nv = assert_matches_per_boundary(om)
+        ranks.add(nv.rank)
+        full = twisted_complex(nv.lift).boundary
+        dropped += len(reduced[1][0].entries) < len(full[2].entries)
+    assert ranks == ({1, 2} if surface == "torus" else {1})
+    assert dropped == 12
+
+
+def test_reduced_complex_matches_per_boundary_reference_on_the_three_torus(
+        reduced):
+    # the one input where rows paired away in d_2 feed a third boundary
+    n = 3
+    X = torus3_grid(n)
+    dx, dy = (torus3_axis(X, n, axis) for axis in (0, 1))
+    for om in (dx, mixed_class(X, ALPHA, [[1, 0], [0, 1]], [dx, dy])):
+        del reduced[:]
+        full = twisted_complex(assert_matches_per_boundary(om).lift).boundary
+        sizes = [len(M.entries) for M, _ in reduced]
+        assert sizes[0] == len(full[1].entries)
+        assert all(sizes[q - 1] < len(full[q].entries) for q in (2, 3))
+
+
+def reduced_ranks(cochain, reduced):
+    """Novikov numbers of a class and the ranks m_j of its reduced free
+    complex, m_j = n_j - |P_j| - |P_{j+1}| for the pivot pairs P_q of
+    d_q; m is None on the integral route, which has no twisted
+    boundary."""
+    del reduced[:]
+    nv = novikov_numbers(cochain)
+    if nv.route == "integral":
+        return nv, None
+    X = cochain.complex
+    P = [0] + [len(pairs) for _, pairs in reduced] + [0]
+    return nv, [X.n_cells(j) - P[j] - P[j + 1] for j in range(X.dim + 1)]
+
+
+def test_reduced_ranks_satisfy_the_morse_inequalities(reduced):
+    # the reduced complex is a free complex with the Novikov homology,
+    # so its ranks are critical counts the inequalities must accept;
+    # every rank-one corpus class fibres, and there no unit survives
+    fibred = 0
+    for om in corpus_classes():
+        nv, m = reduced_ranks(om, reduced)
+        if nv.route == "rank-one":
+            assert check_inequalities(nv, CriticalData(m)).holds
+            assert nv.betti == nv.torsion == [0] * len(m)
+            assert m == [0] * len(m)
+            fibred += 1
+    assert fibred == 5
+    for surface in ("torus", "klein"):
+        for om in seeded_grid_classes(surface, "morse"):
+            nv, m = reduced_ranks(om, reduced)
+            assert check_inequalities(nv, CriticalData(m)).holds
 
 
 @pytest.mark.xfail(strict=True, raises=ValidationError,
