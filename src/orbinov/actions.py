@@ -8,15 +8,13 @@ expected identifications when the action is regular: whenever some
 tuple of group elements moves the vertices of a simplex onto a vertex
 set that again spans a simplex, a single group element must realize
 that move.  Checking only "no two vertices of a simplex share an
-orbit" is weaker and accepts actions whose naive quotients are wrong,
-so regularity here quantifies over all element tuples, degenerate
-target tuples included.  Two barycentric subdivisions always repair an
-irregular action.
+orbit" is weaker and accepts actions whose naive quotients are wrong.
+Regularity is decided on classes of cells with the same orbit set (see
+is_regular), in the same pass that yields the orbit space.  Two
+barycentric subdivisions always repair an irregular action.
 """
 
-from itertools import product
-
-from .complexes import barycentric_subdivision, build_complex
+from .complexes import SimplicialComplex, barycentric_subdivision
 from .errors import DocumentError, ValidationError
 
 __all__ = ["FiniteGroup", "SimplicialAction", "is_regular",
@@ -136,12 +134,13 @@ class SimplicialAction:
                     if maps[h][maps[g][v]] != maps[gh][v]:
                         raise ValidationError(
                             "vertex maps break the table at (%r, %r)" % (g, h))
-        for q, layer in enumerate(complex.cells):
-            if q == 0:
-                continue
-            for cell in layer:
-                for g in group.elements:
-                    if not complex.has_cell(self.apply_cell(g, cell)):
+        key = complex.vertex_index.__getitem__
+        ordered = [(g, maps[g].__getitem__) for g in group.elements]
+        for q in range(1, complex.dim + 1):
+            index = complex.cell_index[q]
+            for cell in complex.cells[q]:
+                for g, image in ordered:
+                    if tuple(sorted(map(image, cell), key=key)) not in index:
                         raise ValidationError(
                             "element %r does not map simplex %r to a simplex"
                             % (g, cell))
@@ -165,6 +164,41 @@ class SimplicialAction:
                       key=self.complex.vertex_index.__getitem__)
 
 
+def _orbit_classes(action):
+    """The orbit-class pass behind is_regular and quotient_complex.
+
+    Returns None when the action is irregular.  Otherwise returns
+    (orbit_of, classes): orbit_of maps each vertex to its orbit id,
+    numbered 0, 1, ... in order of first appearance in the vertex
+    list, and classes[q - 1] maps each orbit-id set spanned by a q-cell
+    (q >= 1) to one cell of that class.
+    """
+    X = action.complex
+    maps = list(action.vertex_maps.values())
+    orbit_of = {}
+    count = 0
+    for v in X.vertices:
+        if v not in orbit_of:
+            for m in maps:
+                orbit_of[m[v]] = count
+            count += 1
+    orbit = orbit_of.__getitem__
+    classes = []
+    for q in range(1, X.dim + 1):
+        members = {}
+        for cell in X.cells[q]:
+            key = frozenset(map(orbit, cell))
+            if len(key) <= q:
+                return None
+            members.setdefault(key, []).append(cell)
+        for cells in members.values():
+            images = {frozenset(map(m.__getitem__, cells[0])) for m in maps}
+            if len(images) != len(cells):
+                return None
+        classes.append({key: cells[0] for key, cells in members.items()})
+    return orbit_of, classes
+
+
 def is_regular(action):
     """Regularity of the action in the strong, quotient-safe sense.
 
@@ -174,22 +208,17 @@ def is_regular(action):
     with repeated target vertices is what catches actions that flip an
     edge setwise without fixing it pointwise.
 
-    The condition depends on the element tuple only through its target
-    tuple (v_0.g_0, ..., v_q.g_q), which ranges over the product of the
-    vertex orbits, so each target tuple is tested once.
+    With pi mapping each vertex to its orbit, this holds exactly when
+    (a) pi is injective on every cell of dimension q >= 1, and (b) each
+    class of q-cells with the same orbit set is a single G-orbit, i.e.
+    one cell of the class has as many distinct images as the class has
+    cells.  Proof: if v_b = v_a.g share a cell, the target tuple that
+    replaces v_b by v_a spans a face that no single element realizes,
+    as it would send v_a and v_b to one vertex.  If pi is injective on
+    s, each spanning target tuple has distinct entries, so it is the
+    one q-cell t with pi(t) = pi(s), realized exactly when t is in s.G.
     """
-    X = action.complex
-    maps = list(action.vertex_maps.values())
-    key = X.vertex_index.__getitem__
-    for q in range(1, X.dim + 1):
-        for cell in X.cells[q]:
-            realized = {tuple(m[v] for v in cell) for m in maps}
-            orbits = [{m[v] for m in maps} for v in cell]
-            for targets in product(*orbits):
-                if (targets not in realized and X.has_cell(
-                        tuple(sorted(set(targets), key=key)))):
-                    return False
-    return True
+    return _orbit_classes(action) is not None
 
 
 class QuotientResult:
@@ -235,37 +264,39 @@ def quotient_complex(action):
 
     Irregular actions are barycentrically subdivided (at most twice,
     which always suffices) before dividing; the result records how
-    many stages were applied.  Orbit vertices are labeled q0, q1, ...
-    in order of their smallest representative.
+    many stages were applied.  Each stage runs one orbit-class pass,
+    which tests regularity by the criterion of is_regular: pi injective
+    on cells, and each class of cells with one orbit set a single
+    orbit, since a spanning target tuple of a cell s is the cell t with
+    pi(t) = pi(s) and is realized exactly when t is in s.G.  On a
+    regular action the classes are the cells of the orbit space.
+    Orbit vertices are labeled q0, q1, ... in order of their smallest
+    representative.
     """
     subdivisions = []
     current = action
-    while not is_regular(current):
+    found = _orbit_classes(current)
+    while found is None:
         if len(subdivisions) >= 2:
             raise ValidationError(
                 "action is still irregular after two subdivisions")
         sd = barycentric_subdivision(current.complex)
         current = lift_action(current, sd)
         subdivisions.append(sd)
+        found = _orbit_classes(current)
     X = current.complex
-    orbit_of = {}
-    orbits = []
-    for v in X.vertices:
-        if v in orbit_of:
-            continue
-        orbit = current.vertex_orbit(v)
-        orbits.append(orbit)
-        for w in orbit:
-            orbit_of[w] = len(orbits) - 1
-    labels = ["q%d" % i for i in range(len(orbits))]
+    orbit_of, classes = found
+    labels = ["q%d" % i for i in range(max(orbit_of.values()) + 1)]
     projection = {v: labels[orbit_of[v]] for v in X.vertices}
-    simplices = set()
-    for q in range(1, X.dim + 1):
-        for cell in X.cells[q]:
-            image = tuple(sorted({projection[v] for v in cell}))
-            if len(image) != len(cell):
+    # the classes are closed under faces: sorted, they are the layers
+    # of the orbit space as build_complex would store them
+    cells = [[(label,) for label in labels]]
+    for layer in classes:
+        for key, cell in layer.items():
+            if len(key) != len(cell):
                 raise ValidationError(
                     "regular action still collapsed simplex %r" % (cell,))
-            simplices.add(image)
-    Y = build_complex(sorted(simplices), vertices=labels)
+        cells.append([tuple(map(labels.__getitem__, ids))
+                      for ids in sorted(map(sorted, layer))])
+    Y = SimplicialComplex(labels, cells)
     return QuotientResult(Y, projection, current, subdivisions)

@@ -5,18 +5,20 @@ purpose not sharing code with the package: rational row reduction for
 betti numbers, gcd-of-minors determinantal divisors for invariant
 factors.  Keep these dumb and obviously correct.
 
-The per-boundary references at the end are the one exception: they
-call the package's reduction of a single matrix, but reduce every
-boundary on its own with all its rows, so they check only the step
-that carries pivot pairs from one degree to the next.
+The per-boundary references are one exception: they call the
+package's reduction of a single matrix, but reduce every boundary on
+its own with all its rows, so they check only the step that carries
+pivot pairs from one degree to the next.  The quotient reference at the
+end is the other: it builds the orbit space with the package's
+build_complex, from vertex orbits and the image of every cell.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
-from orbinov.complexes import IntHomology
+from orbinov.complexes import IntHomology, build_complex
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.snf import eliminate_units, smith_normal_form
 from orbinov.twisted import twisted_complex
@@ -248,3 +250,50 @@ def per_boundary_novikov(lift):
     if lift.rank == 1:
         return betti, torsion, "rank-one"
     return betti, None, "betti-only"
+
+
+def reference_is_regular(action):
+    """The element-tuple form of the definition: every tuple of group
+    elements whose targets span a simplex is realized by one element."""
+    X = action.complex
+    G = action.group.elements
+    maps = action.vertex_maps
+    key = X.vertex_index.__getitem__
+    for q in range(1, X.dim + 1):
+        for cell in X.cells[q]:
+            for assign in product(G, repeat=q + 1):
+                targets = [maps[g][v] for g, v in zip(assign, cell)]
+                spanned = tuple(sorted(set(targets), key=key))
+                if not X.has_cell(spanned):
+                    continue
+                if not any(all(maps[g][v] == t for v, t in zip(cell, targets))
+                           for g in G):
+                    return False
+    return True
+
+
+def reference_quotient(action):
+    """(orbit space, projection) of an action that is regular by the
+    element-tuple definition: vertex orbits labeled q0, q1, ... by
+    smallest representative, and every cell projected.  The reference
+    for actions.quotient_complex once it has subdivided."""
+    X = action.complex
+    orbit_of = {}
+    orbits = []
+    for v in X.vertices:
+        if v in orbit_of:
+            continue
+        orbit = action.vertex_orbit(v)
+        orbits.append(orbit)
+        for w in orbit:
+            orbit_of[w] = len(orbits) - 1
+    labels = ["q%d" % i for i in range(len(orbits))]
+    projection = {v: labels[orbit_of[v]] for v in X.vertices}
+    simplices = set()
+    for q in range(1, X.dim + 1):
+        for cell in X.cells[q]:
+            image = tuple(sorted({projection[v] for v in cell}))
+            if len(image) != len(cell):
+                raise AssertionError("collapsed simplex %r" % (cell,))
+            simplices.add(image)
+    return build_complex(sorted(simplices), vertices=labels), projection

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -10,6 +11,7 @@ from orbinov.complexes import (barycentric_subdivision, build_complex,
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
+from oracles import reference_is_regular, reference_quotient
 from test_tools import load_script
 
 Z2 = FiniteGroup(["e", "m"], [["e", "m"], ["m", "e"]])
@@ -198,26 +200,6 @@ def test_projection_random_invariance():
         assert res.projection[act.apply_vertex(g, v)] == res.projection[v]
 
 
-def reference_is_regular(action):
-    """The element-tuple form of the definition: every tuple of group
-    elements whose targets span a simplex is realized by one element."""
-    X = action.complex
-    G = action.group.elements
-    maps = action.vertex_maps
-    key = X.vertex_index.__getitem__
-    for q in range(1, X.dim + 1):
-        for cell in X.cells[q]:
-            for assign in product(G, repeat=q + 1):
-                targets = [maps[g][v] for g, v in zip(assign, cell)]
-                spanned = tuple(sorted(set(targets), key=key))
-                if not X.has_cell(spanned):
-                    continue
-                if not any(all(maps[g][v] == t for v, t in zip(cell, targets))
-                           for g in G):
-                    return False
-    return True
-
-
 def z2_grid_actions():
     """Point reflections of grid tori, as the pillowcase is built, and
     mirrors of grids triangulated to make the reflection simplicial, as
@@ -259,19 +241,128 @@ def rotations(n, k):
         for t in range(k)})
 
 
+def affine_group(k, reflections):
+    """Z/k, or D_k when reflections, as the maps i -> s*i + a of Z/k,
+    named r<a> for s = 1 and s<a> for s = -1.  Returns the group and
+    each element's (s, a); mul(g, h) applies g first."""
+    pairs = [(s, a) for s in ((1, -1) if reflections else (1,))
+             for a in range(k)]
+    name = {(s, a): ("r%d" if s == 1 else "s%d") % a for s, a in pairs}
+    table = [[name[(s * t, (t * a + b) % k)] for t, b in pairs]
+             for s, a in pairs]
+    return (FiniteGroup([name[p] for p in pairs], table),
+            {name[p]: p for p in pairs})
+
+
+def dihedral_hexagon_action():
+    """D_3 acting on a hexagon: rotations by two steps and reflections
+    i -> -i + 2a, a non-abelian group."""
+    group, affine = affine_group(3, True)
+    labels = ["h%d" % i for i in range(6)]
+    return SimplicialAction(group, cycle_complex(labels), {
+        g: {"h%d" % i: "h%d" % ((s * i + 2 * a) % 6) for i in range(6)}
+        for g, (s, a) in affine.items()})
+
+
+def torus3_translation(n, step):
+    """Z/n translating the Freudenthal 3-torus on an n^3 grid by step."""
+    X = torus3_grid(n)
+    group = FiniteGroup.cyclic(n)
+    return SimplicialAction(group, X, {
+        "g%d" % t: {"t%d_%d_%d" % p: "t%d_%d_%d" % tuple(
+            (c + t * d) % n for c, d in zip(p, step))
+            for p in product(range(n), repeat=3)}
+        for t in range(n)})
+
+
+def seeded_invariant_actions(seed):
+    """Z/k and D_k, k = 3..6, each acting on the closure of the orbits
+    of a few random simplices.  The vertices are three rings p<i>_<j> on
+    which the group acts as i -> s*i + a, and a fixed cone point c."""
+    rng = random.Random(seed)
+    for k in range(3, 7):
+        for reflections in (False, True):
+            group, affine = affine_group(k, reflections)
+
+            def move(g, v):
+                if v == "c":
+                    return v
+                i, j = map(int, v[1:].split("_"))
+                s, a = affine[g]
+                return "p%d_%d" % ((s * i + a) % k, j)
+            pool = ["c"] + ["p%d_%d" % (i, j)
+                            for i in range(k) for j in range(3)]
+            picks = [rng.sample(pool, rng.choice((2, 3)))
+                     for _ in range(rng.choice((1, 2)))]
+            X = build_complex({tuple(move(g, v) for v in cell)
+                               for cell in picks for g in affine})
+            yield SimplicialAction(group, X, {
+                g: {v: move(g, v) for v in X.vertices} for g in affine})
+
+
+def check_against_references(act, subdivisions=2):
+    """is_regular against the element-tuple definition as given and
+    after each of up to two subdivisions, and quotient_complex against
+    the orbit/image quotient of the first regular form.  Returns the
+    verdicts."""
+    forms = [act]
+    for _ in range(subdivisions):
+        forms.append(lift_action(forms[-1],
+                                 barycentric_subdivision(forms[-1].complex)))
+    verdicts = [reference_is_regular(form) for form in forms]
+    assert [is_regular(form) for form in forms] == verdicts, act.complex
+    res = quotient_complex(act)
+    assert res.stages == verdicts.index(True)
+    Y, projection = reference_quotient(forms[res.stages])
+    assert res.complex.vertices == Y.vertices
+    assert res.complex.cells == Y.cells
+    assert list(res.projection.items()) == list(projection.items())
+    return verdicts
+
+
 def test_regularity_matches_element_tuple_definition():
     actions = [resolve_document(name).action for name in corpus_names()]
     actions = [act for act in actions if act is not None]
     actions += list(z2_grid_actions())
     actions += [hexagon_action(), mirror_square_action(),
                 antipodal_square_action(), pillowcase_action(),
-                rotations(6, 3), rotations(6, 6), rotations(4, 4)]
+                rotations(6, 3), rotations(6, 6), rotations(4, 4),
+                dihedral_hexagon_action()]
     verdicts = []
     for act in actions:
-        for stages in range(3):
-            if stages:
-                act = lift_action(act, barycentric_subdivision(act.complex))
-            verdicts.append(is_regular(act))
-            assert verdicts[-1] == reference_is_regular(act), act.complex
+        verdicts += check_against_references(act)
     # both verdicts occur, before and after subdivision
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_regularity_on_seeded_invariant_complexes(seed):
+    verdicts = []
+    for act in seeded_invariant_actions(seed):
+        verdicts += check_against_references(act)
+    assert True in verdicts[::3] and False in verdicts[::3]
+
+
+def test_regularity_in_dimension_three():
+    """Z/3 translating the 3-torus on a 3^3 grid by (1, 2, 0) is
+    irregular as given and regular after one subdivision."""
+    act = torus3_translation(3, (1, 2, 0))
+    assert check_against_references(act, subdivisions=1) == [False, True]
+
+
+def test_regularity_scales_with_cells_not_orbit_tuples():
+    """Z/8 translating the 24 x 24 grid torus by 3 columns acts freely
+    and regularly, with a torus as orbit space.  Enumerating the 8^(q+1)
+    target tuples of every q-cell took 0.8 s on a 2-vCPU VM; the
+    orbit-class pass takes 3 ms there."""
+    X = torus_grid(24)
+    act = SimplicialAction(FiniteGroup.cyclic(8), X, {
+        "g%d" % t: {"g%d_%d" % (x, y): "g%d_%d" % ((x + 3 * t) % 24, y)
+                    for x in range(24) for y in range(24)}
+        for t in range(8)})
+    start = time.perf_counter()
+    assert is_regular(act)
+    assert time.perf_counter() - start < 0.25
+    res = quotient_complex(act)
+    assert res.stages == 0
+    assert integer_homology(res.complex).betti == [1, 2, 1]

@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from orbinov.actions import quotient_complex
+from orbinov import actions
+from orbinov.actions import SimplicialAction, quotient_complex
 from orbinov import ValidationError, cli
 from orbinov.cli import corpus_names, main
 from orbinov.cochains import descend_cochain, is_invariant
@@ -346,9 +347,12 @@ def stage_counts(monkeypatch, argv):
 
     monkeypatch.setattr(H1Presentation, "__init__",
                         counted("H1Presentation", H1Presentation.__init__))
+    monkeypatch.setattr(SimplicialAction, "vertex_orbit",
+                        counted("vertex_orbit", SimplicialAction.vertex_orbit))
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "orbinov" or name.startswith("orbinov.")]
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
+               actions._orbit_classes,
                descend_cochain, integralize, is_invariant,
                sparse_product_is_zero):
         wrapper = counted(fn.__name__, fn)
@@ -387,6 +391,10 @@ def stage_counts(monkeypatch, argv):
     # the twisted d o d guard runs on signed monomials, not through
     # the integer product check
     (["novikov", "klein", "--class", "dy"], {"sparse_product_is_zero": 0}),
+    # one orbit-class pass per subdivision stage tests regularity and
+    # yields the orbit space; no vertex orbit is recomputed
+    (["novikov", "mirror_square", "--class", "zero"],
+     {"_orbit_classes": 2, "vertex_orbit": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)
