@@ -14,7 +14,7 @@ by D: is_exact's potential, the period map and the period lattice basis.
 import math
 from fractions import Fraction
 
-from .complexes import bfs_forest
+from .complexes import bfs_forest, cycle_periods
 from .errors import DocumentError, ValidationError
 
 __all__ = ["PeriodSpace", "RationalCochain1", "coboundary0", "is_exact",
@@ -218,27 +218,12 @@ def _numerators(cochain):
 
 
 def forest_periods(cochain, parent, order):
-    """Potential and edge periods of the cochain along a spanning forest,
-    as integer numerators over D, the cochain's common denominator.
-
-    Returns (D, pot, periods).  parent and order are those of bfs_forest.
-    pot vanishes at the roots and agrees with the cochain on the forest;
-    periods maps each edge where the cochain differs from the coboundary
-    of pot to that difference, so tree edges never appear.
-    """
+    """(D, pot, periods): complexes.cycle_periods of the cochain's
+    integer numerators over D, its common denominator, along the
+    spanning forest of bfs_forest, so tree edges never appear."""
     D, nums = _numerators(cochain)
-    zero = (0,) * cochain.space.k
-    pot = {}
-    for v in order:
-        u = parent.get(v)
-        pot[v] = (zero if v not in parent
-                  else vec_add(pot[u], nums[(u, v)]) if (u, v) in nums
-                  else vec_sub(pot[u], nums.get((v, u), zero)))
-    periods = {}
-    for (u, v) in cochain.complex.edges():
-        per = vec_sub(nums.get((u, v), zero), vec_sub(pot[v], pot[u]))
-        if any(per):
-            periods[(u, v)] = per
+    pot, periods = cycle_periods(cochain.complex, nums, (parent, order),
+                                 (0,) * cochain.space.k)
     return D, pot, periods
 
 

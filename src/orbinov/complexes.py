@@ -4,16 +4,26 @@ Vertices are arbitrary sortable hashable labels (the corpus uses
 strings).  Cells are stored as tuples in increasing vertex order; an
 input tuple in any order contributes the orientation sign of the sort
 permutation; SimplicialComplex.orient is the one place that maps an
-oriented edge to its stored form and sign.  Homology eliminates +-1
-pivots from sparse boundaries, as twisted homology eliminates units
-(snf.eliminate_units), and then takes the Smith normal form of the
-small residual block; each boundary first drops the rows that the one
-below it paired away.
+oriented edge to its stored form and sign.
+
+Homology goes up in degree, and each boundary first drops the rows
+that the one below it paired away.  d_1 is never eliminated: a spanning
+forest gives its pivots (forest_pairs).  Taken leaf first, the tree
+edge (parent(v), v) pivots at row v on an entry that is a unit: +-1,
+or +-T^e in a twisted complex.  What the tree leaves in each
+component's root row is, per off-tree edge, a unit times T^p - 1, p
+the period of the edge's fundamental cycle.  That vanishes when p = 0,
+always so over Z, and is a unit of the localized ring otherwise; so
+every nonzero invariant factor of d_1 is a unit and H_0 has no torsion
+(q_0 = 0).  From d_2 up, +-1 pivots are eliminated from the sparse
+boundaries, as twisted homology eliminates units
+(snf.eliminate_units), and the Smith normal form of the small residual
+block gives the rest.
 """
 
 from collections import deque
 from itertools import permutations
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DocumentError, ValidationError
 from .snf import eliminate_units, smith_normal_form
@@ -21,7 +31,7 @@ from .snf import eliminate_units, smith_normal_form
 __all__ = ["SimplicialComplex", "build_complex", "sort_with_parity",
            "IntHomology", "integer_homology", "homology_of_matrices",
            "euler_characteristic", "SdResult", "barycentric_subdivision",
-           "bfs_forest"]
+           "bfs_forest", "cycle_periods", "forest_pairs"]
 
 
 def sort_with_parity(vertices, key):
@@ -240,6 +250,71 @@ def bfs_forest(X):
     return parent, order
 
 
+def cycle_periods(X, values, forest, zero):
+    """Potential and periods of integer edge vectors along a spanning
+    forest.
+
+    values maps stored edges to int tuples, absent ones zero; forest is
+    (parent, order) from bfs_forest.  Returns (pot, periods): pot
+    vanishes at the roots and agrees with values on the forest; periods
+    maps each edge where values differ from the coboundary of pot to
+    that difference, the period of the edge's fundamental cycle, so
+    tree edges never appear.
+    """
+    parent, order = forest
+    pot = {}
+    for v in order:
+        u = parent.get(v)
+        pot[v] = (zero if u is None
+                  else tuple(map(add, pot[u], values[(u, v)]))
+                  if (u, v) in values
+                  else tuple(map(sub, pot[u], values.get((v, u), zero))))
+    periods = {}
+    for (u, v) in X.edges():
+        per = tuple(a - b + c for a, b, c in
+                    zip(values.get((u, v), zero), pot[v], pot[u]))
+        if any(per):
+            periods[(u, v)] = per
+    return pot, periods
+
+
+def forest_pairs(X, forest, exponents=None):
+    """Pivot pairs (vertex row, edge col) of d_1, read off a spanning
+    forest (parent, order) as bfs_forest returns it.
+
+    Leaf first, each tree edge (parent(v), v) pivots at row v.  Twisted
+    by exponents (stored edge -> int tuple, absent ones zero, tree edges
+    included), each component whose fundamental cycles have some
+    period p != 0 pivots once more, at its root row and its first such
+    edge in stored order, on the unit times T^p - 1 that the tree
+    leaves there.  The pairs' count is the rank of d_1, and each
+    pivot is a unit (see the module docstring).
+
+    >>> X = build_complex([("a", "b"), ("b", "c"), ("a", "c"),
+    ...                    ("d", "e"), ("e", "f"), ("d", "f")])
+    >>> forest = bfs_forest(X)
+    >>> forest_pairs(X, forest)
+    [(5, 4), (4, 3), (2, 1), (1, 0)]
+    >>> forest_pairs(X, forest, {("a", "b"): (2,), ("b", "c"): (1,)})
+    [(5, 4), (4, 3), (2, 1), (1, 0), (0, 2)]
+    """
+    parent, order = forest
+    row, col = X.vertex_index, X.cell_index[1] if X.dim >= 1 else {}
+    pairs = [(row[v], col[X.orient(parent[v], v)[0]])
+             for v in reversed(order) if v in parent]
+    if exponents:
+        root = {}
+        for v in order:
+            root[v] = root[parent[v]] if v in parent else v
+        zero = (0,) * len(next(iter(exponents.values())))
+        done = set()
+        for (u, v) in cycle_periods(X, exponents, forest, zero)[1]:
+            if root[u] not in done:
+                done.add(root[u])
+                pairs.append((row[root[u]], col[(u, v)]))
+    return pairs
+
+
 class IntHomology:
     """Integer homology: betti[q] and torsion[q] (invariant factors > 1)."""
 
@@ -274,7 +349,7 @@ def sparse_product_is_zero(A, B):
     return all(not p for p in acc.values())
 
 
-def homology_of_matrices(ncells, boundaries):
+def homology_of_matrices(ncells, boundaries, degree_one_pairs=None):
     """Homology of a bounded chain complex of free Z-modules.
 
     ncells[q] is the rank in degree q; boundaries[q] maps degree q to
@@ -285,6 +360,9 @@ def homology_of_matrices(ncells, boundaries):
     rank and the torsion.  A pivot (s, t) splits s and t off the complex
     with no homology, so the next boundary drops row t before its own
     elimination; ranks and torsion stay those of the full boundaries.
+    degree_one_pairs, when given, are d_1's pivots from forest_pairs:
+    d_1 is then not eliminated, its rank is their count, and H_0 has
+    no torsion.
     """
     top = len(ncells) - 1
     for q in range(1, top):
@@ -293,29 +371,34 @@ def homology_of_matrices(ncells, boundaries):
                                   % (q + 1,))
     ranks = [0] * (top + 2)
     torsion = [[] for _ in range(top + 1)]
-    paired = set()
+    pairs = degree_one_pairs
     for q in range(1, top + 1):
         if not all(0 <= i < ncells[q - 1] and 0 <= j < ncells[q]
                    for i, j in boundaries[q]):
             raise ValidationError("boundary entry out of range in degree %d"
                                   % (q,))
-        pairs, residual, cols = eliminate_units(
-            {key: a for key, a in boundaries[q].items()
-             if key[0] not in paired},
-            lambda a: 1 if a in (1, -1) else None, mul)
-        snf = smith_normal_form([[row.get(j, 0) for j in cols]
-                                 for row in residual])
-        ranks[q] = len(pairs) + snf.rank
-        torsion[q - 1] = snf.torsion()
-        paired = {j for _, j in pairs}
+        if q > 1 or pairs is None:
+            paired = {j for _, j in pairs or ()}
+            pairs, residual, cols = eliminate_units(
+                {key: a for key, a in boundaries[q].items()
+                 if key[0] not in paired},
+                lambda a: 1 if a in (1, -1) else None, mul)
+            snf = smith_normal_form([[row.get(j, 0) for j in cols]
+                                     for row in residual])
+            ranks[q] = snf.rank
+            torsion[q - 1] = snf.torsion()
+        ranks[q] += len(pairs)
     betti = [ncells[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
     if any(b < 0 for b in betti):
         raise ValidationError("negative betti number; ranks are inconsistent")
     return IntHomology(betti, torsion)
 
 
-def integer_homology(X):
+def integer_homology(X, forest=None):
     """Exact integer homology of a simplicial complex.
+
+    d_1's pivots come from forest, a spanning forest as bfs_forest
+    returns it, which is built when none is given.
 
     >>> H = integer_homology(build_complex([("a", "b"), ("b", "c"), ("a", "c")]))
     >>> H.betti
@@ -323,9 +406,12 @@ def integer_homology(X):
     >>> H.torsion
     [[], []]
     """
+    if forest is None:
+        forest = bfs_forest(X)
     ncells = [len(layer) for layer in X.cells]
     boundaries = [X.boundary_entries(q) for q in range(X.dim + 1)]
-    return homology_of_matrices(ncells, boundaries)
+    return homology_of_matrices(ncells, boundaries,
+                                forest_pairs(X, forest))
 
 
 class SdResult:

@@ -13,6 +13,13 @@ usually empty for twisted boundaries.  Both also return the pivot
 pairs (row, col), so that a twisted complex hands the next boundary
 only the rows not paired away (see twisted._novikov_of_lift).
 
+A twisted d_1 never comes here.  Its pivots are read off a spanning
+forest (complexes.forest_pairs): +-T^e on the tree edges, then T^p - 1
+times a unit in a component's root row, where p != 0 is a cycle's
+period.  Those two terms have coefficients +-1 and different weights,
+so the leading one is a unit and so is the polynomial; every invariant
+factor of d_1 is a unit, and q_0 = 0.
+
 Rank then adds the fraction-free (Bareiss) rank of the residual, valid
 for any weight rank.  Invariant factors resolve the residual through
 determinantal divisors, i.e. gcds of all i x i minors over the
@@ -57,14 +64,6 @@ class WeightedLaurentMatrix:
 
     def entry(self, i, j):
         return self.entries.get((i, j), LaurentPoly(self.ws.r, {}))
-
-    def without_rows(self, rows):
-        """The matrix with the given rows cleared.  Its entries were
-        checked when self was built, so they are not checked again."""
-        M = WeightedLaurentMatrix(self.ws, self.nrows, self.ncols, {})
-        M.entries = {key: p for key, p in self.entries.items()
-                     if key[0] not in rows}
-        return M
 
     def transpose(self):
         return WeightedLaurentMatrix(

@@ -9,14 +9,20 @@ The boundary maps of the complex then pick up monomial coefficients
 (the face dropping the first vertex is transported along its first
 edge), giving matrices over the weighted Laurent ring whose ranks and
 invariant factors are the Novikov betti and torsion numbers.
+
+They are built and checked as signed monomials.  d_1 never becomes a
+Laurent matrix: its pivots are read off the lift's spanning forest
+(complexes.forest_pairs), every one a unit, so its rank is their count
+and q_0 = 0.  From d_2 up, Laurent entries are built only for the rows
+that the boundary below did not pair away.
 """
 
 from fractions import Fraction
 from operator import add
 
 from .cochains import RationalCochain1, PeriodSpace, forest_periods
-from .complexes import (bfs_forest, build_complex, homology_of_matrices,
-                        integer_homology)
+from .complexes import (bfs_forest, build_complex, forest_pairs,
+                        homology_of_matrices, integer_homology)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -32,19 +38,21 @@ __all__ = ["IntegralLift", "integralize", "TwistedComplex",
 class IntegralLift:
     """Integer exponent cochain representing a closed cochain's class.
 
-    basis spans the period lattice.  exponents maps each off-tree edge
-    of bfs_forest's spanning forest with a nonzero period to the integer
-    coordinates of that period in the basis; every other edge has
-    exponent zero.  The lifted cochain differs from the original by a
-    coboundary, so every loop period is preserved.
+    basis spans the period lattice, and forest is the spanning forest
+    (parent, order) of bfs_forest.  exponents maps stored edges to
+    integer coordinates in the basis, absent edges zero; integralize
+    puts each off-tree period there and leaves the tree edges at zero.
+    The lifted cochain differs from the original by a coboundary, so
+    every loop period is preserved.
     """
 
-    __slots__ = ("complex", "basis", "exponents")
+    __slots__ = ("complex", "basis", "exponents", "forest")
 
-    def __init__(self, complex, basis, exponents):
+    def __init__(self, complex, basis, exponents, forest):
         self.complex = complex
         self.basis = basis
         self.exponents = exponents
+        self.forest = forest
 
     @property
     def rank(self):
@@ -71,30 +79,42 @@ def integralize(cochain):
     D, _, periods = forest_periods(cochain, parent, order)
     basis, coords = period_lattice(list(periods.values()), D,
                                    cochain.space.k)
-    return IntegralLift(X, basis, dict(zip(periods, coords)))
+    return IntegralLift(X, basis, dict(zip(periods, coords)),
+                        (parent, order))
 
 
 class TwistedComplex:
-    """Boundary matrices of a complex twisted by an integral lift."""
+    """Boundaries of a complex twisted by an integral lift, as signed
+    monomials: monomials[q] maps (row, col) of d_q to (exponent, sign)."""
 
-    __slots__ = ("complex", "lift", "ws", "boundary")
+    __slots__ = ("complex", "lift", "ws", "monomials")
 
-    def __init__(self, complex, lift, ws, boundary):
+    def __init__(self, complex, lift, ws, monomials):
         self.complex = complex
         self.lift = lift
         self.ws = ws
-        self.boundary = boundary
+        self.monomials = monomials
+
+    def boundary(self, q, paired=()):
+        """d_q over the weighted Laurent ring, without the rows in
+        paired; Laurent entries are built only for the rows kept."""
+        r, X = self.ws.r, self.complex
+        return WeightedLaurentMatrix(
+            self.ws, X.n_cells(q - 1), X.n_cells(q),
+            {key: LaurentPoly._of(r, {e: sign})
+             for key, (e, sign) in self.monomials[q].items()
+             if key[0] not in paired})
 
 
 def twisted_complex(lift):
-    """Boundary matrices of the lift's complex over the weighted Laurent
-    ring of its period lattice.
+    """Signed-monomial boundaries of the lift's complex over the
+    weighted Laurent ring of its period lattice.
 
     The face that drops a cell's first vertex changes basepoint, so
     its coefficient is transported by the monomial of the first edge's
     exponent; all other faces keep plain alternating signs.  Entries are
-    built as signed monomials (exponent, sign), and consecutive maps
-    must compose to zero before they become Laurent polynomials.
+    signed monomials (exponent, sign), and consecutive maps must
+    compose to zero.
     """
     X = lift.complex
     ws = WeightSystem(lift.basis)
@@ -114,12 +134,7 @@ def twisted_complex(lift):
         if not _monomial_product_is_zero(monomials[q], monomials[q + 1]):
             raise ValidationError(
                 "twisted boundary squared is nonzero in degree %d" % (q + 1,))
-    boundary = {q: WeightedLaurentMatrix(
-        ws, X.n_cells(q - 1), X.n_cells(q),
-        {key: LaurentPoly._of(ws.r, {e: sign})
-         for key, (e, sign) in entries.items()})
-        for q, entries in monomials.items()}
-    return TwistedComplex(X, lift, ws, boundary)
+    return TwistedComplex(X, lift, ws, monomials)
 
 
 def _monomial_product_is_zero(A, B):
@@ -185,30 +200,31 @@ def _novikov_of_lift(lift):
     """Novikov numbers of an integral lift, one boundary at a time,
     going up in degree.
 
-    Block lemma: a unit pivot (s, t) of d_q splits s and t off with no
-    homology, so d_{q+1} drops row t and keeps its ranks and torsion.
+    d_1's unit pivots come from the lift's spanning forest, so its
+    rank is their count and it adds no torsion.  Block lemma: a unit
+    pivot (s, t) of d_q splits s and t off with no homology, so d_{q+1}
+    drops row t and keeps its ranks and torsion.
     """
     X = lift.complex
     r = lift.rank
     if r == 0:
-        ih = integer_homology(X)
+        ih = integer_homology(X, lift.forest)
         return NovikovNumbers(list(ih.betti),
                               [len(t) for t in ih.torsion],
                               0, "integral")
     tc = twisted_complex(lift)
     top = X.dim
-    rho = [0] * (top + 2)
+    pairs = forest_pairs(X, lift.forest, lift.exponents)
+    rho = [0, len(pairs)] + [0] * top
     torsion = [0] * (top + 1)
-    paired = set()
-    for q in range(1, top + 1):
-        d = tc.boundary[q].without_rows(paired)
+    for q in range(2, top + 1):
+        d = tc.boundary(q, {j for _, j in pairs})
         if r == 1:
             inv = invariant_factors(d)
             rho[q], pairs = inv.rank, inv.pairs
             torsion[q - 1] = inv.nonunit_count
         else:
             rho[q], pairs = fraction_field_rank(d)
-        paired = {j for _, j in pairs}
     betti = [X.n_cells(q) - rho[q] - rho[q + 1] for q in range(top + 1)]
     if any(b < 0 for b in betti):
         raise ValidationError("negative twisted betti number")
@@ -285,7 +301,9 @@ def _explicit_cover_homology(X, lift, p):
     cover = build_complex(simplices)
     if any(cover.n_cells(q) != p * X.n_cells(q) for q in range(X.dim + 1)):
         raise ValidationError("cover has collapsed cells")
-    return integer_homology(cover)
+    return homology_of_matrices(
+        [cover.n_cells(q) for q in range(X.dim + 1)],
+        [cover.boundary_entries(q) for q in range(X.dim + 1)])
 
 
 def _block_substitution_homology(X, tc, p):
@@ -293,12 +311,11 @@ def _block_substitution_homology(X, tc, p):
     boundaries = [{}]
     for q in range(1, X.dim + 1):
         entries = {}
-        for (i, j), poly in tc.boundary[q].entries.items():
-            for (e,), c in poly.terms.items():
-                # T^e acts on levels as the cyclic shift by e
-                for level in range(p):
-                    key = (i * p + (level + e) % p, j * p + level)
-                    entries[key] = entries.get(key, 0) + c
+        for (i, j), ((e,), c) in tc.monomials[q].items():
+            # T^e acts on levels as the cyclic shift by e
+            for level in range(p):
+                key = (i * p + (level + e) % p, j * p + level)
+                entries[key] = entries.get(key, 0) + c
         boundaries.append({key: c for key, c in entries.items() if c})
     return homology_of_matrices(ncells, boundaries)
 

@@ -241,11 +241,11 @@ def per_boundary_novikov(lift):
     torsion = [0] * (X.dim + 1)
     for q in range(1, X.dim + 1):
         if lift.rank == 1:
-            inv = invariant_factors(tc.boundary[q])
+            inv = invariant_factors(tc.boundary(q))
             rho[q] = inv.rank
             torsion[q - 1] = inv.nonunit_count
         else:
-            rho[q] = fraction_field_rank(tc.boundary[q])[0]
+            rho[q] = fraction_field_rank(tc.boundary(q))[0]
     betti = [ncells[q] - rho[q] - rho[q + 1] for q in range(X.dim + 1)]
     if lift.rank == 1:
         return betti, torsion, "rank-one"

@@ -15,6 +15,7 @@ from orbinov.cli import corpus_names, main
 from orbinov.cochains import descend_cochain, is_invariant
 from orbinov.complexes import bfs_forest, sparse_product_is_zero
 from orbinov.documents import loads_document
+from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.periods import H1Presentation
 from orbinov.snf import smith_normal_form
 from orbinov.twisted import integralize
@@ -354,7 +355,8 @@ def stage_counts(monkeypatch, argv):
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
                actions._orbit_classes,
                descend_cochain, integralize, is_invariant,
-               sparse_product_is_zero):
+               sparse_product_is_zero, invariant_factors,
+               fraction_field_rank):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -395,6 +397,12 @@ def stage_counts(monkeypatch, argv):
     # yields the orbit space; no vertex orbit is recomputed
     (["novikov", "mirror_square", "--class", "zero"],
      {"_orbit_classes": 2, "vertex_orbit": 0}),
+    # d_1's pivots come from the lift's spanning forest: a circle
+    # makes no Laurent elimination, a surface eliminates d_2 only
+    (["novikov", "circle", "--class", "dtheta"],
+     {"invariant_factors": 0, "fraction_field_rank": 0, "bfs_forest": 1}),
+    (["novikov", "klein", "--class", "dy"],
+     {"invariant_factors": 1, "fraction_field_rank": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

@@ -553,7 +553,7 @@ def test_short_columns_first_keep_grid_torus_fill_low():
     # d_2 of the 8 x 8 grid torus, twisted by dx and plain; the key is
     # exact, so every implementation of the order makes these updates
     X = torus_grid(8)
-    M = twisted_complex(integralize(grid_dx(X, 8))).boundary[2]
+    M = twisted_complex(integralize(grid_dx(X, 8))).boundary(2)
     (pairs, _, _), calls = divisions(
         M.entries, lambda p: _unit_cost(p, M.ws), _divide)
     assert (len(pairs), len(calls)) == (128, 331)

@@ -13,8 +13,8 @@ from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain)
-from orbinov.complexes import (IntHomology, build_complex, integer_homology,
-                               sparse_product_is_zero)
+from orbinov.complexes import (IntHomology, build_complex, forest_pairs,
+                               integer_homology, sparse_product_is_zero)
 from orbinov.errors import (DocumentError, UnsupportedOperationError,
                             ValidationError)
 from orbinov.inequalities import CriticalData, check_inequalities
@@ -23,10 +23,11 @@ from orbinov.lmatrix import WeightedLaurentMatrix
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
                              period_homomorphism)
 from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
-                             cyclic_cover_oracle, integralize,
-                             novikov_numbers, rank1_perturb, twisted_complex)
+                             _novikov_of_lift, cyclic_cover_oracle,
+                             integralize, novikov_numbers, rank1_perturb,
+                             twisted_complex)
 
-from oracles import per_boundary_novikov
+from oracles import per_boundary_homology, per_boundary_novikov
 from test_actions import torus3_grid, torus_grid, z2_grid_actions
 from test_cochains import ALPHA, circle, circle_dtheta
 from test_periods import grid_dx
@@ -92,7 +93,7 @@ def test_integralize_exact_class_is_empty():
 def test_twisted_boundary_circle_entries():
     X = circle()
     tc = twisted_complex(integralize(circle_dtheta(X)))
-    M = tc.boundary[1]
+    M = tc.boundary(1)
     assert M.nrows == 3 and M.ncols == 3
     t = LaurentPoly.monomial(1, (1,))
     one = LaurentPoly.const(1, 1)
@@ -505,7 +506,7 @@ def bumped(lift, rng):
     vec = list(exps.get(edge, (0,) * lift.rank))
     vec[rng.randrange(lift.rank)] += rng.choice((-1, 1))
     exps[edge] = tuple(vec)
-    return IntegralLift(X, lift.basis, exps)
+    return IntegralLift(X, lift.basis, exps, lift.forest)
 
 
 def assert_monomial_build_matches(lift, rng):
@@ -515,9 +516,9 @@ def assert_monomial_build_matches(lift, rng):
     X = lift.complex
     want = laurent_boundaries(lift)
     tc = twisted_complex(lift)
-    assert sorted(tc.boundary) == sorted(want)
+    assert sorted(tc.monomials) == sorted(want)
     for q, M in want.items():
-        got = tc.boundary[q]
+        got = tc.boundary(q)
         assert (got.nrows, got.ncols) == (M.nrows, M.ncols)
         assert list(got.entries.items()) == list(M.entries.items())
     if X.dim < 2:
@@ -652,10 +653,18 @@ def seeded_grid_classes(surface, seed):
 @pytest.fixture
 def reduced(monkeypatch):
     """Records, per twisted boundary that novikov_numbers reduces in
-    degree order, the matrix it was handed and its pivot pairs."""
+    degree order, the matrix it was handed and its pivot pairs.  d_1
+    is handed to no elimination: it is recorded as None with the pairs
+    read off the spanning forest."""
     seen = []
     inv, rank = orbinov.twisted.invariant_factors, \
         orbinov.twisted.fraction_field_rank
+    forest = orbinov.twisted.forest_pairs
+
+    def forest_pairs(*args):
+        out = forest(*args)
+        seen.append((None, out))
+        return out
 
     def invariant_factors(M):
         out = inv(M)
@@ -671,6 +680,7 @@ def reduced(monkeypatch):
                         invariant_factors)
     monkeypatch.setattr(orbinov.twisted, "fraction_field_rank",
                         fraction_field_rank)
+    monkeypatch.setattr(orbinov.twisted, "forest_pairs", forest_pairs)
     return seen
 
 
@@ -699,8 +709,8 @@ def test_reduced_complex_matches_per_boundary_reference_on_seeded_grids(
         del reduced[:]
         nv = assert_matches_per_boundary(om)
         ranks.add(nv.rank)
-        full = twisted_complex(nv.lift).boundary
-        dropped += len(reduced[1][0].entries) < len(full[2].entries)
+        full = twisted_complex(nv.lift).monomials
+        dropped += len(reduced[1][0].entries) < len(full[2])
     assert ranks == ({1, 2} if surface == "torus" else {1})
     assert dropped == 12
 
@@ -713,10 +723,13 @@ def test_reduced_complex_matches_per_boundary_reference_on_the_three_torus(
     dx, dy = (torus3_axis(X, n, axis) for axis in (0, 1))
     for om in (dx, mixed_class(X, ALPHA, [[1, 0], [0, 1]], [dx, dy])):
         del reduced[:]
-        full = twisted_complex(assert_matches_per_boundary(om).lift).boundary
-        sizes = [len(M.entries) for M, _ in reduced]
-        assert sizes[0] == len(full[1].entries)
-        assert all(sizes[q - 1] < len(full[q].entries) for q in (2, 3))
+        full = twisted_complex(assert_matches_per_boundary(om).lift).monomials
+        (d1, forest), *rest = reduced
+        # d_1 goes to no elimination; the connected 3-torus pairs every
+        # vertex: 26 tree edges and one edge where the class is nonzero
+        assert d1 is None and len(forest) == X.n_cells(0)
+        sizes = [len(M.entries) for M, _ in rest]
+        assert all(sizes[q - 2] < len(full[q]) for q in (2, 3))
 
 
 def reduced_ranks(cochain, reduced):
@@ -750,6 +763,102 @@ def test_reduced_ranks_satisfy_the_morse_inequalities(reduced):
         for om in seeded_grid_classes(surface, "morse"):
             nv, m = reduced_ranks(om, reduced)
             assert check_inequalities(nv, CriticalData(m)).holds
+
+
+def gauge_shifted(lift, rng):
+    """The lift plus the coboundary of a seeded integer potential f,
+    f(v) - f(u) on each stored edge (u, v): the same class, with
+    exponents on tree edges too."""
+    X = lift.complex
+    f = {v: [rng.randint(-3, 3) for _ in range(lift.rank)]
+         for v in X.vertices}
+    exps = {}
+    for (u, v) in X.edges():
+        e = lift.exponents.get((u, v), (0,) * lift.rank)
+        vec = tuple(a + b - c for a, b, c in zip(e, f[v], f[u]))
+        if any(vec):
+            exps[(u, v)] = vec
+    return IntegralLift(X, lift.basis, exps, lift.forest)
+
+
+def assert_forest_degree_one_matches(lift, rng):
+    """Novikov numbers with d_1 read off the spanning forest against
+    the per-boundary reference, which eliminates d_1 itself, for the
+    lift and three seeded gauge shifts of it; all four agree.  Returns
+    the number of lifts checked."""
+    parent, _ = lift.forest
+    lifts = [lift] + [gauge_shifted(lift, rng) for _ in range(3)]
+    want = per_boundary_novikov(lift)
+    for shifted in lifts:
+        nv = _novikov_of_lift(shifted)
+        assert (nv.betti, nv.torsion, nv.route) == want
+        assert per_boundary_novikov(shifted) == want
+        if shifted is not lift and lift.rank:
+            assert any(shifted.exponents.get(
+                lift.complex.orient(parent[v], v)[0]) for v in parent)
+    return len(lifts)
+
+
+def test_forest_degree_one_matches_per_boundary_reference_under_gauge():
+    rng = random.Random("forest/gauge")
+    lifts = sum(assert_forest_degree_one_matches(integralize(om), rng)
+                for om in corpus_classes())
+    for surface in ("torus", "klein"):
+        lifts += sum(assert_forest_degree_one_matches(integralize(om), rng)
+                     for om in seeded_grid_classes(surface, "forest"))
+    assert lifts == 156
+
+
+def test_forest_degree_one_on_a_disconnected_complex():
+    # two circles and an isolated vertex, the class zero on the second
+    # circle: only the first component pivots again at its root
+    X = build_complex([("a", "b"), ("b", "c"), ("a", "c"),
+                       ("d", "e"), ("e", "f"), ("d", "f")],
+                      vertices=list("abcdefg"))
+    lift = integralize(RationalCochain1(X, {("a", "b"): F(1)}))
+    rng = random.Random("forest/disconnected")
+    assert assert_forest_degree_one_matches(lift, rng) == 4
+    nv = _novikov_of_lift(lift)
+    assert (nv.betti, nv.torsion) == ([2, 1], [0, 0])
+    assert len(forest_pairs(X, lift.forest, lift.exponents)) == 5
+    # over Z every root row vanishes: 7 vertices, 3 components
+    assert len(forest_pairs(X, lift.forest)) == 4
+    ncells = [X.n_cells(q) for q in range(2)]
+    boundaries = [X.boundary_entries(q) for q in range(2)]
+    assert integer_homology(X) == per_boundary_homology(ncells, boundaries) \
+        == IntHomology([3, 2], [[], []])
+
+
+def test_grid_torus_32_hands_only_d2_to_elimination(monkeypatch):
+    # counts, not times: d_1 of the 32 x 32 torus pivots on its 1,023
+    # tree edges and one edge around a dx cycle, so the one Laurent
+    # matrix eliminated is d_2 on the other 2,048 edge rows
+    n = 32
+    X = torus_grid(n)
+    handed, snf_calls = [], []
+    inv = orbinov.twisted.invariant_factors
+    snf = orbinov.complexes.smith_normal_form
+
+    def invariant_factors(M):
+        handed.append(M)
+        return inv(M)
+
+    def smith_normal_form(*args, **kwargs):
+        snf_calls.append(args)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(orbinov.twisted, "invariant_factors",
+                        invariant_factors)
+    monkeypatch.setattr(orbinov.complexes, "smith_normal_form",
+                        smith_normal_form)
+    nv = novikov_numbers(grid_dx(X, n))
+    assert (nv.betti, nv.torsion) == ([0, 0, 0], [0, 0, 0])
+    (M,) = handed
+    assert (M.nrows, M.ncols) == (3 * n * n, 2 * n * n)
+    assert len({i for i, _ in M.entries}) == 2 * n * n
+    assert not snf_calls
+    assert integer_homology(X).betti == [1, 2, 1]
+    assert len(snf_calls) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=ValidationError,
