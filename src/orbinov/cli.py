@@ -3,8 +3,9 @@
 Subcommands: homology, periods, novikov, check-inequalities, validate,
 perturb.  Each takes a document, either a file path or the name of a
 bundled corpus example.  Exit codes: 0 success, 1 usage or document
-problems, 2 mathematical validation failures (including a failed
-inequality verdict), 3 honest refusals (caps, rank two torsion).
+problems or a standard output closed before the report was written, 2
+mathematical validation failures (including a failed inequality
+verdict), 3 honest refusals (caps, rank two torsion).
 
 Output is deterministic for fixed inputs and flags; --json switches to
 a machine readable report with sorted keys.
@@ -372,7 +373,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head -1`); what is left
+        # in the buffer goes to devnull, so the interpreter's final
+        # flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DocumentError as exc:
         print("document error: %s" % (exc,), file=sys.stderr)
         return 1

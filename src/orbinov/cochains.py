@@ -5,10 +5,19 @@ Q^k where coordinate 0 is the rational part and the remaining k-1
 coordinates are coefficients of declared irrational symbols, so "1/3 +
 2*alpha" with symbols ("alpha",) is (1/3, 2).  All arithmetic on the
 coordinates is exact; the decimal shadows attached to symbols are used
-only when a class must be perturbed to rank one.  Values stay Fractions;
-closedness and forest periods run on their integer numerators over one
-common denominator D.  Fractions start again only where a caller divides
-by D: is_exact's potential, the period map and the period lattice basis.
+only when a class must be perturbed to rank one.
+
+Values are coerced to Fractions and oriented once, where they enter:
+the public RationalCochain1 constructor, PeriodSpace.vector and
+coboundary0 take ints, Fractions and rational strings and refuse
+floats and bools.  Code that already holds oriented Fraction vectors
+(the document parser, the descent, the subdivision) builds through the
+trusted RationalCochain1._of, which still drops zero vectors and checks
+closedness.  Values stay Fractions; their integer numerators over one
+common denominator D are computed once per cochain, on construction,
+and serve both the closedness check and forest_periods.  Fractions
+start again only where a caller divides by D: is_exact's potential,
+the period map and the period lattice basis.
 """
 
 import math
@@ -19,6 +28,18 @@ from .errors import DocumentError, ValidationError
 
 __all__ = ["PeriodSpace", "RationalCochain1", "coboundary0", "is_exact",
            "is_invariant", "subdivide_cochain", "descend_cochain"]
+
+
+def _exact(x):
+    """Fraction of an int, a Fraction or a rational string; a float, a
+    bool or anything else is a DocumentError naming the value."""
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DocumentError("%r is not an exact rational (an int, a Fraction "
+                        "or a p/q string)" % (x,))
 
 
 class PeriodSpace:
@@ -36,7 +57,7 @@ class PeriodSpace:
         for name, value in (shadows or {}).items():
             if name not in self.symbols:
                 raise DocumentError("shadow for unknown symbol %r" % (name,))
-            self.shadows[name] = Fraction(value)
+            self.shadows[name] = _exact(value)
 
     @property
     def k(self):
@@ -46,14 +67,13 @@ class PeriodSpace:
         return self._zero
 
     def vector(self, value):
-        """Coerce a number or a length-k sequence to a value vector."""
-        if isinstance(value, (int, Fraction, str)):
-            vec = [Fraction(value)] + [Fraction(0)] * (self.k - 1)
-            return tuple(vec)
-        vec = [Fraction(x) for x in value]
+        """Coerce a number or a length-k list or tuple to a value vector."""
+        if not isinstance(value, (list, tuple)):
+            return (_exact(value),) + self._zero[1:]
+        vec = tuple(map(_exact, value))
         if len(vec) != self.k:
             raise DocumentError("value %r needs %d coordinates" % (value, self.k))
-        return tuple(vec)
+        return vec
 
     def shadow_value(self, vec):
         """Rational stand-in for a vector, using the symbol shadows."""
@@ -107,30 +127,46 @@ class RationalCochain1:
     each edge may appear once (in either orientation), absent edges
     are zero.  Closedness over every triangle is checked on
     construction and is a hard requirement everywhere downstream.
+
+    After construction values maps stored edges to nonzero vectors and
+    is read-only: numerators, (D, {stored edge: value times D as
+    ints}), is computed from it once.
     """
 
-    __slots__ = ("complex", "space", "values")
+    __slots__ = ("complex", "space", "values", "numerators")
 
     def __init__(self, complex, values, space=None):
-        self.complex = complex
-        self.space = space if space is not None else PeriodSpace()
+        space = space if space is not None else PeriodSpace()
         store = {}
         for (u, v), raw in values.items():
             if u == v:
                 raise DocumentError("edge (%r, %r) is degenerate" % (u, v))
             key, sign = complex.orient(u, v)
-            vec = self.space.vector(raw)
+            vec = space.vector(raw)
             if key in store:
                 raise DocumentError("edge (%r, %r) assigned twice" % (u, v))
             store[key] = vec if sign > 0 else vec_neg(vec)
-        self.values = {k: v for k, v in store.items()
-                       if any(x for x in v)}
+        self._settle(complex, store, space)
+
+    @classmethod
+    def _of(cls, complex, values, space):
+        # trusted: values maps stored edges to length-k Fraction tuples,
+        # so only zero vectors need dropping; closedness is still checked
+        cochain = cls.__new__(cls)
+        cochain._settle(complex, values, space)
+        return cochain
+
+    def _settle(self, complex, values, space):
+        self.complex = complex
+        self.space = space
+        self.values = {k: v for k, v in values.items() if any(v)}
+        self.numerators = _numerators(self.values)
         self._check_closed()
 
     def _check_closed(self):
         if self.complex.dim < 2 or not self.values:
             return
-        _, nums = _numerators(self)
+        nums = self.numerators[1]
         zero = (0,) * self.space.k
         for tri in self.complex.cells[2]:
             a, b, c = tri
@@ -167,11 +203,11 @@ class RationalCochain1:
         out = dict(self.values)
         for key, vec in other.values.items():
             out[key] = vec_add(out.get(key, self.space.zero()), vec)
-        return RationalCochain1(self.complex, out, self.space)
+        return RationalCochain1._of(self.complex, out, self.space)
 
     def scale(self, c):
-        c = Fraction(c)
-        return RationalCochain1(
+        c = _exact(c)
+        return RationalCochain1._of(
             self.complex,
             {k: vec_scale(c, v) for k, v in self.values.items()},
             self.space)
@@ -205,23 +241,22 @@ def coboundary0(complex, potential, space=None):
     values = {}
     for (u, v) in (complex.cells[1] if complex.dim >= 1 else []):
         values[(u, v)] = vec_sub(f.get(v, zero), f.get(u, zero))
-    return RationalCochain1(complex, values, space)
+    return RationalCochain1._of(complex, values, space)
 
 
-def _numerators(cochain):
+def _numerators(values):
     """D, the lcm of all coordinate denominators, and {stored edge: value
     times D as ints}; scaling by D > 0 is injective, so zero sums stay."""
-    D = math.lcm(*{x.denominator for vec in cochain.values.values()
-                   for x in vec})
+    D = math.lcm(*{x.denominator for vec in values.values() for x in vec})
     return D, {e: tuple(x.numerator * (D // x.denominator) for x in vec)
-               for e, vec in cochain.values.items()}
+               for e, vec in values.items()}
 
 
 def forest_periods(cochain, parent, order):
     """(D, pot, periods): complexes.cycle_periods of the cochain's
     integer numerators over D, its common denominator, along the
     spanning forest of bfs_forest, so tree edges never appear."""
-    D, nums = _numerators(cochain)
+    D, nums = cochain.numerators
     pot, periods = cycle_periods(cochain.complex, nums, (parent, order),
                                  (0,) * cochain.space.k)
     return D, pot, periods
@@ -283,7 +318,7 @@ def subdivide_cochain(sd, cochain):
             return vec_scale(Fraction(1, len(cell)), tot)
 
         values[(a, b)] = vec_sub(avg(cb), avg(ca))
-    return RationalCochain1(Xs, values, space)
+    return RationalCochain1._of(Xs, values, space)
 
 
 def descend_cochain(qres, cochain):
@@ -314,4 +349,4 @@ def descend_cochain(qres, cochain):
         vec = vec if sign > 0 else vec_neg(vec)
         if values.setdefault(key, vec) != vec:
             raise ValidationError("cochain is not invariant, hence not basic")
-    return RationalCochain1(Y, values, current.space)
+    return RationalCochain1._of(Y, values, current.space)

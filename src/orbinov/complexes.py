@@ -203,7 +203,7 @@ def build_complex(simplices, vertices=None):
         for cell in layers[q]:
             for drop in range(len(cell)):
                 layers[q - 1].add(cell[:drop] + cell[drop + 1:])
-    cells = [sorted(layer, key=lambda c: tuple(index[v] for v in c))
+    cells = [sorted(layer, key=lambda c: tuple(map(index.__getitem__, c)))
              for layer in layers]
     return SimplicialComplex(seen, cells)
 
@@ -288,7 +288,11 @@ def forest_pairs(X, forest, exponents=None):
     period p != 0 pivots once more, at its root row and its first such
     edge in stored order, on the unit times T^p - 1 that the tree
     leaves there.  The pairs' count is the rank of d_1, and each
-    pivot is a unit (see the module docstring).
+    pivot is a unit (see the module docstring).  When no tree edge
+    carries an exponent, as in every lift that twisted.integralize
+    makes, the potential along the forest vanishes and the periods are
+    the nonzero exponents themselves; only a gauge-shifted lift needs
+    the cycle_periods walk.
 
     >>> X = build_complex([("a", "b"), ("b", "c"), ("a", "c"),
     ...                    ("d", "e"), ("e", "f"), ("d", "f")])
@@ -300,15 +304,20 @@ def forest_pairs(X, forest, exponents=None):
     """
     parent, order = forest
     row, col = X.vertex_index, X.cell_index[1] if X.dim >= 1 else {}
-    pairs = [(row[v], col[X.orient(parent[v], v)[0]])
-             for v in reversed(order) if v in parent]
+    tree = {X.orient(parent[v], v)[0]: v
+            for v in reversed(order) if v in parent}
+    pairs = [(row[v], col[e]) for e, v in tree.items()]
     if exponents:
         root = {}
         for v in order:
             root[v] = root[parent[v]] if v in parent else v
-        zero = (0,) * len(next(iter(exponents.values())))
+        if tree.keys().isdisjoint(exponents):
+            periods = [e for e, p in exponents.items() if any(p)]
+        else:
+            zero = (0,) * len(next(iter(exponents.values())))
+            periods = cycle_periods(X, exponents, forest, zero)[1]
         done = set()
-        for (u, v) in cycle_periods(X, exponents, forest, zero)[1]:
+        for (u, v) in sorted(periods, key=col.__getitem__):
             if root[u] not in done:
                 done.add(root[u])
                 pairs.append((row[root[u]], col[(u, v)]))

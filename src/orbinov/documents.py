@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .actions import FiniteGroup, SimplicialAction
-from .cochains import PeriodSpace, RationalCochain1
+from .cochains import PeriodSpace, RationalCochain1, vec_neg
 from .complexes import build_complex
 from .errors import DocumentError, ValidationError
 from .inequalities import CriticalData
@@ -146,8 +146,7 @@ def _parse_cocycle(obj, X, where):
                                 % (spot, dec))
     k = 1 + len(symbols)
     edges = _expect(obj.get("edges", []), list, where + ".edges", "a list")
-    parsed = []
-    seen = set()
+    values = {}
     for i, entry in enumerate(edges):
         spot = "%s.edges[%d]" % (where, i)
         _expect(entry, list, spot, "a [u, v, value] triple")
@@ -158,12 +157,11 @@ def _parse_cocycle(obj, X, where):
         _expect(u, str, spot, "vertex names")
         _expect(v, str, spot, "vertex names")
         try:
-            key, _ = X.orient(u, v)
+            key, sign = X.orient(u, v)
         except (DocumentError, ValidationError) as exc:
             raise DocumentError("%s: %s" % (spot, exc)) from None
-        if key in seen:
+        if key in values:
             raise DocumentError("%s: edge assigned twice" % (spot,))
-        seen.add(key)
         if isinstance(value, str):
             value = [value]
         _expect(value, list, spot, "a list of p/q strings")
@@ -172,10 +170,10 @@ def _parse_cocycle(obj, X, where):
                 "%s: value needs %d coordinates (1 + symbols), got %d"
                 % (spot, k, len(value)))
         vec = tuple(parse_fraction(x, spot) for x in value)
-        parsed.append((u, v, vec))
+        values[key] = vec if sign > 0 else vec_neg(vec)
     return {"symbols": list(symbols),
             "shadows": {s: shadows[s] for s in symbols if s in shadows},
-            "edges": parsed}
+            "values": values}
 
 
 def _parse_critical(obj, where):
@@ -254,11 +252,10 @@ class OrbifoldDocument:
         return PeriodSpace(spec["symbols"], shadows)
 
     def cochain(self, name):
-        """Materialize a named cocycle; closedness is checked here."""
-        spec = self._spec(name)
-        values = {(u, v): vec for (u, v, vec) in spec["edges"]}
-        return RationalCochain1(self.space, values,
-                                space=self.period_space(name))
+        """Materialize a named cocycle; closedness is checked here.  The
+        parser already oriented each value and made it Fractions."""
+        return RationalCochain1._of(self.space, self._spec(name)["values"],
+                                    self.period_space(name))
 
     def critical(self, name):
         if name not in self.critical_blocks:
@@ -301,16 +298,13 @@ class OrbifoldDocument:
         cocycles = {}
         for cname in self.cocycle_names():
             spec = self.cocycle_specs[cname]
-            edges = []
-            for (u, v, vec) in spec["edges"]:
-                (u, v), sign = self.space.orient(u, v)
-                edges.append((u, v, tuple(sign * x for x in vec)))
-            edges.sort(key=lambda e: (key(e[0]), key(e[1])))
+            edges = sorted(spec["values"].items(),
+                           key=lambda e: (key(e[0][0]), key(e[0][1])))
             cocycles[cname] = {
                 "symbols": list(spec["symbols"]),
                 "shadows": dict(spec["shadows"]),
                 "edges": [[u, v, [format_fraction(x) for x in vec]]
-                          for (u, v, vec) in edges],
+                          for (u, v), vec in edges],
             }
         out["cocycles"] = cocycles
         critical = {}

@@ -16,7 +16,7 @@ build_complex, from vertex orbits and the image of every cell.
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import add, mul
 
 from orbinov.complexes import IntHomology, build_complex
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
@@ -193,6 +193,37 @@ def forest_periods_oracle(cochain, parent, order):
         if any(per):
             periods[(u, v)] = per
     return f, periods
+
+
+def forest_pairs_oracle(X, forest, exponents):
+    """d_1's pivot pairs with every period walked along the spanning
+    forest, one edge at a time: the reference for complexes.forest_pairs,
+    which reads the periods off the exponents when no tree edge carries
+    one."""
+    parent, order = forest
+    zero = (0,) * len(next(iter(exponents.values()), ()))
+    f, root = {}, {}
+    for v in order:
+        if v in parent:
+            step = _edge_value(X, exponents, zero, parent[v], v)
+            f[v] = tuple(map(add, f[parent[v]], step))
+            root[v] = root[parent[v]]
+        else:
+            f[v], root[v] = zero, v
+    pairs = []
+    for v in reversed(order):
+        if v in parent:
+            u = parent[v]
+            edge = (u, v) if (u, v) in X.cell_index[1] else (v, u)
+            pairs.append((X.vertex_index[v], X.cell_index[1][edge]))
+    pivoted = set()
+    for j, (u, v) in enumerate(X.cells[1] if X.dim >= 1 else []):
+        per = tuple(c - (b - a) for c, a, b
+                    in zip(exponents.get((u, v), zero), f[u], f[v]))
+        if any(per) and root[u] not in pivoted:
+            pivoted.add(root[u])
+            pairs.append((X.vertex_index[root[u]], j))
+    return pairs
 
 
 def first_open_triangle(X, values, k):

@@ -3,17 +3,21 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+import orbinov
 from orbinov import actions
 from orbinov.actions import SimplicialAction, quotient_complex
 from orbinov import ValidationError, cli
 from orbinov.cli import corpus_names, main
-from orbinov.cochains import descend_cochain, is_invariant
-from orbinov.complexes import bfs_forest, sparse_product_is_zero
+from orbinov.cochains import PeriodSpace, descend_cochain, is_invariant
+from orbinov.complexes import (bfs_forest, cycle_periods,
+                               sparse_product_is_zero)
 from orbinov.documents import loads_document
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.periods import H1Presentation
@@ -350,13 +354,15 @@ def stage_counts(monkeypatch, argv):
                         counted("H1Presentation", H1Presentation.__init__))
     monkeypatch.setattr(SimplicialAction, "vertex_orbit",
                         counted("vertex_orbit", SimplicialAction.vertex_orbit))
+    monkeypatch.setattr(PeriodSpace, "vector",
+                        counted("vector", PeriodSpace.vector))
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "orbinov" or name.startswith("orbinov.")]
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
                actions._orbit_classes,
                descend_cochain, integralize, is_invariant,
                sparse_product_is_zero, invariant_factors,
-               fraction_field_rank):
+               fraction_field_rank, cycle_periods):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -387,9 +393,10 @@ def stage_counts(monkeypatch, argv):
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),
-    # a basic class is recognised by its one descent alone
+    # a basic class is recognised by its one descent alone; parsed and
+    # descended values are not coerced again
     (["novikov", "hexagon_z2", "--class", "dtheta"],
-     {"descend_cochain": 1, "is_invariant": 0}),
+     {"descend_cochain": 1, "is_invariant": 0, "vector": 0}),
     # the twisted d o d guard runs on signed monomials, not through
     # the integer product check
     (["novikov", "klein", "--class", "dy"], {"sparse_product_is_zero": 0}),
@@ -403,7 +410,70 @@ def stage_counts(monkeypatch, argv):
      {"invariant_factors": 0, "fraction_field_rank": 0, "bfs_forest": 1}),
     (["novikov", "klein", "--class", "dy"],
      {"invariant_factors": 1, "fraction_field_rank": 0}),
+    # the lift's periods are walked once, in integralize; forest_pairs
+    # reads them off the off-tree exponents
+    (["novikov", "klein", "--class", "dy"], {"cycle_periods": 1,
+                                            "vector": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)
     assert {name: counts[name] for name in want} == want
+
+
+def tiny_document(edges):
+    """A filled triangle abc and an isolated vertex d, with class w."""
+    return {"name": "tri", "description": "",
+            "orbit": {"vertices": ["a", "b", "c", "d"],
+                      "simplices": [["a", "b", "c"], ["d"]]},
+            "cocycles": {"w": {"edges": edges}}, "critical_data": {}}
+
+
+CLOSED = [["a", "b", ["1/3"]], ["b", "c", ["1/3"]], ["a", "c", ["2/3"]]]
+
+
+@pytest.mark.parametrize("edges, code, message", [
+    (CLOSED + [["c", "b", ["0"]]], 1,
+     "document error: cocycles.w.edges[3]: edge assigned twice\n"),
+    ([CLOSED[0], ["a", "d", ["1/3"]], CLOSED[2]], 1,
+     "document error: cocycles.w.edges[1]: ('a', 'd') is not an edge\n"),
+    (CLOSED[:2] + [["a", "c", ["1/3"]]], 2,
+     "validation error: cochain is not closed on triangle "
+     "('a', 'b', 'c')\n"),
+], ids=["reversed_duplicate", "non_edge", "open_triangle"])
+def test_bad_cocycles_keep_their_exit_codes_and_messages(tmp_path, edges,
+                                                         code, message):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(tiny_document(edges)))
+    assert run(["novikov", str(path), "--class", "w"]) == (code, "", message)
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the report of a 20,000-edge cycle is far larger than a pipe's
+    # buffer, so the command is still writing when the reader goes away
+    # after its first line
+    n = 20000
+    names = ["v%05d" % i for i in range(n)]
+    edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
+    doc = {"name": "ring", "description": "a long cycle",
+           "orbit": {"vertices": names, "simplices": edges},
+           "cocycles": {"w": {"edges": [e + ["1"] for e in edges]}}}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(orbinov.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from orbinov.cli import main; sys.exit(main())",
+         "perturb", str(path), "--class", "w"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=120)
+    proc.stderr.close()
+    assert first == b"ring, cocycle w: rank one perturbation (precision 6)\n"
+    assert b"Traceback" not in err and err == b""
+    # exit 1: the README's code for a report that could not be delivered
+    assert proc.returncode == 1

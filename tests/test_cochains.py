@@ -1,8 +1,10 @@
+import json
 import math
 import random
 import re
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -13,12 +15,14 @@ from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               is_invariant, subdivide_cochain)
 from orbinov.complexes import (SdResult, barycentric_subdivision,
                                bfs_forest, build_complex)
+from orbinov.documents import OrbifoldDocument, format_fraction
 from orbinov.errors import DocumentError, ValidationError
 from orbinov.twisted import integralize
 
 from oracles import first_open_triangle, forest_periods_oracle
 from test_actions import (hexagon_action, mirror_square_action,
                           pillowcase_action, torus_grid, z2_grid_actions)
+from test_tools import load_script
 
 F = Fraction
 
@@ -385,3 +389,131 @@ def test_integer_kernels_with_200_prime_denominators():
                         for x in vec))
     assert len(primes) == 200 and all(common % p == 0 for p in primes)
     assert D == common
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda X, om: PeriodSpace().vector((0.1,)), "0.1"),
+    (lambda X, om: PeriodSpace().vector(0.1), "0.1"),
+    (lambda X, om: PeriodSpace().vector(True), "True"),
+    (lambda X, om: PeriodSpace(["a"]).vector(["1/2", False]), "False"),
+    (lambda X, om: PeriodSpace().vector("1/0"), "'1/0'"),
+    (lambda X, om: om.scale(0.1), "0.1"),
+    (lambda X, om: PeriodSpace(["a"], {"a": 1.5}), "1.5"),
+    (lambda X, om: coboundary0(X, {"b": 0.1}), "0.1"),
+    (lambda X, om: RationalCochain1(X, {("a", "b"): 0.5}), "0.5"),
+], ids=["float_coordinate", "float", "bool", "bool_coordinate",
+        "zero_denominator", "scale", "shadow", "potential", "value"])
+def test_the_exact_api_refuses_floats_and_bools(call, bad):
+    X = circle()
+    with pytest.raises(DocumentError,
+                       match="^%s is not an exact rational" % re.escape(bad)):
+        call(X, circle_dtheta(X))
+
+
+@pytest.fixture
+def trusted_twins(monkeypatch):
+    """Every cochain the trusted constructor builds is built again by
+    the public one from the same arguments; values and numerators must
+    agree.  Returns the trusted cochains in the order built."""
+    built = []
+    trusted = RationalCochain1._of.__func__
+
+    def checked(cls, complex, values, space):
+        om = trusted(cls, complex, values, space)
+        twin = RationalCochain1(complex, values, space)
+        assert (om.values, om.numerators) == (twin.values, twin.numerators)
+        built.append(om)
+        return om
+
+    monkeypatch.setattr(RationalCochain1, "_of", classmethod(checked))
+    return built
+
+
+def assert_trusted_path_matches(data):
+    """Parse document data and check each class against the public
+    constructor on the document's raw entries, then descend it, so the
+    trusted_twins fixture checks the descent and every subdivision
+    stage.  Returns the number of subdivision stages run."""
+    doc = OrbifoldDocument.from_dict(data)
+    qres = quotient_complex(doc.action) if doc.action else None
+    stages = 0
+    for cname, spec in data["cocycles"].items():
+        raw = {(u, v): value for u, v, value in spec.get("edges", [])}
+        om = doc.cochain(cname)
+        ref = RationalCochain1(doc.space, raw, doc.period_space(cname))
+        assert (om.values, om.numerators) == (ref.values, ref.numerators)
+        if qres is not None:
+            descend_cochain(qres, om)
+            stages += len(qres.subdivisions)
+    return stages
+
+
+def test_trusted_cochains_match_the_public_constructor_on_the_corpus(
+        trusted_twins):
+    stages = classes = 0
+    for name in corpus_names():
+        text = resources.files("orbinov").joinpath(
+            "corpus", name + ".json").read_text(encoding="utf-8")
+        data = json.loads(text)
+        stages += assert_trusted_path_matches(data)
+        classes += len(data["cocycles"])
+    # 15 parsed classes, 7 of them descended, the 2 of mirror_square
+    # through one subdivision stage each
+    assert classes == 15 and stages == 2 and len(trusted_twins) == 24
+
+
+def seeded_document(rng, X, om, action=None):
+    """Document data carrying om as its class w, written with the
+    make_corpus helpers: entries shuffled, each reversed and negated at
+    random, explicit zeros on some edges, the Z/2 action when given."""
+    make_corpus = load_script("tools", "make_corpus.py")
+    entries = []
+    for (u, v) in X.edges():
+        vec = om.values.get((u, v))
+        if vec is None:
+            if rng.random() < 0.8:
+                continue
+            vec = om.space.zero()
+        if rng.random() < 0.5:
+            u, v, vec = v, u, tuple(-x for x in vec)
+        entries.append([u, v, [format_fraction(x) for x in vec]])
+    rng.shuffle(entries)
+    shadows = {s: "1.41421356" for s in om.space.symbols}
+    space = make_corpus.orbit_dict(X)
+    data = {"name": "seeded", "description": "", "critical_data": {},
+            "cocycles": {"w": make_corpus.cocycle_dict(
+                entries, om.space.symbols, shadows)}}
+    if action is None:
+        data["orbit"] = space
+    else:
+        data["action"] = {"group": dict(make_corpus.Z2_GROUP),
+                          "space": space,
+                          "vertex_maps": {"m": dict(action.vertex_maps["m"])}}
+    return data
+
+
+def test_trusted_cochains_match_the_public_constructor_on_seeded_documents(
+        trusted_twins):
+    rng = random.Random("trusted/seeded")
+    stages = documents = 0
+    for act in z2_grid_actions():
+        X, flip = act.complex, act.vertex_maps["m"]
+        for space in (PeriodSpace(), ALPHA):
+            pot = {}
+            for v in X.vertices:
+                pot[v] = pot.get(flip[v]) or tuple(
+                    F(rng.randint(-9, 9), rng.randint(1, 12))
+                    for _ in range(space.k))
+            om = coboundary0(X, pot, space)
+            stages += assert_trusted_path_matches(
+                seeded_document(rng, X, om, act))
+            documents += 1
+    for n in range(3, 7):
+        X = torus_grid(n)
+        for space in (PeriodSpace(), ALPHA):
+            a, b = ([rng.randint(-4, 4) for _ in range(space.k)]
+                    for _ in range(2))
+            om = gauged(rng, grid_class(X, n, a, b, space))
+            assert_trusted_path_matches(seeded_document(rng, X, om))
+            documents += 1
+    assert documents == 18 and stages > 0

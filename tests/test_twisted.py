@@ -27,7 +27,8 @@ from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
                              integralize, novikov_numbers, rank1_perturb,
                              twisted_complex)
 
-from oracles import per_boundary_homology, per_boundary_novikov
+from oracles import (forest_pairs_oracle, per_boundary_homology,
+                     per_boundary_novikov)
 from test_actions import torus3_grid, torus_grid, z2_grid_actions
 from test_cochains import ALPHA, circle, circle_dtheta
 from test_periods import grid_dx
@@ -784,8 +785,12 @@ def gauge_shifted(lift, rng):
 def assert_forest_degree_one_matches(lift, rng):
     """Novikov numbers with d_1 read off the spanning forest against
     the per-boundary reference, which eliminates d_1 itself, for the
-    lift and three seeded gauge shifts of it; all four agree.  Returns
-    the number of lifts checked."""
+    lift and three seeded gauge shifts of it; all four agree.  The
+    pivot pairs match the walked reference, also with the exponents in
+    reversed order: the lift from integralize, with no tree edge
+    exponent, takes forest_pairs' shortcut and the shifts take the
+    walk.  Returns the number of lifts checked."""
+    X = lift.complex
     parent, _ = lift.forest
     lifts = [lift] + [gauge_shifted(lift, rng) for _ in range(3)]
     want = per_boundary_novikov(lift)
@@ -793,9 +798,13 @@ def assert_forest_degree_one_matches(lift, rng):
         nv = _novikov_of_lift(shifted)
         assert (nv.betti, nv.torsion, nv.route) == want
         assert per_boundary_novikov(shifted) == want
-        if shifted is not lift and lift.rank:
-            assert any(shifted.exponents.get(
-                lift.complex.orient(parent[v], v)[0]) for v in parent)
+        on_tree = any(shifted.exponents.get(X.orient(parent[v], v)[0])
+                      for v in parent)
+        assert on_tree == (shifted is not lift and lift.rank > 0)
+        reordered = dict(reversed(shifted.exponents.items()))
+        for exponents in (shifted.exponents, reordered):
+            assert forest_pairs(X, lift.forest, exponents) == \
+                forest_pairs_oracle(X, lift.forest, exponents)
     return len(lifts)
 
 

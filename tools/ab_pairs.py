@@ -1,0 +1,119 @@
+"""Alternating pairs of benchmark runs: a git revision against the
+working tree.
+
+    python3 tools/ab_pairs.py --rev HEAD --workload twisted --pairs 10 \\
+        --seconds 15 --seed 41
+
+The revision is exported with ``git archive`` into a temporary
+directory, so no worktree is made and nothing under .git changes.  Pair
+i runs each tree's own perfbench/run.py once with seed + i: the
+revision first on even pairs, the working tree first on odd ones.  The
+summary gives each metric's median per side, the spread between the
+quartiles of the revision's runs and, for the end-to-end
+metrics that BENCHMARK.json declares, the number of pairs the working
+tree won; ties count for neither side.  Run from anywhere; runs are
+sequential, one benchmark process at a time.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def export(rev, dest):
+    """Write the tree of rev into dest with git archive."""
+    data = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                          capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=data, check=True)
+
+
+def run_once(tree, workload, seed, seconds):
+    """The result line (last line of stdout) of one untraced run."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def better_directions():
+    """{metric: "higher" or "lower"} of the declared end-to-end metrics."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"),
+              encoding="utf-8") as handle:
+        bench = json.load(handle)
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+
+def summarize(lines, better):
+    """Rows (metric, unit, base median, base IQR, change median, wins)
+    of result lines taken in pairs (base, change).  The IQR is the
+    distance between the quartiles of the base runs, 0 for one pair.
+    wins counts the pairs where the change is strictly better, for
+    metrics in better; else None.  failed is the count of failed
+    analyses, lower being better."""
+    results = [json.loads(line) for line in lines]
+    for r in results:
+        r["metrics"]["failed"] = {"value": r["failed"], "unit": "count"}
+    pairs = list(zip(results[0::2], results[1::2]))
+    better = dict(better, failed="lower")
+    names = sorted(set.intersection(*(set(r["metrics"]) for r in results)))
+    rows = []
+    for name in names:
+        unit = results[0]["metrics"][name]["unit"]
+        side = [[r["metrics"][name]["value"] for r in pair] for pair in pairs]
+        wins = None
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            wins = sum(1 for base, new in side if sign * (new - base) > 0)
+        base = [b for b, _ in side]
+        q1, _, q3 = (statistics.quantiles(base, n=4, method="inclusive")
+                     if len(base) > 1 else (0, 0, 0))
+        rows.append((name, unit, statistics.median(base), q3 - q1,
+                     statistics.median(n for _, n in side), wins))
+    return rows
+
+
+def format_rows(rows, pairs):
+    out = ["%-16s %-6s %12s %10s %12s %6s"
+           % ("metric", "unit", "base", "base IQR", "change", "wins")]
+    for name, unit, base, iqr, new, wins in rows:
+        out.append("%-16s %-6s %12.4g %10.3g %12.4g %6s"
+                   % (name, unit, base, iqr, new,
+                      "-" if wins is None else "%d/%d" % (wins, pairs)))
+    return "\n".join(out)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rev", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seed", type=int, default=41)
+    args = parser.parse_args(argv)
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as base:
+        export(args.rev, base)
+        for i in range(args.pairs):
+            seed = args.seed + i
+            trees = [base, ROOT] if i % 2 == 0 else [ROOT, base]
+            got = {tree: run_once(tree, args.workload, seed, args.seconds)
+                   for tree in trees}
+            lines += [got[base], got[ROOT]]
+            print("pair %d (seed %d) done" % (i + 1, seed), file=sys.stderr)
+    print("%s: %s against the working tree, %d pairs of %g s"
+          % (args.workload, args.rev, args.pairs, args.seconds))
+    print(format_rows(summarize(lines, better_directions()), args.pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
