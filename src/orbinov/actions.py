@@ -106,6 +106,16 @@ class SimplicialAction:
         """The one-element group acting on X."""
         return cls(FiniteGroup(["e"], [["e"]]), X, {})
 
+    @classmethod
+    def _of(cls, group, complex, vertex_maps):
+        # trusted: vertex_maps holds a map for every element, and the
+        # maps act by simplicial automorphisms, so nothing is checked
+        action = cls.__new__(cls)
+        action.group = group
+        action.complex = complex
+        action.vertex_maps = vertex_maps
+        return action
+
     def __init__(self, group, complex, vertex_maps):
         self.group = group
         self.complex = complex
@@ -249,14 +259,18 @@ class QuotientResult:
 
 
 def lift_action(action, sd):
-    """Transport an action along a barycentric subdivision of its space."""
+    """Transport an action along a barycentric subdivision of its space.
+
+    The lift is an action by construction, each element permuting the
+    barycenters as it permutes the cells, so it is not checked again.
+    """
     lifted = {}
     for g in action.group.elements:
         m = {}
         for cell, label in sd.barycenter_of.items():
             m[label] = sd.barycenter_of[action.apply_cell(g, cell)]
         lifted[g] = m
-    return SimplicialAction(action.group, sd.complex, lifted)
+    return SimplicialAction._of(action.group, sd.complex, lifted)
 
 
 def quotient_complex(action):

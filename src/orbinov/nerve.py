@@ -20,7 +20,13 @@ The operators satisfy four identities: each boundary squares to zero,
 they commute, and the total differential (with the bidegree sign
 rule) squares to zero.  identity_failures checks them on seeded random
 chains; the module itself stays agnostic about truncation except for
-refusing words longer than its depth.
+refusing words longer than its depth.  The drawn cells are valid by
+construction (stored simplices in a shuffled vertex order, words from
+the element list), so the sampler checks only their word length.  One
+face kernel lists the word part, the face part and the signed total of
+a chain's boundary in one traversal, and the three operators are views
+of it; a sample makes one face pass per level, over c, W(c), F(c) and
+D(c), and DD(c) goes through the total operator.
 
 A chain is a flat map {(anchor, word, exponent): int} without zero
 entries: a chain with coefficients in the group ring of the period
@@ -133,69 +139,91 @@ class NerveModel:
         faces = self._faces[(anchor, word)] = (word_faces, anchor_faces)
         return faces
 
-    def _boundary(self, flat, word=True, anchor=True):
-        """Word faces, anchor faces, or both of a flat chain; both take
-        the bidegree sign rule: the word faces of a cell carry the sign
-        (-1)^(q+n), its anchor faces (-1)^q."""
-        total = word and anchor
+    def _boundaries(self, flat, split=True, signed=True):
+        """The face kernel: one traversal of a flat chain that returns
+        its word boundary and its face boundary when split, and its
+        total boundary when signed (a part not asked for comes back
+        empty).  The total takes the bidegree sign rule: the word faces
+        of a cell in bidegree (q, n) carry the sign (-1)^(q+n), its
+        anchor faces (-1)^q."""
         memo = self._faces
-        out = {}
+        word_part, face_part, total = {}, {}, {}
         for (a, w, e), c in flat.items():
             word_faces, anchor_faces = (memo.get((a, w))
                                         or self._cell_faces(a, w))
-            if word:
-                _add_faces(out, word_faces, e,
-                           -c if total and (len(a) + len(w)) % 2 == 0 else c)
-            if anchor:
-                _add_faces(out, anchor_faces, e,
-                           -c if total and len(a) % 2 == 0 else c)
-        return out
+            q = len(a) - 1
+            t = -c if (q + len(w)) % 2 else c
+            # word faces keep the exponent; only anchor faces shift it
+            for anchor, word, _, sign in word_faces:
+                key = (anchor, word, e)
+                if split:
+                    x = word_part.get(key, 0) + sign * c
+                    if x:
+                        word_part[key] = x
+                    else:
+                        del word_part[key]
+                if signed:
+                    x = total.get(key, 0) + sign * t
+                    if x:
+                        total[key] = x
+                    else:
+                        del total[key]
+            t = -c if q % 2 else c
+            for anchor, word, shift, sign in anchor_faces:
+                key = (anchor, word,
+                       e if shift is None else tuple(map(add, e, shift)))
+                if split:
+                    x = face_part.get(key, 0) + sign * c
+                    if x:
+                        face_part[key] = x
+                    else:
+                        del face_part[key]
+                if signed:
+                    x = total.get(key, 0) + sign * t
+                    if x:
+                        total[key] = x
+                    else:
+                        del total[key]
+        return word_part, face_part, total
 
     def group_boundary(self, chain):
         """Word-direction boundary: drop, compose, or relocate."""
-        return self._boundary(chain, anchor=False)
+        return self._boundaries(chain, signed=False)[0]
 
     def face_boundary(self, chain):
         """Anchor-direction boundary, twisted on the leading face."""
-        return self._boundary(chain, word=False)
+        return self._boundaries(chain, signed=False)[1]
 
     def total_boundary(self, chain):
         """Total differential, with the bidegree sign rule."""
-        return self._boundary(chain)
-
-
-def _add_faces(out, faces, exp, coeff):
-    """Add coeff times the signed faces of one cell at exponent exp."""
-    for anchor, word, shift, sign in faces:
-        key = (anchor, word,
-               exp if shift is None else tuple(map(add, exp, shift)))
-        total = out.get(key, 0) + sign * coeff
-        if total:
-            out[key] = total
-        else:
-            del out[key]
+        return self._boundaries(chain, split=False)[2]
 
 
 def random_chain(model, rng, max_word=3, max_cells=3):
     """Small random chain for identity spot checks, rng driven.
 
-    Anchors come from the model's complex in any vertex order, words
-    from the full element list (identities included), coefficients are
-    signed monomials with small exponents; a cell drawn twice at one
-    exponent has its coefficients summed.
+    Anchors are stored cells of the model's complex in a shuffled
+    vertex order, words come from the full element list (identities
+    included), coefficients are signed monomials with small exponents;
+    a cell drawn twice at one exponent has its coefficients summed.
+    Every key is a valid cell by construction, so only the word length
+    is checked against the model's depth.
     """
     X = model.complex
     elements = model.action.group.elements
+    choice, randrange, shuffle = rng.choice, rng.randrange, rng.shuffle
     chain = {}
-    for _ in range(rng.randrange(1, max_cells + 1)):
-        q = rng.randrange(X.dim + 1)
-        anchor = list(rng.choice(X.cells[q]))
-        rng.shuffle(anchor)
-        word = tuple(rng.choice(elements)
-                     for _ in range(rng.randrange(max_word + 1)))
-        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
-        sign = rng.choice((1, -1))
-        key = (*model.cell(anchor, word), exp)
+    for _ in range(randrange(1, max_cells + 1)):
+        anchor = list(choice(X.cells[randrange(X.dim + 1)]))
+        shuffle(anchor)
+        word = tuple(choice(elements) for _ in range(randrange(max_word + 1)))
+        exp = tuple(randrange(-2, 3) for _ in range(model.r))
+        sign = choice((1, -1))
+        if len(word) > model.depth:
+            raise ValidationError(
+                "word of length %d exceeds truncation depth %d"
+                % (len(word), model.depth))
+        key = (tuple(anchor), word, exp)
         chain[key] = chain.get(key, 0) + sign
     return {key: c for key, c in chain.items() if c}
 
@@ -205,23 +233,26 @@ def identity_failures(model, seed, samples, max_word=3):
 
     Both operators must square to zero, they must commute, and the
     signed total differential must square to zero on the chains that
-    random_chain draws.  Returns failure descriptions; an empty list is
-    a clean pass.
+    random_chain draws.  Each sample makes one face pass per level:
+    over the chain c, over its word and face boundaries W(c) and F(c),
+    and over its total boundary D(c), whose total part is DD(c).
+    Returns failure descriptions; an empty list is a clean pass.
     """
     max_word = min(max_word, model.depth)
     rng = random.Random(seed)
-    boundary = model._boundary
+    boundaries = model._boundaries
     fails = []
     for i in range(samples):
-        c = random_chain(model, rng, max_word, 3)
-        word, face = boundary(c, anchor=False), boundary(c, word=False)
-        if boundary(word, anchor=False):
+        word, face, total = boundaries(random_chain(model, rng, max_word, 3))
+        word_word, face_word, _ = boundaries(word, signed=False)
+        word_face, face_face, _ = boundaries(face, signed=False)
+        if word_word:
             fails.append("sample %d: word boundary squared is nonzero" % i)
-        if boundary(face, word=False):
+        if face_face:
             fails.append("sample %d: face boundary squared is nonzero" % i)
-        if boundary(word, word=False) != boundary(face, anchor=False):
+        if face_word != word_face:
             fails.append("sample %d: boundaries do not commute" % i)
-        if boundary(boundary(c)):
+        if boundaries(total, split=False)[2]:
             fails.append("sample %d: total differential squared is nonzero"
                          % i)
     return fails

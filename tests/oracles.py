@@ -8,12 +8,15 @@ factors.  Keep these dumb and obviously correct.
 The per-boundary references are one exception: they call the
 package's reduction of a single matrix, but reduce every boundary on
 its own with all its rows, so they check only the step that carries
-pivot pairs from one degree to the next.  The quotient reference at the
-end is the other: it builds the orbit space with the package's
-build_complex, from vertex orbits and the image of every cell.
+pivot pairs from one degree to the next.  The quotient reference is
+the second: it builds the orbit space with the package's build_complex,
+from vertex orbits and the image of every cell.  The nerve reference
+is the third: it checks the identities one operator at a time, on the
+faces that the model's own _cell_faces lists.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
@@ -328,3 +331,73 @@ def reference_quotient(action):
                 raise AssertionError("collapsed simplex %r" % (cell,))
             simplices.add(image)
     return build_complex(sorted(simplices), vertices=labels), projection
+
+
+def reference_identity_failures(model, seed, samples, max_word=3):
+    """The nerve identities checked one operator at a time: eight
+    boundary passes per sample over chains whose every cell goes through
+    model.cell.  The reference for nerve.identity_failures, which draws
+    cells valid by construction and makes one face pass per level."""
+    max_word = min(max_word, model.depth)
+    rng = random.Random(seed)
+    fails = []
+    for i in range(samples):
+        c = _reference_random_chain(model, rng, max_word, 3)
+        word = _reference_boundary(model, c, anchor=False)
+        face = _reference_boundary(model, c, word=False)
+        if _reference_boundary(model, word, anchor=False):
+            fails.append("sample %d: word boundary squared is nonzero" % i)
+        if _reference_boundary(model, face, word=False):
+            fails.append("sample %d: face boundary squared is nonzero" % i)
+        if (_reference_boundary(model, word, word=False)
+                != _reference_boundary(model, face, anchor=False)):
+            fails.append("sample %d: boundaries do not commute" % i)
+        if _reference_boundary(model, _reference_boundary(model, c)):
+            fails.append("sample %d: total differential squared is nonzero"
+                         % i)
+    return fails
+
+
+def _reference_random_chain(model, rng, max_word, max_cells):
+    X = model.complex
+    elements = model.action.group.elements
+    chain = {}
+    for _ in range(rng.randrange(1, max_cells + 1)):
+        q = rng.randrange(X.dim + 1)
+        anchor = list(rng.choice(X.cells[q]))
+        rng.shuffle(anchor)
+        word = tuple(rng.choice(elements)
+                     for _ in range(rng.randrange(max_word + 1)))
+        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
+        sign = rng.choice((1, -1))
+        key = (*model.cell(anchor, word), exp)
+        chain[key] = chain.get(key, 0) + sign
+    return {key: c for key, c in chain.items() if c}
+
+
+def _reference_boundary(model, flat, word=True, anchor=True):
+    # word faces, anchor faces, or both with the bidegree sign rule:
+    # the word faces of a cell carry (-1)^(q+n), its anchor faces (-1)^q
+    total = word and anchor
+    out = {}
+    for (a, w, e), c in flat.items():
+        word_faces, anchor_faces = model._cell_faces(a, w)
+        if word:
+            _reference_add_faces(
+                out, word_faces, e,
+                -c if total and (len(a) + len(w)) % 2 == 0 else c)
+        if anchor:
+            _reference_add_faces(out, anchor_faces, e,
+                                 -c if total and len(a) % 2 == 0 else c)
+    return out
+
+
+def _reference_add_faces(out, faces, exp, coeff):
+    for anchor, word, shift, sign in faces:
+        key = (anchor, word,
+               exp if shift is None else tuple(map(add, exp, shift)))
+        total = out.get(key, 0) + sign * coeff
+        if total:
+            out[key] = total
+        else:
+            del out[key]

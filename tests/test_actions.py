@@ -309,6 +309,10 @@ def check_against_references(act, subdivisions=2):
     for _ in range(subdivisions):
         forms.append(lift_action(forms[-1],
                                  barycentric_subdivision(forms[-1].complex)))
+    # a lift is built unchecked; the checked constructor accepts it
+    for form in forms[1:]:
+        checked = SimplicialAction(form.group, form.complex, form.vertex_maps)
+        assert checked.vertex_maps == form.vertex_maps
     verdicts = [reference_is_regular(form) for form in forms]
     assert [is_regular(form) for form in forms] == verdicts, act.complex
     res = quotient_complex(act)

@@ -20,6 +20,7 @@ from orbinov.complexes import (bfs_forest, cycle_periods,
                                sparse_product_is_zero)
 from orbinov.documents import loads_document
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
+from orbinov.nerve import NerveModel
 from orbinov.periods import H1Presentation
 from orbinov.snf import smith_normal_form
 from orbinov.twisted import integralize
@@ -356,6 +357,7 @@ def stage_counts(monkeypatch, argv):
                         counted("vertex_orbit", SimplicialAction.vertex_orbit))
     monkeypatch.setattr(PeriodSpace, "vector",
                         counted("vector", PeriodSpace.vector))
+    monkeypatch.setattr(NerveModel, "cell", counted("cell", NerveModel.cell))
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "orbinov" or name.startswith("orbinov.")]
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
@@ -414,6 +416,9 @@ def stage_counts(monkeypatch, argv):
     # reads them off the off-tree exponents
     (["novikov", "klein", "--class", "dy"], {"cycle_periods": 1,
                                             "vector": 0}),
+    # the sampler draws stored cells and group elements, valid by
+    # construction, so no drawn cell is validated again
+    (["validate", "hexagon_z2", "--cyclic", "3"], {"cell": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

@@ -11,8 +11,10 @@ from orbinov import (DocumentError, LaurentPoly, RationalCochain1,
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.nerve import identity_failures, random_chain
 
-from test_actions import (Z2, hexagon_action, mirror_square_action,
-                          pillowcase_action, torus_grid)
+from oracles import reference_identity_failures
+from test_actions import (Z2, dihedral_hexagon_action, hexagon_action,
+                          mirror_square_action, pillowcase_action,
+                          seeded_invariant_actions, torus_grid)
 from test_cochains import hexagon_dtheta
 from test_periods import grid_dx
 
@@ -401,3 +403,103 @@ def test_missing_edge_exponent_still_raises():
         model.face_boundary(model.unit((u, v), ("m",)))
     with pytest.raises(ValidationError, match="no exponent for edge"):
         identity_failures(model, 7, 100)
+
+
+def corpus_models(depth):
+    """The nerve model of every corpus class, orbit documents under the
+    trivial action as validate quotients them."""
+    for name in corpus_names():
+        doc = resolve_document(name)
+        act = doc.action or SimplicialAction.trivial(doc.space)
+        for cname in doc.cocycle_names():
+            yield model_of(act, doc.cochain(cname), depth)
+
+
+def same_as_reference(model, seed, samples):
+    # each side lists the faces of every cell it meets afresh
+    want = reference_identity_failures(model, seed, samples)
+    model._faces.clear()
+    assert identity_failures(model, seed, samples) == want
+    return want
+
+
+def test_identity_failures_match_the_reference_on_the_corpus():
+    runs = 0
+    for depth in (2, 3, 4):
+        for model in corpus_models(depth):
+            for seed in range(5):
+                assert same_as_reference(model, seed, 25) == []
+                runs += 1
+    assert runs == 225
+
+
+def mirror_cylinder_model(depth=4):
+    # mirror_model's class descends to rank zero, with nothing to bump
+    doc = resolve_document("mirror_cylinder")
+    return model_of(doc.action, doc.cochain("dx"), depth)
+
+
+@pytest.mark.parametrize("make", [hexagon_model, shift_model,
+                                  mirror_cylinder_model])
+def test_identity_failures_match_the_reference_on_a_bumped_exponent(make):
+    model = make(depth=3)
+    first = sorted(model.exponents)[0]
+    model.exponents[first] = tuple(e + 1 for e in model.exponents[first])
+    assert same_as_reference(model, 7, 100)
+
+
+def test_identity_failures_match_the_reference_on_a_tampered_action():
+    # a reflection in place of the half turn still squares to the
+    # identity, but moves the exponents, so the boundaries stop commuting
+    model = hexagon_model(depth=3)
+    model.action.vertex_maps["m"] = {"h%d" % i: "h%d" % (-i % 6)
+                                     for i in range(6)}
+    fails = same_as_reference(model, 7, 100)
+    assert any("do not commute" in f for f in fails)
+
+
+def test_missing_edge_exponent_raises_as_in_the_reference():
+    model = hexagon_model(depth=3)
+    del model.exponents[sorted(model.exponents)[0]]
+    with pytest.raises(ValidationError) as want:
+        reference_identity_failures(model, 7, 100)
+    model._faces.clear()
+    with pytest.raises(ValidationError) as got:
+        identity_failures(model, 7, 100)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("no exponent for edge")
+
+
+def test_nerve_identities_hold_for_non_abelian_groups():
+    # word letters merge as mul(w_{k-1}, w_k); a left/right slip only
+    # shows when some letters do not commute
+    actions = [dihedral_hexagon_action(), *seeded_invariant_actions(0)]
+    non_abelian = 0
+    for act in actions:
+        qres = quotient_complex(act)
+        lift = integralize(descend_cochain(
+            qres, RationalCochain1(act.complex, {})))
+        assert identity_failures(nerve_model(qres, lift, 3), 0, 100) == []
+        group = act.group
+        non_abelian += any(group.mul(g, h) != group.mul(h, g)
+                           for g in group.elements for h in group.elements)
+    assert (len(actions), non_abelian) == (9, 5)
+
+
+def test_drawn_keys_are_cells_as_given():
+    for depth in range(5):
+        for model in corpus_models(depth):
+            rng = random.Random(depth)
+            for _ in range(20):
+                for anchor, word, _ in random_chain(model, rng,
+                                                    max_word=depth):
+                    assert model.cell(anchor, word) == (anchor, word)
+
+
+def test_random_chain_refuses_words_past_the_depth():
+    model = hexagon_model(depth=3)
+    rng = random.Random(0)
+    with pytest.raises(ValidationError, match="word of length 4 exceeds "
+                                              "truncation depth 3"):
+        for _ in range(100):
+            random_chain(model, rng, max_word=model.depth + 1)
