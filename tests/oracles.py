@@ -288,15 +288,19 @@ def per_boundary_novikov(lift):
 
 def reference_is_regular(action):
     """The element-tuple form of the definition: every tuple of group
-    elements whose targets span a simplex is realized by one element."""
+    elements (g_0, ..., g_q) whose targets v_0.g_0, ..., v_q.g_q span a
+    simplex is realized by one element.  Only the targets enter, so the
+    loop runs over the product of the vertices' orbits: the same
+    definition, without the tuples that repeat a target tuple."""
     X = action.complex
     G = action.group.elements
     maps = action.vertex_maps
     key = X.vertex_index.__getitem__
+    orbit = {v: list(dict.fromkeys(maps[g][v] for g in G))
+             for v in X.vertices}
     for q in range(1, X.dim + 1):
         for cell in X.cells[q]:
-            for assign in product(G, repeat=q + 1):
-                targets = [maps[g][v] for g, v in zip(assign, cell)]
+            for targets in product(*(orbit[v] for v in cell)):
                 spanned = tuple(sorted(set(targets), key=key))
                 if not X.has_cell(spanned):
                     continue

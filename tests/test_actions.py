@@ -1,40 +1,22 @@
 import random
 import time
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 from orbinov.actions import (FiniteGroup, SimplicialAction, is_regular,
                              lift_action, quotient_complex)
-from orbinov.complexes import (barycentric_subdivision, build_complex,
-                               euler_characteristic, integer_homology)
+from orbinov.complexes import (barycentric_subdivision, euler_characteristic,
+                               integer_homology)
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
+from families import (Z2, cycle_complex, dihedral_hexagon_action,
+                      hexagon_action, klein_grid, mirror_grid,
+                      mirror_square_action, seeded_invariant_actions,
+                      torus3_grid, torus_grid, torus_reflection,
+                      z2_grid_actions)
 from oracles import reference_is_regular, reference_quotient
-from test_tools import load_script
-
-Z2 = FiniteGroup(["e", "m"], [["e", "m"], ["m", "e"]])
-
-
-def cycle_complex(labels):
-    edges = [(labels[i], labels[(i + 1) % len(labels)])
-             for i in range(len(labels))]
-    return build_complex(edges, vertices=labels)
-
-
-def hexagon_action():
-    labels = ["h%d" % i for i in range(6)]
-    X = cycle_complex(labels)
-    rot = {"h%d" % i: "h%d" % ((i + 3) % 6) for i in range(6)}
-    return SimplicialAction(Z2, X, {"m": rot})
-
-
-def mirror_square_action():
-    labels = ["s%d" % i for i in range(4)]
-    X = cycle_complex(labels)
-    m = {"s0": "s1", "s1": "s0", "s2": "s3", "s3": "s2"}
-    return SimplicialAction(Z2, X, {"m": m})
 
 
 def antipodal_square_action():
@@ -42,42 +24,6 @@ def antipodal_square_action():
     X = cycle_complex(labels)
     a = {"s%d" % i: "s%d" % ((i + 2) % 4) for i in range(4)}
     return SimplicialAction(Z2, X, {"m": a})
-
-
-def torus_grid(n):
-    tris = []
-    for x in range(n):
-        for y in range(n):
-            p = "g%d_%d" % (x, y)
-            q = "g%d_%d" % ((x + 1) % n, y)
-            r = "g%d_%d" % (x, (y + 1) % n)
-            s = "g%d_%d" % ((x + 1) % n, (y + 1) % n)
-            tris.append((p, q, s))
-            tris.append((p, s, r))
-    return build_complex(tris)
-
-
-def torus3_grid(n):
-    """Freudenthal triangulation of the 3-torus on an n^3 grid: each cube
-    splits into six tetrahedra along its main diagonal, one for each
-    order of the three unit steps."""
-    tets = []
-    for corner in product(range(n), repeat=3):
-        for steps in permutations(range(3)):
-            p = list(corner)
-            cell = ["t%d_%d_%d" % tuple(p)]
-            for axis in steps:
-                p[axis] += 1
-                cell.append("t%d_%d_%d" % tuple(c % n for c in p))
-            tets.append(tuple(cell))
-    return build_complex(tets)
-
-
-def pillowcase_action():
-    X = torus_grid(4)
-    neg = {"g%d_%d" % (x, y): "g%d_%d" % ((-x) % 4, (-y) % 4)
-           for x in range(4) for y in range(4)}
-    return SimplicialAction(Z2, X, {"m": neg})
 
 
 def test_group_validation():
@@ -140,7 +86,7 @@ def test_regularity_judgments():
         o1 = set(act.vertex_orbit(edge[1]))
         assert not (o0 & o1)
     assert not is_regular(act)
-    assert is_regular(pillowcase_action())
+    assert is_regular(torus_reflection(4))
 
 
 def test_hexagon_quotient_is_circle():
@@ -170,7 +116,7 @@ def test_antipodal_square_quotient_is_circle():
 
 
 def test_pillowcase_quotient_is_sphere():
-    res = quotient_complex(pillowcase_action())
+    res = quotient_complex(torus_reflection(4))
     assert res.stages == 0
     Y = res.complex
     assert euler_characteristic(Y) == 2
@@ -178,6 +124,17 @@ def test_pillowcase_quotient_is_sphere():
     H = integer_homology(Y)
     assert H.betti == [1, 0, 1]
     assert H.torsion == [[], [], []]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_builders_refuse_sizes_below_three(n):
+    # at n = 2 the torus and Klein grids closed up to the boundary of a
+    # tetrahedron (4, 6 and 4 cells, a sphere); at n = 1 they failed only
+    # inside build_complex
+    for build in (torus_grid, klein_grid, torus3_grid,
+                  lambda n: mirror_grid(n, 4), lambda n: mirror_grid(3, n)):
+        with pytest.raises(ValueError, match="grid size %d" % n):
+            build(n)
 
 
 def test_lifted_action_stays_regular():
@@ -191,43 +148,13 @@ def test_lifted_action_stays_regular():
 
 def test_projection_random_invariance():
     rng = random.Random(7)
-    res = quotient_complex(pillowcase_action())
+    res = quotient_complex(torus_reflection(4))
     act = res.action
     verts = act.complex.vertices
     for _ in range(100):
         v = rng.choice(verts)
         g = rng.choice(act.group.elements)
         assert res.projection[act.apply_vertex(g, v)] == res.projection[v]
-
-
-def z2_grid_actions():
-    """Point reflections of grid tori, as the pillowcase is built, and
-    mirrors of grids triangulated to make the reflection simplicial, as
-    the mirror cylinder is built."""
-    make_corpus = load_script("tools", "make_corpus.py")
-    group = FiniteGroup(make_corpus.Z2_GROUP["elements"],
-                        make_corpus.Z2_GROUP["table"])
-    for n in (3, 4, 5):
-        def label(x, y):
-            return "g%d_%d" % (x % n, y % n)
-        X = build_complex(make_corpus.torus_grid_cells(n, label))
-        yield SimplicialAction(group, X, {"m": {
-            label(x, y): label(-x, -y) for x in range(n) for y in range(n)}})
-    for ni, nj in ((3, 4), (4, 6)):
-        def label(i, j):
-            return "c%d_%d" % (i % ni, j % nj)
-        cells = []
-        for i in range(ni):
-            for j in range(nj):
-                p, q = label(i, j), label(i + 1, j)
-                r, s = label(i, j + 1), label(i + 1, j + 1)
-                if j < nj // 2:
-                    cells.extend([(p, q, s), (p, s, r)])
-                else:
-                    cells.extend([(p, q, r), (q, s, r)])
-        X = build_complex(cells)
-        yield SimplicialAction(group, X, {"m": {
-            label(i, j): label(i, -j) for i in range(ni) for j in range(nj)}})
 
 
 def rotations(n, k):
@@ -241,29 +168,6 @@ def rotations(n, k):
         for t in range(k)})
 
 
-def affine_group(k, reflections):
-    """Z/k, or D_k when reflections, as the maps i -> s*i + a of Z/k,
-    named r<a> for s = 1 and s<a> for s = -1.  Returns the group and
-    each element's (s, a); mul(g, h) applies g first."""
-    pairs = [(s, a) for s in ((1, -1) if reflections else (1,))
-             for a in range(k)]
-    name = {(s, a): ("r%d" if s == 1 else "s%d") % a for s, a in pairs}
-    table = [[name[(s * t, (t * a + b) % k)] for t, b in pairs]
-             for s, a in pairs]
-    return (FiniteGroup([name[p] for p in pairs], table),
-            {name[p]: p for p in pairs})
-
-
-def dihedral_hexagon_action():
-    """D_3 acting on a hexagon: rotations by two steps and reflections
-    i -> -i + 2a, a non-abelian group."""
-    group, affine = affine_group(3, True)
-    labels = ["h%d" % i for i in range(6)]
-    return SimplicialAction(group, cycle_complex(labels), {
-        g: {"h%d" % i: "h%d" % ((s * i + 2 * a) % 6) for i in range(6)}
-        for g, (s, a) in affine.items()})
-
-
 def torus3_translation(n, step):
     """Z/n translating the Freudenthal 3-torus on an n^3 grid by step."""
     X = torus3_grid(n)
@@ -273,31 +177,6 @@ def torus3_translation(n, step):
             (c + t * d) % n for c, d in zip(p, step))
             for p in product(range(n), repeat=3)}
         for t in range(n)})
-
-
-def seeded_invariant_actions(seed):
-    """Z/k and D_k, k = 3..6, each acting on the closure of the orbits
-    of a few random simplices.  The vertices are three rings p<i>_<j> on
-    which the group acts as i -> s*i + a, and a fixed cone point c."""
-    rng = random.Random(seed)
-    for k in range(3, 7):
-        for reflections in (False, True):
-            group, affine = affine_group(k, reflections)
-
-            def move(g, v):
-                if v == "c":
-                    return v
-                i, j = map(int, v[1:].split("_"))
-                s, a = affine[g]
-                return "p%d_%d" % ((s * i + a) % k, j)
-            pool = ["c"] + ["p%d_%d" % (i, j)
-                            for i in range(k) for j in range(3)]
-            picks = [rng.sample(pool, rng.choice((2, 3)))
-                     for _ in range(rng.choice((1, 2)))]
-            X = build_complex({tuple(move(g, v) for v in cell)
-                               for cell in picks for g in affine})
-            yield SimplicialAction(group, X, {
-                g: {v: move(g, v) for v in X.vertices} for g in affine})
 
 
 def check_against_references(act, subdivisions=2):
@@ -329,7 +208,7 @@ def test_regularity_matches_element_tuple_definition():
     actions = [act for act in actions if act is not None]
     actions += list(z2_grid_actions())
     actions += [hexagon_action(), mirror_square_action(),
-                antipodal_square_action(), pillowcase_action(),
+                antipodal_square_action(), torus_reflection(4),
                 rotations(6, 3), rotations(6, 6), rotations(4, 4),
                 dihedral_hexagon_action()]
     verdicts = []

@@ -19,28 +19,13 @@ from orbinov.documents import OrbifoldDocument, format_fraction
 from orbinov.errors import DocumentError, ValidationError
 from orbinov.twisted import integralize
 
+import make_corpus
+from families import (ALPHA, circle, circle_dtheta, grid_class,
+                      hexagon_action, hexagon_dtheta, mirror_square_action,
+                      torus_grid, torus_reflection, z2_grid_actions)
 from oracles import first_open_triangle, forest_periods_oracle
-from test_actions import (hexagon_action, mirror_square_action,
-                          pillowcase_action, torus_grid, z2_grid_actions)
-from test_tools import load_script
 
 F = Fraction
-
-
-def circle():
-    return build_complex([("a", "b"), ("b", "c"), ("a", "c")])
-
-
-def circle_dtheta(X=None):
-    X = X if X is not None else circle()
-    return RationalCochain1(X, {("a", "b"): F(1, 3), ("b", "c"): F(1, 3),
-                                ("a", "c"): F(-1, 3)})
-
-
-def hexagon_dtheta(act):
-    values = {("h%d" % i, "h%d" % (i + 1)): F(1, 6) for i in range(5)}
-    values[("h0", "h5")] = F(-1, 6)
-    return RationalCochain1(act.complex, values)
 
 
 def test_period_space():
@@ -248,7 +233,7 @@ def test_descend_through_subdivision():
 
 
 def test_descend_pillowcase_zero_and_bump():
-    act = pillowcase_action()
+    act = torus_reflection(4)
     res = quotient_complex(act)
     zero = RationalCochain1(act.complex, {})
     z_y = descend_cochain(res, zero)
@@ -259,23 +244,6 @@ def test_descend_pillowcase_zero_and_bump():
     assert is_invariant(act, bump)
     b_y = descend_cochain(res, bump)
     assert is_exact(b_y) is not None
-
-
-ALPHA = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
-
-
-def grid_class(X, n, a, b, space):
-    """a * dx + b * dy on torus_grid(n); a and b hold one coefficient
-    per coordinate of space."""
-    values = {}
-    for (u, v) in X.cells[1]:
-        (xu, yu), (xv, yv) = (map(int, w[1:].split("_")) for w in (u, v))
-        dx = (xv - xu + 1) % n - 1
-        dy = (yv - yu + 1) % n - 1
-        vec = tuple(F(dx * p + dy * q, n) for p, q in zip(a, b))
-        if any(vec):
-            values[(u, v)] = vec
-    return RationalCochain1(X, values, space)
 
 
 def gauged(rng, om):
@@ -466,7 +434,6 @@ def seeded_document(rng, X, om, action=None):
     """Document data carrying om as its class w, written with the
     make_corpus helpers: entries shuffled, each reversed and negated at
     random, explicit zeros on some edges, the Z/2 action when given."""
-    make_corpus = load_script("tools", "make_corpus.py")
     entries = []
     for (u, v) in X.edges():
         vec = om.values.get((u, v))

@@ -12,14 +12,8 @@ from orbinov.complexes import (barycentric_subdivision, build_complex,
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
+from families import rp2
 from oracles import betti_oracle
-
-RP2_TRIANGLES = [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
-                 (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
-
-
-def rp2():
-    return build_complex([tuple("w%d" % v for v in t) for t in RP2_TRIANGLES])
 
 
 def test_build_and_boundary():

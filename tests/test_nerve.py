@@ -11,16 +11,14 @@ from orbinov import (DocumentError, LaurentPoly, RationalCochain1,
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.nerve import identity_failures, random_chain
 
+from families import (Z2, dihedral_hexagon_action, grid_class,
+                      hexagon_action, hexagon_dtheta, mirror_square_action,
+                      seeded_invariant_actions, torus_grid, torus_reflection)
 from oracles import reference_identity_failures
-from test_actions import (Z2, dihedral_hexagon_action, hexagon_action,
-                          mirror_square_action, pillowcase_action,
-                          seeded_invariant_actions, torus_grid)
-from test_cochains import hexagon_dtheta
-from test_periods import grid_dx
 
 
 def torus_shift_action():
-    # free half-turn translation in the x direction; grid_dx is basic
+    # free half-turn translation in the x direction; dx is basic
     X = torus_grid(4)
     shift = {"g%d_%d" % (x, y): "g%d_%d" % ((x + 2) % 4, y)
              for x in range(4) for y in range(4)}
@@ -46,11 +44,11 @@ def mirror_model(depth=4):
 
 def shift_model(depth=4):
     act = torus_shift_action()
-    return model_of(act, grid_dx(act.complex, 4), depth)
+    return model_of(act, grid_class(act.complex, 4), depth)
 
 
 def pillow_model(depth=4):
-    act = pillowcase_action()
+    act = torus_reflection(4)
     bump = coboundary0(act.complex, {"g1_1": 1, "g3_3": 1})
     return model_of(act, bump, depth)
 
@@ -145,14 +143,14 @@ def test_total_boundary_mixed_cell():
 
 
 def test_rejects_foreign_and_non_invariant_cochains():
-    act = pillowcase_action()
+    act = torus_reflection(4)
     qres = quotient_complex(act)
     # a lift must live on the orbit space, not on some other complex
     with pytest.raises(DocumentError):
-        nerve_model(qres, integralize(grid_dx(torus_grid(4), 4)))
+        nerve_model(qres, integralize(grid_class(torus_grid(4), 4)))
     # dx flips sign under the point reflection, so it is not basic
     with pytest.raises(ValidationError, match="not invariant"):
-        model_of(act, grid_dx(act.complex, 4), 4)
+        model_of(act, grid_class(act.complex, 4), 4)
 
 
 def test_corpus_exponents_are_functions_of_orbits():

@@ -16,28 +16,11 @@ from orbinov.periods import (GPath, H1Presentation, gamma_basis,
                              period_homomorphism, period_lattice)
 from orbinov.snf import row_lattice_basis
 
-from test_actions import hexagon_action, mirror_square_action, torus_grid
-from test_cochains import circle, circle_dtheta, hexagon_dtheta
-from test_complexes import rp2
+from families import (circle, circle_dtheta, grid_class, hexagon_action,
+                      hexagon_dtheta, mirror_square_action, rp2, torus_grid)
 from oracles import gauss_rank
 
 F = Fraction
-
-
-def grid_dx(X, n=4):
-    """Closed cochain measuring horizontal displacement on a torus grid."""
-    values = {}
-    for (u, v) in X.cells[1]:
-        xu = int(u.split("_")[0][1:])
-        xv = int(v.split("_")[0][1:])
-        d = (xv - xu) % n
-        if d == 1:
-            values[(u, v)] = F(1, n)
-        elif d == n - 1:
-            values[(u, v)] = F(-1, n)
-        else:
-            assert d == 0
-    return RationalCochain1(X, values)
 
 
 def test_circle_presentation():
@@ -82,7 +65,7 @@ def test_torus_presentation_and_periods():
     X = torus_grid(4)
     h1 = H1Presentation(X)
     assert h1.orders == [0, 0]
-    om = grid_dx(X)
+    om = grid_class(X, 4)
     ph = period_homomorphism(h1, om)
     assert gamma_basis(ph) == [(F(1),)]
     assert is_integral(gamma_basis(ph))
@@ -140,7 +123,7 @@ def test_walk_coords_and_periods_factor():
     rng = random.Random(17)
     X = torus_grid(4)
     h1 = H1Presentation(X)
-    om = grid_dx(X)
+    om = grid_class(X, 4)
     ph = period_homomorphism(h1, om)
     adjacency = {}
     for (u, v) in X.cells[1]:

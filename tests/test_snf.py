@@ -22,11 +22,10 @@ from orbinov.snf import (eliminate_units, identity_matrix, mat_mul,
                          row_lattice_basis, smith_normal_form)
 from orbinov.twisted import integralize, twisted_complex
 
+from families import grid_class, torus_grid
 from oracles import (gauss_rank, integer_kernel, minor_gcd_invariant_factors,
                      per_boundary_homology)
-from test_actions import torus_grid
 from test_lmatrix import EVAL_POINTS, _eval_rank, assert_pivot_pairs, rank_of
-from test_periods import grid_dx
 
 
 WS1 = WeightSystem([(1,)])
@@ -553,7 +552,7 @@ def test_short_columns_first_keep_grid_torus_fill_low():
     # d_2 of the 8 x 8 grid torus, twisted by dx and plain; the key is
     # exact, so every implementation of the order makes these updates
     X = torus_grid(8)
-    M = twisted_complex(integralize(grid_dx(X, 8))).boundary(2)
+    M = twisted_complex(integralize(grid_class(X, 8))).boundary(2)
     (pairs, _, _), calls = divisions(
         M.entries, lambda p: _unit_cost(p, M.ws), _divide)
     assert (len(pairs), len(calls)) == (128, 331)

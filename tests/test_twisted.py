@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain)
-from orbinov.complexes import (IntHomology, build_complex, forest_pairs,
+from orbinov.complexes import (IntHomology, build_complex,
+                               euler_characteristic, forest_pairs,
                                integer_homology, sparse_product_is_zero)
 from orbinov.errors import (DocumentError, UnsupportedOperationError,
                             ValidationError)
@@ -27,11 +29,11 @@ from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
                              integralize, novikov_numbers, rank1_perturb,
                              twisted_complex)
 
+from families import (ALPHA, circle, circle_dtheta, genus_class,
+                      grid_class, klein_grid, torus3_grid, torus_grid,
+                      z2_grid_actions)
 from oracles import (forest_pairs_oracle, per_boundary_homology,
                      per_boundary_novikov)
-from test_actions import torus3_grid, torus_grid, z2_grid_actions
-from test_cochains import ALPHA, circle, circle_dtheta
-from test_periods import grid_dx
 
 F = Fraction
 
@@ -48,21 +50,6 @@ def fig8_class(X, left=1, right=0):
         values[("a", "b")] = F(left)
     if right:
         values[("a", "d")] = F(right)
-    return RationalCochain1(X, values)
-
-
-def grid_dy(X, n=4):
-    values = {}
-    for (u, v) in X.cells[1]:
-        yu = int(u.split("_")[1])
-        yv = int(v.split("_")[1])
-        d = (yv - yu) % n
-        if d == 1:
-            values[(u, v)] = F(1, n)
-        elif d == n - 1:
-            values[(u, v)] = F(-1, n)
-        else:
-            assert d == 0
     return RationalCochain1(X, values)
 
 
@@ -141,7 +128,7 @@ def test_novikov_figure_eight():
 
 def test_novikov_torus_dx():
     X = torus_grid(4)
-    nv = novikov_numbers(grid_dx(X))
+    nv = novikov_numbers(grid_class(X, 4))
     assert nv.route == "rank-one"
     assert nv.betti == [0, 0, 0]
     assert nv.torsion == [0, 0, 0]
@@ -165,8 +152,8 @@ def test_novikov_scale_and_gauge_invariance():
 def test_rank_two_class_goes_betti_only():
     X = torus_grid(3)
     space = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
-    dx = grid_dx(X, 3)
-    dy = grid_dy(X, 3)
+    dx = grid_class(X, 3)
+    dy = grid_class(X, 3, (0,), (1,))
     values = {}
     for e in X.cells[1]:
         vec = (dx.value(*e)[0], dy.value(*e)[0])
@@ -183,8 +170,8 @@ def test_rank_two_class_goes_betti_only():
 def test_rank1_perturb_rank_two_to_one():
     X = torus_grid(3)
     space = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
-    dx = grid_dx(X, 3)
-    dy = grid_dy(X, 3)
+    dx = grid_class(X, 3)
+    dy = grid_class(X, 3, (0,), (1,))
     values = {}
     for e in X.cells[1]:
         vec = (dx.value(*e)[0], dy.value(*e)[0])
@@ -222,27 +209,10 @@ def test_cyclic_cover_circle():
 
 def test_cyclic_cover_torus():
     X = torus_grid(4)
-    chk = cyclic_cover_oracle(integralize(grid_dx(X)), 2)
+    chk = cyclic_cover_oracle(integralize(grid_class(X, 4)), 2)
     assert chk.consistent
     assert chk.explicit.betti == [1, 2, 1]
     assert chk.explicit.torsion == [[], [], []]
-
-
-def klein_grid(n):
-    """n x n grid with a flipped vertical gluing: a Klein bottle whose
-    y direction reverses the x circle."""
-    def label(x, y):
-        if y < n:
-            return "g%d_%d" % (x % n, y)
-        return "g%d_%d" % ((-x) % n, 0)
-
-    tris = []
-    for x in range(n):
-        for y in range(n):
-            p, q = label(x, y), label(x + 1, y)
-            r, s = label(x, y + 1), label(x + 1, y + 1)
-            tris.extend([(p, q, s), (p, s, r)])
-    return build_complex(tris)
 
 
 SURFACES = {"torus": IntHomology([1, 2, 1], [[], [], []]),
@@ -257,12 +227,31 @@ SURFACES = {"torus": IntHomology([1, 2, 1], [[], [], []]),
     ("klein", 8, 2, "torus"), ("klein", 8, 3, "klein")])
 def test_cyclic_cover_on_grids(surface, n, p, cover):
     if surface == "torus":
-        om = grid_dx(torus_grid(n), n)
+        om = grid_class(torus_grid(n), n)
     else:
-        om = grid_dy(klein_grid(n), n)
+        om = grid_class(klein_grid(n), n, (0,), (1,))
     chk = cyclic_cover_oracle(integralize(om), p)
     assert chk.consistent
     assert chk.explicit == SURFACES[cover]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_genus_g_surfaces_have_2g_minus_2_novikov_cycles(g):
+    # the first closed manifolds with nonzero Novikov Betti numbers: for
+    # a class xi != 0 on a closed orientable surface b_0 = b_2 = 0, so
+    # the Euler characteristic 2 - 2g gives b_1 = 2g - 2 (Farber,
+    # Topology of Closed One-Forms, ch. 1)
+    start = time.perf_counter()
+    om = genus_class(g)
+    X = om.complex
+    assert euler_characteristic(X) == 2 - 2 * g
+    assert integer_homology(X) == IntHomology([1, 2 * g, 1], [[], [], []])
+    nv = novikov_numbers(om)
+    assert nv.route == "rank-one"
+    assert nv.betti == [0, 2 * g - 2, 0] and nv.torsion == [0, 0, 0]
+    assert check_inequalities(nv, CriticalData([0, 2 * g - 2, 0])).holds
+    assert cyclic_cover_oracle(nv.lift, 3).consistent
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cyclic_cover_figure_eight():
@@ -372,18 +361,6 @@ def mixed_class(X, space, rows, parts):
     return RationalCochain1(X, values, space)
 
 
-def torus3_axis(X, n, axis):
-    """Unit displacement along one axis of torus3_grid(n): a closed
-    cochain with period 1 around that circle factor."""
-    values = {}
-    for (u, v) in X.cells[1]:
-        a, b = (int(w[1:].split("_")[axis]) for w in (u, v))
-        d = (b - a + 1) % n - 1
-        if d:
-            values[(u, v)] = F(d, n)
-    return RationalCochain1(X, values)
-
-
 def test_three_torus_gives_fibred_zeros():
     # the first input of dimension 3: twisted boundaries in degree 3,
     # a d∘d check across three degrees, and a cover of a 3-manifold
@@ -392,7 +369,7 @@ def test_three_torus_gives_fibred_zeros():
     assert [X.n_cells(q) for q in range(4)] == [27, 189, 324, 162]
     ih = integer_homology(X)
     assert ih.betti == [1, 3, 3, 1] and not any(ih.torsion)
-    dx, dy = (torus3_axis(X, n, axis) for axis in (0, 1))
+    dx, dy = grid_class(X, n), grid_class(X, n, (0,), (1,))
     nv = novikov_numbers(dx)
     assert nv.route == "rank-one"
     assert nv.betti == [0, 0, 0, 0] and nv.torsion == [0, 0, 0, 0]
@@ -408,10 +385,10 @@ def test_lift_matches_h1_route_on_seeded_grids(surface, n):
     rng = random.Random(1000 * n + len(surface))
     if surface == "torus":
         X = torus_grid(n)
-        parts = [grid_dx(X, n), grid_dy(X, n)]
+        parts = [grid_class(X, n), grid_class(X, n, (0,), (1,))]
     else:
         X = klein_grid(n)
-        parts = [grid_dy(X, n)]
+        parts = [grid_class(X, n, (0,), (1,))]
     plain = PeriodSpace()
     symbolic = PeriodSpace(("alpha",), {"alpha": F(141421356, 10 ** 8)})
 
@@ -444,12 +421,12 @@ def test_cover_oracle_and_fibred_zeros_on_seeded_grids(surface):
     for n in range(6, 11):
         if surface == "torus":
             X = torus_grid(n)
-            parts = [grid_dx(X, n), grid_dy(X, n)]
+            parts = [grid_class(X, n), grid_class(X, n, (0,), (1,))]
             a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (3, 1)])
             rows = [[a, b]]
         else:
             X = klein_grid(n)
-            parts = [grid_dy(X, n)]
+            parts = [grid_class(X, n, (0,), (1,))]
             rows = [[1]]
         scale = F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4))
         rows = [[scale * c for c in row] for row in rows]
@@ -557,10 +534,10 @@ def test_monomial_build_matches_laurent_build_on_seeded_grids(surface):
     for n in range(3, 9):
         if surface == "torus":
             X = torus_grid(n)
-            parts = [grid_dx(X, n), grid_dy(X, n)]
+            parts = [grid_class(X, n), grid_class(X, n, (0,), (1,))]
         else:
             X = klein_grid(n)
-            parts = [grid_dy(X, n)]
+            parts = [grid_class(X, n, (0,), (1,))]
         for space in (PeriodSpace(), ALPHA):
             rows = [[F(rng.randint(1, 5), rng.randint(1, 4)) for _ in parts]
                     for _ in range(space.k)]
@@ -601,7 +578,7 @@ def rank_two_torus_class(rng, n, denominators):
     """Seeded class on torus_grid(n) with two independent symbolic
     directions, plus the coboundary of a seeded potential."""
     X = torus_grid(n)
-    parts = [grid_dx(X, n), grid_dy(X, n)]
+    parts = [grid_class(X, n), grid_class(X, n, (0,), (1,))]
     rows = [[0, 0], [0, 0]]
     while rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]:
         rows = [[F(rng.randint(-5, 5), rng.choice(denominators))
@@ -637,10 +614,10 @@ def seeded_grid_classes(surface, seed):
     for n in range(3, 9):
         if surface == "torus":
             X = torus_grid(n)
-            parts = [grid_dx(X, n), grid_dy(X, n)]
+            parts = [grid_class(X, n), grid_class(X, n, (0,), (1,))]
         else:
             X = klein_grid(n)
-            parts = [grid_dy(X, n)]
+            parts = [grid_class(X, n, (0,), (1,))]
         for space in (PeriodSpace(), ALPHA):
             rows = [[F(rng.choice((1, -1)) * rng.randint(1, 5),
                        rng.randint(1, 4)) for _ in parts]
@@ -721,7 +698,7 @@ def test_reduced_complex_matches_per_boundary_reference_on_the_three_torus(
     # the one input where rows paired away in d_2 feed a third boundary
     n = 3
     X = torus3_grid(n)
-    dx, dy = (torus3_axis(X, n, axis) for axis in (0, 1))
+    dx, dy = grid_class(X, n), grid_class(X, n, (0,), (1,))
     for om in (dx, mixed_class(X, ALPHA, [[1, 0], [0, 1]], [dx, dy])):
         del reduced[:]
         full = twisted_complex(assert_matches_per_boundary(om).lift).monomials
@@ -860,7 +837,7 @@ def test_grid_torus_32_hands_only_d2_to_elimination(monkeypatch):
                         invariant_factors)
     monkeypatch.setattr(orbinov.complexes, "smith_normal_form",
                         smith_normal_form)
-    nv = novikov_numbers(grid_dx(X, n))
+    nv = novikov_numbers(grid_class(X, n))
     assert (nv.betti, nv.torsion) == ([0, 0, 0], [0, 0, 0])
     (M,) = handed
     assert (M.nrows, M.ncols) == (3 * n * n, 2 * n * n)

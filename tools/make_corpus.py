@@ -12,21 +12,27 @@ import os
 import sys
 from fractions import Fraction
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(HERE, "..", "src"), HERE]
 
+from families import (Z2, circle_dtheta, grid_class, hexagon_action,
+                      hexagon_dtheta, klein_grid, mirror_grid,
+                      mirror_square_action, rp2, torus_grid_cells,
+                      torus_reflection)
 from orbinov import (H1Presentation, check_inequalities, integer_homology,
                      integralize, novikov_numbers, quotient_complex)
 from orbinov.cli import main as cli_main
-from orbinov.cochains import descend_cochain
+from orbinov.cochains import RationalCochain1, descend_cochain
 from orbinov.complexes import build_complex
 from orbinov.documents import OrbifoldDocument, format_fraction, \
     loads_document
 from orbinov.snf import row_lattice_basis
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "orbinov",
-                       "corpus")
+OUT_DIR = os.path.join(HERE, "..", "src", "orbinov", "corpus")
 
-Z2_GROUP = {"elements": ["e", "m"], "table": [["e", "m"], ["m", "e"]]}
+# Z/2 as document data; the benchmark's documents import it, and
+# torus_grid_cells, from here
+Z2_GROUP = {"elements": Z2.elements, "table": Z2.table}
 
 
 def solve_cocycle(X, targets):
@@ -98,8 +104,10 @@ def merge_coordinates(X, per_coordinate):
     return out
 
 
-def edges_entry(X, values):
-    return merge_coordinates(X, [values])
+def edges_entry(om):
+    """The document edge list of a cochain."""
+    return [[u, v, [format_fraction(x) for x in vec]]
+            for (u, v), vec in om.values.items()]
 
 
 def cocycle_dict(edges, symbols=(), shadows=None):
@@ -110,6 +118,11 @@ def cocycle_dict(edges, symbols=(), shadows=None):
 def orbit_dict(X):
     doc = OrbifoldDocument("", "", None, X, {}, {})
     return doc._space_dict(X)
+
+
+def action_dict(act):
+    doc = OrbifoldDocument("", "", act, act.complex, {}, {})
+    return doc.to_dict()["action"]
 
 
 def expect(cond, what):
@@ -136,17 +149,15 @@ def rank_of(om):
 # ---------------------------------------------------------------- circle
 
 def make_circle():
-    X = build_complex([("a", "b"), ("b", "c"), ("a", "c")],
-                      vertices=["a", "b", "c"])
-    third = Fraction(1, 3)
-    dtheta = {("a", "b"): third, ("b", "c"): third, ("a", "c"): -third}
+    dtheta = circle_dtheta()
+    X = dtheta.complex
     data = {
         "name": "circle",
         "description": "Triangle model of the circle with the discrete "
                        "angle class: total period 1, no critical points.",
         "orbit": orbit_dict(X),
         "cocycles": {
-            "dtheta": cocycle_dict(edges_entry(X, dtheta)),
+            "dtheta": cocycle_dict(edges_entry(dtheta)),
             "zero": cocycle_dict([]),
         },
         "critical_data": {
@@ -168,14 +179,8 @@ def make_circle():
 
 # ---------------------------------------------------------------- rp2
 
-RP2_TRIANGLES = [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
-                 (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
-
-
 def make_rp2():
-    names = ["v%d" % i for i in range(1, 7)]
-    cells = [tuple("v%d" % i for i in tri) for tri in RP2_TRIANGLES]
-    X = build_complex(cells, vertices=names)
+    X = rp2()
     data = {
         "name": "rp2",
         "description": "Six vertex triangulation of the real projective "
@@ -220,7 +225,7 @@ def make_torus7():
         "orbit": orbit_dict(X),
         "cocycles": {
             "zero": cocycle_dict([]),
-            "e1": cocycle_dict(edges_entry(X, e1_values)),
+            "e1": cocycle_dict(edges_entry(RationalCochain1(X, e1_values))),
             "irr": cocycle_dict(merge_coordinates(X, [irr0, irr1]),
                                 symbols=["alpha"],
                                 shadows={"alpha": "1.41421356"}),
@@ -258,26 +263,7 @@ def make_torus7():
 # ---------------------------------------------------------------- klein
 
 def make_klein():
-    n = 4
-
-    def nb(x, y):
-        if y < n:
-            return "g%d_%d" % (x % n, y)
-        return "g%d_%d" % ((-x) % n, 0)
-
-    cells = []
-    dy = {}
-    quarter = Fraction(1, 4)
-    for x in range(n):
-        for y in range(n):
-            p, q = nb(x, y), nb(x + 1, y)
-            r, s = nb(x, y + 1), nb(x + 1, y + 1)
-            cells.append((p, q, s))
-            cells.append((p, s, r))
-            dy[(p, r)] = quarter
-            dy[(p, s)] = quarter
-    vertices = ["g%d_%d" % (x, y) for x in range(n) for y in range(n)]
-    X = build_complex(cells, vertices=vertices)
+    X = klein_grid(4)
     data = {
         "name": "klein",
         "description": "Sixteen vertex Klein bottle built from a grid "
@@ -286,7 +272,7 @@ def make_klein():
         "orbit": orbit_dict(X),
         "cocycles": {
             "zero": cocycle_dict([]),
-            "dy": cocycle_dict(edges_entry(X, dy)),
+            "dy": cocycle_dict(edges_entry(grid_class(X, 4, (0,), (1,)))),
         },
         "critical_data": {
             "flat": {"counts": [0, 0, 0],
@@ -317,24 +303,14 @@ def make_klein():
 # ---------------------------------------------------------------- hexagon
 
 def make_hexagon():
-    labels = ["h%d" % i for i in range(6)]
-    edges = [(labels[i], labels[(i + 1) % 6]) for i in range(6)]
-    X = build_complex(edges, vertices=labels)
-    sixth = Fraction(1, 6)
-    values = {("h%d" % i, "h%d" % (i + 1)): sixth for i in range(5)}
-    values[("h0", "h5")] = -sixth
+    act = hexagon_action()
     data = {
         "name": "hexagon_z2",
         "description": "Hexagonal circle with the free half turn; the "
                        "angle class descends to the quotient circle.",
-        "action": {
-            "group": dict(Z2_GROUP),
-            "space": orbit_dict(X),
-            "vertex_maps": {"m": {"h%d" % i: "h%d" % ((i + 3) % 6)
-                                  for i in range(6)}},
-        },
+        "action": action_dict(act),
         "cocycles": {
-            "dtheta": cocycle_dict(edges_entry(X, values)),
+            "dtheta": cocycle_dict(edges_entry(hexagon_dtheta(act))),
             "zero": cocycle_dict([]),
         },
         "critical_data": {
@@ -359,22 +335,15 @@ def make_hexagon():
 # ---------------------------------------------------------------- mirror square
 
 def make_mirror_square():
-    labels = ["s%d" % i for i in range(4)]
-    edges = [(labels[i], labels[(i + 1) % 4]) for i in range(4)]
-    X = build_complex(edges, vertices=labels)
-    values = {("s1", "s2"): Fraction(1), ("s0", "s3"): Fraction(1)}
+    act = mirror_square_action()
+    across = RationalCochain1(act.complex, {("s1", "s2"): 1, ("s0", "s3"): 1})
     data = {
         "name": "mirror_square",
         "description": "Square circle reflected across a diagonal; the "
                        "orbit space is a mirrored interval.",
-        "action": {
-            "group": dict(Z2_GROUP),
-            "space": orbit_dict(X),
-            "vertex_maps": {"m": {"s0": "s1", "s1": "s0",
-                                  "s2": "s3", "s3": "s2"}},
-        },
+        "action": action_dict(act),
         "cocycles": {
-            "across": cocycle_dict(edges_entry(X, values)),
+            "across": cocycle_dict(edges_entry(across)),
             "zero": cocycle_dict([]),
         },
         "critical_data": {
@@ -399,37 +368,12 @@ def make_mirror_square():
 
 # ---------------------------------------------------------------- pillowcase
 
-def torus_grid_cells(n, label):
-    cells = []
-    for x in range(n):
-        for y in range(n):
-            p = label(x, y)
-            q = label(x + 1, y)
-            r = label(x, y + 1)
-            s = label(x + 1, y + 1)
-            cells.append((p, q, s))
-            cells.append((p, s, r))
-    return cells
-
-
 def make_pillowcase():
-    n = 4
-
-    def label(x, y):
-        return "g%d_%d" % (x % n, y % n)
-
-    vertices = [label(x, y) for x in range(n) for y in range(n)]
-    X = build_complex(torus_grid_cells(n, label), vertices=vertices)
     data = {
         "name": "pillowcase",
         "description": "Grid torus modulo the point reflection; the "
                        "orbit space is a sphere with four cone points.",
-        "action": {
-            "group": dict(Z2_GROUP),
-            "space": orbit_dict(X),
-            "vertex_maps": {"m": {label(x, y): label(-x, -y)
-                                  for x in range(n) for y in range(n)}},
-        },
+        "action": action_dict(torus_reflection(4)),
         "cocycles": {"zero": cocycle_dict([])},
         "critical_data": {
             "minimal": {"counts": [1, 0, 1],
@@ -458,42 +402,15 @@ def make_pillowcase():
 # ---------------------------------------------------------------- mirror cylinder
 
 def make_mirror_cylinder():
-    ni, nj = 6, 4
-
-    def label(i, j):
-        return "c%d_%d" % (i % ni, j % nj)
-
-    cells = []
-    dx = {}
-    sixth = Fraction(1, 6)
-    for i in range(ni):
-        for j in range(nj):
-            p, q = label(i, j), label(i + 1, j)
-            r, s = label(i, j + 1), label(i + 1, j + 1)
-            if j in (0, 1):
-                cells.append((p, q, s))
-                cells.append((p, s, r))
-                dx[(p, s)] = sixth
-            else:
-                cells.append((p, q, r))
-                cells.append((q, s, r))
-                dx[(q, r)] = -sixth
-            dx[(p, q)] = sixth
-    vertices = [label(i, j) for i in range(ni) for j in range(nj)]
-    X = build_complex(cells, vertices=vertices)
+    act = mirror_grid(6, 4)
     data = {
         "name": "mirror_cylinder",
         "description": "Product of a free circle with a reflected "
                        "circle; the orbit space is a cylinder and the "
                        "free direction gives a nowhere vanishing class.",
-        "action": {
-            "group": dict(Z2_GROUP),
-            "space": orbit_dict(X),
-            "vertex_maps": {"m": {label(i, j): label(i, -j)
-                                  for i in range(ni) for j in range(nj)}},
-        },
+        "action": action_dict(act),
         "cocycles": {
-            "dx": cocycle_dict(edges_entry(X, dx)),
+            "dx": cocycle_dict(edges_entry(grid_class(act.complex, 6))),
             "zero": cocycle_dict([]),
         },
         "critical_data": {
