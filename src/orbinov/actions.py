@@ -137,15 +137,17 @@ class SimplicialAction:
         for v in complex.vertices:
             if maps[ident][v] != v:
                 raise ValidationError("identity element must act trivially")
-        for g in group.elements:
-            for h in group.elements:
+        # hence every table pair and cell image with the identity holds
+        others = [g for g in group.elements if g != ident]
+        for g in others:
+            for h in others:
                 gh = group.mul(g, h)
                 for v in complex.vertices:
                     if maps[h][maps[g][v]] != maps[gh][v]:
                         raise ValidationError(
                             "vertex maps break the table at (%r, %r)" % (g, h))
         key = complex.vertex_index.__getitem__
-        ordered = [(g, maps[g].__getitem__) for g in group.elements]
+        ordered = [(g, maps[g].__getitem__) for g in others]
         for q in range(1, complex.dim + 1):
             index = complex.cell_index[q]
             for cell in complex.cells[q]:

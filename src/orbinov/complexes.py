@@ -183,28 +183,30 @@ def build_complex(simplices, vertices=None):
             raise DocumentError("duplicate vertex in vertex list")
     if not seen:
         raise DocumentError("empty complex: no vertices")
-    index = {v: i for i, v in enumerate(seen)}
-    layers = [set((v,) for v in seen)]
+    # faces are closed and sorted as tuples of vertex indices
+    index = {v: i for i, v in enumerate(seen)}.__getitem__
+    layers = [set()]
     for s in gens:
         if not s:
             raise DocumentError("empty simplex")
-        for v in s:
-            if v not in index:
-                raise DocumentError("unknown vertex %r in simplex %r" % (v, s))
-        if len(set(s)) != len(s):
+        try:
+            cell = tuple(sorted(map(index, s)))
+        except KeyError as exc:
+            raise DocumentError("unknown vertex %r in simplex %r"
+                                % (exc.args[0], s)) from None
+        if len(set(cell)) != len(cell):
             raise DocumentError("repeated vertex in simplex %r" % (s,))
-        cell = tuple(sorted(s, key=index.__getitem__))
         q = len(cell) - 1
         while len(layers) <= q:
             layers.append(set())
         layers[q].add(cell)
-    # close under faces
     for q in range(len(layers) - 1, 1, -1):
-        for cell in layers[q]:
-            for drop in range(len(cell)):
-                layers[q - 1].add(cell[:drop] + cell[drop + 1:])
-    cells = [sorted(layer, key=lambda c: tuple(map(index.__getitem__, c)))
-             for layer in layers]
+        layers[q - 1].update({cell[:drop] + cell[drop + 1:]
+                              for cell in layers[q] for drop in range(q + 1)})
+    label = seen.__getitem__
+    cells = [[(v,) for v in seen]]
+    cells += [[tuple(map(label, c)) for c in sorted(layer)]
+              for layer in layers[1:]]
     return SimplicialComplex(seen, cells)
 
 

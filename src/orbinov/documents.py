@@ -8,9 +8,12 @@ strings, and the only decimals allowed are the advisory shadows
 attached to declared irrational symbols.
 
 Parsing is strict.  Unknown keys, floats where rationals belong,
-dangling vertices and malformed tables are DocumentErrors with a field
-path; mathematical violations (a value on a non-edge, a non-closed
+digits other than ASCII 0-9, integers too long for int(), dangling
+vertices and malformed tables are DocumentErrors with a field path,
+and a key repeated in one JSON object is a DocumentError naming the
+key; mathematical violations (a value on a non-edge, a non-closed
 cocycle) surface later as ValidationErrors when the cochain is built.
+Every cocycle is parsed and checked on load, used or not.
 serialize() emits a canonical form: sorted keys, edges oriented by
 vertex order, maximal simplices only.  parse(serialize(parse(s)))
 equals parse(s).
@@ -18,6 +21,7 @@ equals parse(s).
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .actions import FiniteGroup, SimplicialAction
@@ -29,8 +33,20 @@ from .inequalities import CriticalData
 __all__ = ["OrbifoldDocument", "load_document", "loads_document",
            "parse_fraction", "format_fraction"]
 
-_FRACTION_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
-_DECIMAL_RE = re.compile(r"-?\d+(\.\d+)?\Z")
+_FRACTION_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z", re.ASCII)
+_DECIMAL_RE = re.compile(r"-?\d+(\.\d+)?\Z", re.ASCII)
+_SPACE_KEYS = {"vertices", "simplices"}
+_COCYCLE_KEYS = {"symbols", "shadows", "edges"}
+
+
+def _digit_limit():
+    # the most digits int() reads, 0 for no limit (as before 3.10.7)
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(where, digits):
+    return DocumentError("%s: an integer of %d digits is over the %d-digit "
+                         "limit" % (where, digits, _digit_limit()))
 
 
 def parse_fraction(text, where):
@@ -44,7 +60,11 @@ def parse_fraction(text, where):
         raise DocumentError("%s: expected a p/q string, got %r"
                             % (where, text))
     num, den = match.groups()
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ValueError:
+        raise _too_long(where, max(len(num.lstrip("-")),
+                                   len(den or ""))) from None
 
 
 def format_fraction(fr):
@@ -72,6 +92,24 @@ def _check_keys(obj, allowed, where):
 
 
 def _parse_space(obj, where):
+    # One expression tests the shape.  A simplex vertex that is not a
+    # string is not in the vertex index, so build_complex refuses it;
+    # on any refusal the per-field checks run first and name the bad
+    # entry, as they did before the complex was built.
+    if (isinstance(obj, dict) and obj.keys() == _SPACE_KEYS
+            and isinstance(obj["vertices"], list)
+            and isinstance(obj["simplices"], list)
+            and all(map(str.__instancecheck__, obj["vertices"]))
+            and all(map(list.__instancecheck__, obj["simplices"]))):
+        try:
+            return build_complex(obj["simplices"], vertices=obj["vertices"])
+        except (DocumentError, TypeError):
+            pass
+    _check_space(obj, where)
+    return build_complex(obj["simplices"], vertices=obj["vertices"])
+
+
+def _check_space(obj, where):
     _expect(obj, dict, where, "an object")
     _check_keys(obj, ("vertices", "simplices"), where)
     if "vertices" not in obj or "simplices" not in obj:
@@ -81,14 +119,11 @@ def _parse_space(obj, where):
         _expect(v, str, where + ".vertices", "vertex names")
     simplices = _expect(obj["simplices"], list, where + ".simplices",
                         "a list")
-    cells = []
     for i, cell in enumerate(simplices):
         spot = "%s.simplices[%d]" % (where, i)
         _expect(cell, list, spot, "a list")
         for v in cell:
             _expect(v, str, spot, "vertex names")
-        cells.append(tuple(cell))
-    return build_complex(cells, vertices=vertices)
 
 
 def _parse_group(obj, where):
@@ -117,18 +152,19 @@ def _parse_action(obj, where):
     space = _parse_space(obj["space"], where + ".space")
     raw = _expect(obj["vertex_maps"], dict, where + ".vertex_maps",
                   "an object")
-    maps = {}
     for g, table in raw.items():
-        spot = "%s.vertex_maps.%s" % (where, g)
-        for image in _expect(table, dict, spot, "an object").values():
-            _expect(image, str, spot, "vertex names")
-        maps[g] = dict(table)
-    return SimplicialAction(group, space, maps)
+        if not (isinstance(table, dict)
+                and all(map(str.__instancecheck__, table.values()))):
+            spot = "%s.vertex_maps.%s" % (where, g)
+            for image in _expect(table, dict, spot, "an object").values():
+                _expect(image, str, spot, "vertex names")
+    return SimplicialAction(group, space, raw)
 
 
 def _parse_cocycle(obj, X, where):
     _expect(obj, dict, where, "an object")
-    _check_keys(obj, ("symbols", "shadows", "edges"), where)
+    if not obj.keys() <= _COCYCLE_KEYS:
+        _check_keys(obj, _COCYCLE_KEYS, where)
     symbols = _expect(obj.get("symbols", []), list, where + ".symbols",
                       "a list")
     for s in symbols:
@@ -144,36 +180,62 @@ def _parse_cocycle(obj, X, where):
         if not isinstance(dec, str) or not _DECIMAL_RE.match(dec):
             raise DocumentError("%s: expected a decimal string, got %r"
                                 % (spot, dec))
+        # Fraction(dec) reads the whole and decimal parts with int()
+        digits = max(map(len, dec.lstrip("-").split(".")))
+        if digits > _digit_limit() > 0:
+            raise _too_long(spot, digits)
     k = 1 + len(symbols)
-    edges = _expect(obj.get("edges", []), list, where + ".edges", "a list")
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list):
+        _expect(edges, list, where + ".edges", "a list")
+    orient = X.orient
+    parsed = {}         # each distinct p/q string is parsed once
+    cached = parsed.__getitem__
     values = {}
     for i, entry in enumerate(edges):
-        spot = "%s.edges[%d]" % (where, i)
-        _expect(entry, list, spot, "a [u, v, value] triple")
-        if len(entry) != 3:
-            raise DocumentError("%s: expected a [u, v, value] triple"
-                                % (spot,))
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            _check_edge(entry, "%s.edges[%d]" % (where, i))
         u, v, value = entry
-        _expect(u, str, spot, "vertex names")
-        _expect(v, str, spot, "vertex names")
         try:
-            key, sign = X.orient(u, v)
+            key, sign = orient(u, v)
         except (DocumentError, ValidationError) as exc:
-            raise DocumentError("%s: %s" % (spot, exc)) from None
+            raise DocumentError("%s.edges[%d]: %s" % (where, i, exc)) from None
         if key in values:
-            raise DocumentError("%s: edge assigned twice" % (spot,))
+            raise DocumentError("%s.edges[%d]: edge assigned twice"
+                                % (where, i))
         if isinstance(value, str):
             value = [value]
-        _expect(value, list, spot, "a list of p/q strings")
-        if len(value) != k:
-            raise DocumentError(
-                "%s: value needs %d coordinates (1 + symbols), got %d"
-                % (spot, k, len(value)))
-        vec = tuple(parse_fraction(x, spot) for x in value)
+        if not (isinstance(value, list) and len(value) == k):
+            _check_value(value, k, "%s.edges[%d]" % (where, i))
+        try:
+            vec = tuple(map(cached, value))
+        except (KeyError, TypeError):
+            spot = "%s.edges[%d]" % (where, i)
+            for x in value:
+                if not (isinstance(x, str) and x in parsed):
+                    parsed[x] = parse_fraction(x, spot)
+            vec = tuple(map(cached, value))
         values[key] = vec if sign > 0 else vec_neg(vec)
     return {"symbols": list(symbols),
             "shadows": {s: shadows[s] for s in symbols if s in shadows},
             "values": values}
+
+
+def _check_edge(entry, spot):
+    _expect(entry, list, spot, "a [u, v, value] triple")
+    if len(entry) != 3:
+        raise DocumentError("%s: expected a [u, v, value] triple" % (spot,))
+    _expect(entry[0], str, spot, "vertex names")
+    _expect(entry[1], str, spot, "vertex names")
+
+
+def _check_value(value, k, spot):
+    _expect(value, list, spot, "a list of p/q strings")
+    if len(value) != k:
+        raise DocumentError(
+            "%s: value needs %d coordinates (1 + symbols), got %d"
+            % (spot, k, len(value)))
 
 
 def _parse_critical(obj, where):
@@ -321,15 +383,57 @@ class OrbifoldDocument:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys)
+                        if key in keys[:i])
+        raise DocumentError("repeated key %r in one JSON object"
+                            % (repeated,))
+    return obj
+
+
+class _Literal(str):
+    """The text of a JSON integer literal, as written."""
+
+
+def _long_literal(text):
+    """The field path and digit count of the first JSON integer literal
+    in text that int() refuses as too long, or None."""
+    stack = [(None, json.loads(text, parse_int=_Literal))]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, _Literal):
+            digits = len(node.lstrip("-"))
+            if digits > _digit_limit() > 0:
+                return "document" if where is None else where, digits
+        elif isinstance(node, dict):
+            stack.extend(reversed([
+                (key if where is None else where + "." + key, child)
+                for key, child in node.items()]))
+        elif isinstance(node, list):
+            top = "document" if where is None else where
+            stack.extend(reversed([("%s[%d]" % (top, i), child)
+                                   for i, child in enumerate(node)]))
+    return None
+
+
 def loads_document(text):
-    """Parse a document from JSON text."""
+    """Parse a document from JSON text.  A repeated key in any object
+    is a DocumentError, and so is an integer too long for int()."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError("line %d column %d: %s"
                             % (exc.lineno, exc.colno, exc.msg)) from exc
     except RecursionError as exc:
         raise DocumentError("JSON nested too deeply") from exc
+    except ValueError:
+        found = _long_literal(text)
+        if found is None:
+            raise
+        raise _too_long(*found) from None
     return OrbifoldDocument.from_dict(data)
 
 

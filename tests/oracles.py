@@ -12,16 +12,27 @@ pivot pairs from one degree to the next.  The quotient reference is
 the second: it builds the orbit space with the package's build_complex,
 from vertex orbits and the image of every cell.  The nerve reference
 is the third: it checks the identities one operator at a time, on the
-faces that the model's own _cell_faces lists.
+faces that the model's own _cell_faces lists.  The loader references
+are the fourth: build_complex, the space and cocycle parsers and the
+action checks as they were before the loader tested each entry's shape
+in one expression, kept line for line so that every refusal can be
+compared by exception class and text.
 """
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
 
-from orbinov.complexes import IntHomology, build_complex
+from orbinov.actions import SimplicialAction
+from orbinov.cochains import vec_neg
+from orbinov.complexes import IntHomology, SimplicialComplex, build_complex
+from orbinov.documents import (OrbifoldDocument, _check_keys, _expect,
+                               _parse_critical, _parse_group,
+                               parse_fraction)
+from orbinov.errors import DocumentError, ValidationError
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.snf import eliminate_units, smith_normal_form
 from orbinov.twisted import twisted_complex
@@ -405,3 +416,202 @@ def _reference_add_faces(out, faces, exp, coeff):
             out[key] = total
         else:
             del out[key]
+
+
+def reference_build_complex(simplices, vertices=None):
+    """build_complex with per-vertex membership tests and a key
+    function per cell."""
+    gens = [tuple(s) for s in simplices]
+    if vertices is None:
+        seen = sorted({v for s in gens for v in s})
+    else:
+        seen = list(vertices)
+        if len(set(seen)) != len(seen):
+            raise DocumentError("duplicate vertex in vertex list")
+    if not seen:
+        raise DocumentError("empty complex: no vertices")
+    index = {v: i for i, v in enumerate(seen)}
+    layers = [set((v,) for v in seen)]
+    for s in gens:
+        if not s:
+            raise DocumentError("empty simplex")
+        for v in s:
+            if v not in index:
+                raise DocumentError("unknown vertex %r in simplex %r" % (v, s))
+        if len(set(s)) != len(s):
+            raise DocumentError("repeated vertex in simplex %r" % (s,))
+        cell = tuple(sorted(s, key=index.__getitem__))
+        q = len(cell) - 1
+        while len(layers) <= q:
+            layers.append(set())
+        layers[q].add(cell)
+    for q in range(len(layers) - 1, 1, -1):
+        for cell in layers[q]:
+            for drop in range(len(cell)):
+                layers[q - 1].add(cell[:drop] + cell[drop + 1:])
+    cells = [sorted(layer, key=lambda c: tuple(map(index.__getitem__, c)))
+             for layer in layers]
+    return SimplicialComplex(seen, cells)
+
+
+def reference_parse_space(obj, where):
+    _expect(obj, dict, where, "an object")
+    _check_keys(obj, ("vertices", "simplices"), where)
+    if "vertices" not in obj or "simplices" not in obj:
+        raise DocumentError("%s: needs vertices and simplices" % (where,))
+    vertices = _expect(obj["vertices"], list, where + ".vertices", "a list")
+    for v in vertices:
+        _expect(v, str, where + ".vertices", "vertex names")
+    simplices = _expect(obj["simplices"], list, where + ".simplices",
+                        "a list")
+    cells = []
+    for i, cell in enumerate(simplices):
+        spot = "%s.simplices[%d]" % (where, i)
+        _expect(cell, list, spot, "a list")
+        for v in cell:
+            _expect(v, str, spot, "vertex names")
+        cells.append(tuple(cell))
+    return reference_build_complex(cells, vertices=vertices)
+
+
+def reference_action(group, complex, vertex_maps):
+    """SimplicialAction with the table and image checks run on every
+    element, the identity included."""
+    maps = {g: dict(m) for g, m in vertex_maps.items()}
+    for g in maps:
+        if g not in group.index:
+            raise DocumentError("vertex map for unknown element %r" % (g,))
+    ident = group.identity
+    maps.setdefault(ident, {v: v for v in complex.vertices})
+    for g in group.elements:
+        if g not in maps:
+            raise DocumentError("missing vertex map for element %r" % (g,))
+    vset = set(complex.vertices)
+    for g, m in maps.items():
+        if set(m) != vset or set(m.values()) != vset:
+            raise DocumentError(
+                "vertex map for %r is not a bijection of the vertex set" % (g,))
+    for v in complex.vertices:
+        if maps[ident][v] != v:
+            raise ValidationError("identity element must act trivially")
+    for g in group.elements:
+        for h in group.elements:
+            gh = group.mul(g, h)
+            for v in complex.vertices:
+                if maps[h][maps[g][v]] != maps[gh][v]:
+                    raise ValidationError(
+                        "vertex maps break the table at (%r, %r)" % (g, h))
+    key = complex.vertex_index.__getitem__
+    ordered = [(g, maps[g].__getitem__) for g in group.elements]
+    for q in range(1, complex.dim + 1):
+        index = complex.cell_index[q]
+        for cell in complex.cells[q]:
+            for g, image in ordered:
+                if tuple(sorted(map(image, cell), key=key)) not in index:
+                    raise ValidationError(
+                        "element %r does not map simplex %r to a simplex"
+                        % (g, cell))
+    return SimplicialAction._of(group, complex, maps)
+
+
+def _reference_parse_action(obj, where):
+    _expect(obj, dict, where, "an object")
+    _check_keys(obj, ("group", "space", "vertex_maps"), where)
+    for field in ("group", "space", "vertex_maps"):
+        if field not in obj:
+            raise DocumentError("%s: needs %s" % (where, field))
+    group = _parse_group(obj["group"], where + ".group")
+    space = reference_parse_space(obj["space"], where + ".space")
+    raw = _expect(obj["vertex_maps"], dict, where + ".vertex_maps",
+                  "an object")
+    maps = {}
+    for g, table in raw.items():
+        spot = "%s.vertex_maps.%s" % (where, g)
+        for image in _expect(table, dict, spot, "an object").values():
+            _expect(image, str, spot, "vertex names")
+        maps[g] = dict(table)
+    return reference_action(group, space, maps)
+
+
+def reference_parse_cocycle(obj, X, where):
+    """The cocycle parser with a field path per entry and one
+    parse_fraction per coordinate."""
+    _expect(obj, dict, where, "an object")
+    _check_keys(obj, ("symbols", "shadows", "edges"), where)
+    symbols = _expect(obj.get("symbols", []), list, where + ".symbols",
+                      "a list")
+    for s in symbols:
+        _expect(s, str, where + ".symbols", "symbol names")
+    if len(set(symbols)) != len(symbols):
+        raise DocumentError("%s.symbols: repeated symbol" % (where,))
+    shadows = _expect(obj.get("shadows", {}), dict, where + ".shadows",
+                      "an object")
+    for sym, dec in shadows.items():
+        spot = "%s.shadows.%s" % (where, sym)
+        if sym not in symbols:
+            raise DocumentError("%s: not a declared symbol" % (spot,))
+        if not isinstance(dec, str) or not re.match(r"-?[0-9]+(\.[0-9]+)?\Z",
+                                                    dec):
+            raise DocumentError("%s: expected a decimal string, got %r"
+                                % (spot, dec))
+    k = 1 + len(symbols)
+    edges = _expect(obj.get("edges", []), list, where + ".edges", "a list")
+    values = {}
+    for i, entry in enumerate(edges):
+        spot = "%s.edges[%d]" % (where, i)
+        _expect(entry, list, spot, "a [u, v, value] triple")
+        if len(entry) != 3:
+            raise DocumentError("%s: expected a [u, v, value] triple"
+                                % (spot,))
+        u, v, value = entry
+        _expect(u, str, spot, "vertex names")
+        _expect(v, str, spot, "vertex names")
+        try:
+            key, sign = X.orient(u, v)
+        except (DocumentError, ValidationError) as exc:
+            raise DocumentError("%s: %s" % (spot, exc)) from None
+        if key in values:
+            raise DocumentError("%s: edge assigned twice" % (spot,))
+        if isinstance(value, str):
+            value = [value]
+        _expect(value, list, spot, "a list of p/q strings")
+        if len(value) != k:
+            raise DocumentError(
+                "%s: value needs %d coordinates (1 + symbols), got %d"
+                % (spot, k, len(value)))
+        vec = tuple(parse_fraction(x, spot) for x in value)
+        values[key] = vec if sign > 0 else vec_neg(vec)
+    return {"symbols": list(symbols),
+            "shadows": {s: shadows[s] for s in symbols if s in shadows},
+            "values": values}
+
+
+def reference_document(data):
+    """OrbifoldDocument.from_dict through the references above."""
+    _expect(data, dict, "document", "an object")
+    _check_keys(data, ("name", "description", "action", "orbit",
+                       "cocycles", "critical_data"), "document")
+    name = _expect(data.get("name", ""), str, "name", "a string")
+    description = _expect(data.get("description", ""), str,
+                          "description", "a string")
+    if ("action" in data) == ("orbit" in data):
+        raise DocumentError(
+            "document: exactly one of action and orbit is required")
+    if "action" in data:
+        action = _reference_parse_action(data["action"], "action")
+        space = action.complex
+    else:
+        action = None
+        space = reference_parse_space(data["orbit"], "orbit")
+    raw_cocycles = _expect(data.get("cocycles", {}), dict, "cocycles",
+                           "an object")
+    cocycle_specs = {
+        cname: reference_parse_cocycle(spec, space, "cocycles.%s" % (cname,))
+        for cname, spec in raw_cocycles.items()}
+    raw_critical = _expect(data.get("critical_data", {}), dict,
+                           "critical_data", "an object")
+    critical_blocks = {
+        bname: _parse_critical(spec, "critical_data.%s" % (bname,))
+        for bname, spec in raw_critical.items()}
+    return OrbifoldDocument(name, description, action, space,
+                            cocycle_specs, critical_blocks)

@@ -1,6 +1,8 @@
 """The summary of tools/ab_pairs.py, on canned result lines; no
 benchmark runs here."""
 
+import contextlib
+import io
 import json
 
 from test_tools import load_script
@@ -49,3 +51,37 @@ def test_declared_directions_come_from_the_benchmark():
     better = ab_pairs.better_directions()
     assert better["analyses_per_s"] == "higher"
     assert better["latency_p90_ms"] == "lower"
+
+
+def test_a_comma_list_gives_one_table_per_workload(monkeypatch):
+    ab_pairs = load_script("tools", "ab_pairs.py")
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        # the working tree runs 100 analyses/s faster on integral only
+        calls.append((tree == ab_pairs.ROOT, workload, seed, seconds))
+        gain = 100 if tree == ab_pairs.ROOT and workload == "integral" else 0
+        return result(500 + seed + gain, 2.0)
+    monkeypatch.setattr(ab_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert ab_pairs.main(["--rev", "HEAD~1", "--workload",
+                              "integral,oracle", "--pairs", "3",
+                              "--seconds", "2", "--seed", "7"]) == 0
+    # the revision first on even pairs, the working tree on odd ones,
+    # workload after workload
+    order = [(False, 7), (True, 7), (True, 8), (False, 8),
+             (False, 9), (True, 9)]
+    assert calls == [(is_root, workload, seed, 2.0)
+                     for workload in ("integral", "oracle")
+                     for is_root, seed in order]
+    tables = out.getvalue().split("\n\n")
+    assert [t.splitlines()[0] for t in tables] == [
+        "integral: HEAD~1 against the working tree, 3 pairs of 2 s",
+        "oracle: HEAD~1 against the working tree, 3 pairs of 2 s"]
+    rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[2:]}
+            for t in tables]
+    assert rows[0]["analyses_per_s"] == ["1/s", "508", "1", "608", "3/3"]
+    assert rows[1]["analyses_per_s"] == ["1/s", "508", "1", "508", "0/3"]
+    assert err.getvalue().count("done") == 6

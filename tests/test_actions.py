@@ -6,8 +6,8 @@ import pytest
 
 from orbinov.actions import (FiniteGroup, SimplicialAction, is_regular,
                              lift_action, quotient_complex)
-from orbinov.complexes import (barycentric_subdivision, euler_characteristic,
-                               integer_homology)
+from orbinov.complexes import (barycentric_subdivision, build_complex,
+                               euler_characteristic, integer_homology)
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
@@ -16,7 +16,8 @@ from families import (Z2, cycle_complex, dihedral_hexagon_action,
                       mirror_square_action, seeded_invariant_actions,
                       torus3_grid, torus_grid, torus_reflection,
                       z2_grid_actions)
-from oracles import reference_is_regular, reference_quotient
+from oracles import (reference_action, reference_is_regular,
+                     reference_quotient)
 
 
 def antipodal_square_action():
@@ -66,6 +67,68 @@ def test_action_validation():
     four = {"s0": "s1", "s1": "s2", "s2": "s3", "s3": "s0"}
     with pytest.raises(ValidationError):
         SimplicialAction(Z2, X, {"m": four})
+
+
+def _checked(make, group, X, maps):
+    try:
+        return make(group, X, maps).vertex_maps
+    except (DocumentError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_refusals_away_from_the_identity_match_the_reference():
+    # the checks skip every pair and image with the identity, which the
+    # trivial-identity check already proves; a break elsewhere is found
+    # at the same pair or cell as by the full loops
+    def turn(n, k):
+        return {"s%d" % i: "s%d" % ((i + k) % n) for i in range(n)}
+    hexagon = cycle_complex(["s%d" % i for i in range(6)])
+    octagon = cycle_complex(["s%d" % i for i in range(8)])
+    path = build_complex([("a", "b"), ("b", "c")])
+    cases = [
+        # g1 and g2 both turn by 2: g1.g1 = g2 would need a turn by 4
+        (FiniteGroup.cyclic(3), hexagon, {"g1": turn(6, 2), "g2": turn(6, 2)},
+         "vertex maps break the table at ('g1', 'g1')"),
+        # g1.g1 = g2 holds, but g1.g2 = g3 needs g3 to turn by 6
+        (FiniteGroup.cyclic(4), octagon,
+         {"g1": turn(8, 2), "g2": turn(8, 4), "g3": turn(8, 2)},
+         "vertex maps break the table at ('g1', 'g2')"),
+        # an involution of the path a-b-c that swaps a and b, so the
+        # edge (b, c) goes to (a, c), which is not an edge
+        (Z2, path, {"m": {"a": "b", "b": "a", "c": "c"}},
+         "element 'm' does not map simplex ('b', 'c') to a simplex"),
+    ]
+    for group, space, maps, text in cases:
+        got = _checked(SimplicialAction, group, space, maps)
+        assert got == (ValidationError, text)
+        assert got == _checked(reference_action, group, space, maps)
+
+
+def test_action_checks_match_the_reference_on_seeded_maps():
+    rng = random.Random(3)
+    groups = [Z2, FiniteGroup.cyclic(3), FiniteGroup.cyclic(4)]
+    kinds = set()
+    for _ in range(400):
+        group = rng.choice(groups)
+        n = rng.choice([4, 6, 8])
+        labels = ["s%d" % i for i in range(n)]
+        maps = {}
+        for g in group.elements[1:]:
+            if rng.random() < 0.6:
+                # a rotation: an action when the steps agree with the table
+                step = rng.randrange(n)
+                maps[g] = {labels[i]: labels[(i + step) % n]
+                           for i in range(n)}
+            else:
+                images = labels[:]
+                rng.shuffle(images)
+                maps[g] = dict(zip(labels, images))
+        X = cycle_complex(labels)
+        got = _checked(SimplicialAction, group, X, maps)
+        assert got == _checked(reference_action, group, X, maps)
+        kinds.add(got[1].split(" ")[0] if isinstance(got, tuple) else "ok")
+    # actions, table breaks ("vertex ...") and non-simplicial images
+    assert kinds == {"ok", "vertex", "element"}
 
 
 def test_identity_map_autofilled():

@@ -185,6 +185,63 @@ def test_malformed_file_is_a_document_error(tmp_path, content):
     assert err.startswith("document error:")
 
 
+@contextlib.contextmanager
+def sys_int_limit(digits):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _circle_with(edit):
+    data = {"name": "tri", "description": "",
+            "orbit": {"vertices": ["a", "b", "c"],
+                      "simplices": [["a", "b"], ["b", "c"], ["a", "c"]]},
+            "cocycles": {"w": {"symbols": ["alpha"],
+                               "shadows": {"alpha": "1.5"},
+                               "edges": [["a", "b", ["0", "1"]],
+                                         ["b", "c", ["0", "1"]],
+                                         ["c", "a", ["0", "1"]]]}},
+            "critical_data": {"flat": {"counts": [0, 0]}}}
+    edit(data)
+    return data
+
+
+def _long_count(data):
+    data["critical_data"]["flat"]["counts"][1] = 10 ** 4999
+
+
+def _long_fraction(data):
+    data["cocycles"]["w"]["edges"][0][2][0] = "1/" + "3" * 5000
+
+
+def _long_shadow(data):
+    data["cocycles"]["w"]["shadows"]["alpha"] = "1." + "5" * 5000
+
+
+@pytest.mark.parametrize("edit,argv,where", [
+    (_long_count, ["homology"], "critical_data.flat.counts[1]"),
+    (_long_fraction, ["novikov", "--class", "w"], "cocycles.w.edges[0]"),
+    (_long_shadow, ["periods", "--class", "w"], "cocycles.w.shadows.alpha"),
+], ids=["json-literal", "fraction", "shadow"])
+def test_over_long_integers_are_document_errors(tmp_path, edit, argv,
+                                                where):
+    # int() refuses more than sys.get_int_max_str_digits() digits; the
+    # refusal names the field and the digit count instead of escaping
+    # as a ValueError
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    path = tmp_path / "long.json"
+    with sys_int_limit(10 ** 6):
+        path.write_text(json.dumps(_circle_with(edit)), encoding="utf-8")
+    code, out, err = run(argv[:1] + [str(path)] + argv[1:])
+    assert code == 1 and out == ""
+    assert err == ("document error: %s: an integer of 5000 digits is over "
+                   "the %d-digit limit\n" % (where, limit))
+
+
 def test_validate_corpus_document():
     code, out, err = run(["validate", "hexagon_z2", "--depth", "3"])
     assert code == 0 and "all checks pass" in out

@@ -13,7 +13,7 @@ from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
 from families import rp2
-from oracles import betti_oracle
+from oracles import betti_oracle, reference_build_complex
 
 
 def test_build_and_boundary():
@@ -26,6 +26,48 @@ def test_build_and_boundary():
     # out-of-range degrees give shaped zero matrices
     assert X.boundary_matrix(0) == []
     assert X.boundary_matrix(3) == [[]]
+
+
+def _built(build, vertices, gens):
+    """The cells and cell index of a build, or the refusal's class and
+    text."""
+    try:
+        X = build(gens, vertices=vertices)
+    except DocumentError as exc:
+        return type(exc), str(exc)
+    return X.vertices, X.cells, X.cell_index
+
+
+def test_build_complex_matches_the_reference_on_seeded_inputs():
+    rng = random.Random(11)
+    kinds = {"built": 0, "refused": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        labels = ["v%d" % i for i in range(n)]
+        rng.shuffle(labels)             # vertex order is not label order
+        gens = [rng.sample(labels, rng.randint(1, min(4, n)))
+                for _ in range(rng.randint(0, 5))]
+        if gens and rng.random() < 0.5:
+            # a face of a generator, or the generator again reordered
+            g = rng.choice(gens)
+            gens.append(rng.sample(g, rng.randint(1, len(g))))
+        vertices = labels + ["iso"] if rng.random() < 0.3 else labels
+        fault = rng.random()
+        if fault < 0.1 and gens:
+            rng.choice(gens).append("zz")                   # unknown vertex
+        elif fault < 0.2 and gens:
+            g = rng.choice(gens)
+            g.insert(rng.randrange(len(g) + 1), g[0])       # repeated vertex
+        elif fault < 0.25:
+            gens.insert(rng.randrange(len(gens) + 1), [])   # empty simplex
+        elif fault < 0.3:
+            vertices = vertices + [rng.choice(labels)]      # listed twice
+        elif fault < 0.4:
+            vertices = None                                 # sorted labels
+        got = _built(build_complex, vertices, gens)
+        assert got == _built(reference_build_complex, vertices, gens), gens
+        kinds["refused" if isinstance(got[0], type) else "built"] += 1
+    assert min(kinds.values()) > 200
 
 
 def test_input_validation():

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -14,6 +15,7 @@ from orbinov.documents import (OrbifoldDocument, format_fraction,
                                load_document, loads_document,
                                parse_fraction)
 from orbinov.errors import DocumentError
+from oracles import reference_document
 
 
 def minimal_orbit():
@@ -68,12 +70,13 @@ def test_parse_fraction_strictness():
 
 def test_parse_fraction_matches_fraction_of_the_text():
     # the value comes from the matched digit groups, not a second parse
-    for text in ("0", "-0", "-0/7", "007", "-007/12", "12/8", "-12/8",
-                 "٣", "-١٢/8", "3/1٢", "10/4٠"):
+    for text in ("0", "-0", "-0/7", "007", "-007/12", "12/8", "-12/8"):
         got = parse_fraction(text, "x")
         assert got == Fraction(text) and type(got) is Fraction
-    for bad, shown in (("1/٣", "'1/٣'"), ("1/02", "'1/02'"), (3, "3"),
-                       (None, "None")):
+    # only ASCII digits, although Fraction itself reads the others
+    for bad, shown in (("٣", "'٣'"), ("-١٢/8", "'-١٢/8'"),
+                       ("4/1٣", "'4/1٣'"), ("1/٣", "'1/٣'"),
+                       ("1/02", "'1/02'"), (3, "3"), (None, "None")):
         with pytest.raises(DocumentError) as err:
             parse_fraction(bad, "x.y")
         assert str(err.value) == "x.y: expected a p/q string, got " + shown
@@ -309,12 +312,24 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
+def _outcome(parse, data):
+    """The serialized document, or the refusal's class and text."""
+    try:
+        return parse(data).serialize()
+    except (DocumentError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
 def test_mutated_corpus_documents_fail_only_as_document_errors():
+    # each mutation is also parsed by the loader as it was before the
+    # one-expression shape tests (tests/oracles.py): the same document,
+    # or the same exception class with the same text
     rng = random.Random(0)
     corpus = [json.loads((resources.files("orbinov") / "corpus"
                           / (name + ".json")).read_text(encoding="utf-8"))
               for name in corpus_names()]
     assert len(corpus) == 8
+    refused = 0
     for _ in range(3000):
         data = copy.deepcopy(rng.choice(corpus))
         path = rng.choice(list(_nodes(data))[1:])
@@ -324,14 +339,99 @@ def test_mutated_corpus_documents_fail_only_as_document_errors():
         old = _json_type(parent[path[-1]])
         parent[path[-1]] = copy.deepcopy(rng.choice(
             [v for i, v in enumerate(JSON_VALUES) if i != old]))
-        try:
-            doc = OrbifoldDocument.from_dict(data)
-        except (DocumentError, ValidationError):
+        got = _outcome(OrbifoldDocument.from_dict, data)
+        assert got == _outcome(reference_document, data), path
+        if not isinstance(got, str):
+            refused += 1
             continue
-        text = doc.serialize()
-        assert loads_document(text).serialize() == text
+        assert loads_document(got).serialize() == got
+        doc = loads_document(got)
         for cname in doc.cocycle_names():
             try:
                 doc.cochain(cname)
             except (DocumentError, ValidationError):
                 pass
+    assert 0 < refused < 3000
+
+
+def _edge_entry_mutations(rng, data):
+    """Edge entries and values made wrong in one place each, the kinds
+    of mistake the one-expression shape test sends to the per-field
+    checks."""
+    edges = data["cocycles"]["w"]["edges"]
+    i = rng.randrange(len(edges))
+    bad = rng.choice([
+        None, "ab", ["a", "b"], ["a", "b", "1", "2"], [1, "b", "1"],
+        ["a", None, "1"], ["a", "b", None], ["a", "b", ["1", "2"]],
+        ["a", "b", []], ["a", "b", [1]], ["a", "b", ["1.5"]],
+        ["a", "b", ["1/0"]], ["a", "q", "1"], ["a", "a", "1"],
+        ["b", "a", "1/3"], ["c", "d", "1"], {"a": "b"}])
+    edges.insert(i, copy.deepcopy(bad))
+
+
+def test_edge_mistakes_match_the_reference_loader():
+    rng = random.Random(5)
+    for _ in range(300):
+        data = circle_orbit()
+        data["orbit"]["vertices"].append("d")
+        data["orbit"]["simplices"].append(["d"])
+        _edge_entry_mutations(rng, data)
+        got = _outcome(OrbifoldDocument.from_dict, data)
+        assert got == _outcome(reference_document, data)
+        assert isinstance(got, tuple) and got[0] is DocumentError
+
+
+def test_repeated_fraction_strings_share_one_parse():
+    # one Fraction per distinct p/q string per cocycle; the values and
+    # their orientation are as when each coordinate is parsed alone
+    data = circle_orbit()
+    data["cocycles"]["w"]["edges"] = [["a", "b", "1/3"], ["b", "c", "1/3"],
+                                      ["c", "a", "1/3"]]
+    doc = OrbifoldDocument.from_dict(data)
+    values = doc.cocycle_specs["w"]["values"]
+    assert values == reference_document(data).cocycle_specs["w"]["values"]
+    assert values[("a", "b")][0] is values[("b", "c")][0]
+    assert values[("a", "c")] == (Fraction(-1, 3),)
+
+
+def test_repeated_json_keys_are_refused():
+    data = circle_orbit()
+    spec = json.dumps({"w": data["cocycles"]["w"]})
+    text = json.dumps(data)
+    doubled = text.replace(spec, spec[:-1] + ', "w": {"edges": []}}')
+    # plain JSON keeps the last value: w would load empty
+    assert json.loads(doubled)["cocycles"]["w"] == {"edges": []}
+    with pytest.raises(DocumentError) as err:
+        loads_document(doubled)
+    assert str(err.value) == "repeated key 'w' in one JSON object"
+    with pytest.raises(DocumentError, match="repeated key 'name'"):
+        loads_document('{"name": "a", "description": "", "name": "b"}')
+
+
+def test_non_ascii_digits_are_refused():
+    data = circle_orbit()
+    data["cocycles"]["w"]["edges"][0][2] = ["4/1٣"]
+    with pytest.raises(DocumentError) as err:
+        OrbifoldDocument.from_dict(data)
+    assert str(err.value) == ("cocycles.w.edges[0]: expected a p/q "
+                              "string, got '4/1٣'")
+    data = circle_orbit()
+    data["cocycles"]["w"]["symbols"] = ["alpha"]
+    data["cocycles"]["w"]["edges"] = []
+    data["cocycles"]["w"]["shadows"] = {"alpha": "١.٥"}
+    with pytest.raises(DocumentError, match="expected a decimal string"):
+        OrbifoldDocument.from_dict(data)
+
+
+def test_integers_at_the_digit_limit_still_load():
+    limit = sys.get_int_max_str_digits()
+    data = circle_orbit()
+    data["cocycles"]["w"]["symbols"] = ["alpha"]
+    data["cocycles"]["w"]["shadows"] = {"alpha": "7" * limit + "."
+                                        + "5" * limit}
+    for edge in data["cocycles"]["w"]["edges"]:
+        edge[2] = ["9" * limit + "/" + "3" * limit, "0"]
+    data["critical_data"]["flat"]["counts"] = [0, 10 ** (limit - 1)]
+    doc = loads_document(json.dumps(data))
+    assert doc.period_space("w").shadows["alpha"] > 7 * 10 ** (limit - 1)
+    assert doc.critical("flat").counts[1] == 10 ** (limit - 1)

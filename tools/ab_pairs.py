@@ -1,10 +1,11 @@
 """Alternating pairs of benchmark runs: a git revision against the
 working tree.
 
-    python3 tools/ab_pairs.py --rev HEAD --workload twisted --pairs 10 \\
-        --seconds 15 --seed 41
+    python3 tools/ab_pairs.py --rev HEAD --workload integral,twisted \\
+        --pairs 10 --seconds 15 --seed 41
 
-The revision is exported with ``git archive`` into a temporary
+--workload takes one workload or a comma list; the pairs run for each
+workload in turn, and each gets its own table.  The revision is exported with ``git archive`` into a temporary
 directory, so no worktree is made and nothing under .git changes.  Pair
 i runs each tree's own perfbench/run.py once with seed + i: the
 revision first on even pairs, the working tree first on odd ones.  The
@@ -91,27 +92,40 @@ def format_rows(rows, pairs):
     return "\n".join(out)
 
 
+def run_pairs(base, workload, pairs, seed, seconds):
+    """Result lines (base, change, base, change, ...) of alternating
+    pairs on one workload."""
+    lines = []
+    for i in range(pairs):
+        trees = [base, ROOT] if i % 2 == 0 else [ROOT, base]
+        got = {tree: run_once(tree, workload, seed + i, seconds)
+               for tree in trees}
+        lines += [got[base], got[ROOT]]
+        print("%s: pair %d (seed %d) done" % (workload, i + 1, seed + i),
+              file=sys.stderr)
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma list of them")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--seed", type=int, default=41)
     args = parser.parse_args(argv)
-    lines = []
+    better = better_directions()
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as base:
         export(args.rev, base)
-        for i in range(args.pairs):
-            seed = args.seed + i
-            trees = [base, ROOT] if i % 2 == 0 else [ROOT, base]
-            got = {tree: run_once(tree, args.workload, seed, args.seconds)
-                   for tree in trees}
-            lines += [got[base], got[ROOT]]
-            print("pair %d (seed %d) done" % (i + 1, seed), file=sys.stderr)
-    print("%s: %s against the working tree, %d pairs of %g s"
-          % (args.workload, args.rev, args.pairs, args.seconds))
-    print(format_rows(summarize(lines, better_directions()), args.pairs))
+        for n, workload in enumerate(args.workload.split(",")):
+            lines = run_pairs(base, workload, args.pairs, args.seed,
+                              args.seconds)
+            print("%s%s: %s against the working tree, %d pairs of %g s"
+                  % ("\n" if n else "", workload, args.rev, args.pairs,
+                     args.seconds))
+            print(format_rows(summarize(lines, better), args.pairs),
+                  flush=True)
     return 0
 
 
