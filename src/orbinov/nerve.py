@@ -33,8 +33,9 @@ entries: a chain with coefficients in the group ring of the period
 lattice, spread over the monomials of each coefficient.  A face's
 coefficient is its cell's coefficient, signed and shifted by an
 exponent, so the operators never multiply polynomials.  Each model
-memoizes the signed faces of the cells it meets, reading the exponents
-then.
+keeps three face tables, filled as cells are met: the signed faces of
+each word, the signed faces of each anchor (reading the exponent of
+its first edge then), and each anchor moved by a group element.
 """
 
 import random
@@ -54,14 +55,15 @@ class NerveModel:
     lift's exponents of their orbit edges.
     """
 
-    __slots__ = ("action", "complex", "exponents", "r", "depth", "_faces")
+    __slots__ = ("action", "complex", "exponents", "r", "depth",
+                 "_word_faces", "_anchor_faces", "_moves")
 
     def __init__(self, qres, lift, depth):
         if lift.complex is not qres.complex:
             raise DocumentError("lift lives on a different complex than the "
                                 "orbit space")
         proj = qres.projection
-        self._faces = {}
+        self._word_faces, self._anchor_faces, self._moves = {}, {}, {}
         self.action = qres.action
         self.complex = qres.action.complex
         self.exponents = {(u, v): lift.exponent(proj[u], proj[v])
@@ -113,30 +115,36 @@ class NerveModel:
         """The chain of one cell with coefficient 1 at exponent 0."""
         return {(*self.cell(anchor, word), (0,) * self.r): 1}
 
-    def _cell_faces(self, anchor, word):
-        """Word and anchor faces of one cell, stored in the memo, each
-        as (anchor, word, exponent shift or None, sign); only the leading
-        anchor face is shifted, by the exponent of the first edge."""
+    def _word_entry(self, word):
+        """Word faces, stored in the table, as (face word, sign,
+        element or None): the last face relocates the anchor by its
+        element, the inverse of the dropped letter, and the others keep
+        it.  () for the empty word."""
         n = len(word)
-        group = self.action.group
-        word_faces = []
+        entry = ()
         if n:
-            word_faces.append((anchor, word[1:], None, 1))
+            group = self.action.group
+            faces = [(word[1:], 1, None)]
             for k in range(1, n):
                 merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
                           + word[k + 1:])
-                word_faces.append((anchor, merged, None, (-1) ** k))
-            moved = self.action.apply_tuple(group.inverse(word[-1]), anchor)
-            word_faces.append((moved, word[:-1], None, (-1) ** n))
-        anchor_faces = []
+                faces.append((merged, (-1) ** k, None))
+            faces.append((word[:-1], (-1) ** n, group.inverse(word[-1])))
+            entry = tuple(faces)
+        self._word_faces[word] = entry
+        return entry
+
+    def _anchor_entry(self, anchor):
+        """Anchor faces, stored in the table, as (face anchor, exponent
+        shift or None, sign); only the leading face is shifted, by the
+        exponent of the first edge.  () for a vertex."""
+        faces = ()
         if len(anchor) > 1:
             head = self.exp(anchor[0], anchor[1])
-            anchor_faces.append((anchor[1:], word, head if any(head) else None,
-                                 1))
-            for j in range(1, len(anchor)):
-                anchor_faces.append((anchor[:j] + anchor[j + 1:], word, None,
-                                     (-1) ** j))
-        faces = self._faces[(anchor, word)] = (word_faces, anchor_faces)
+            faces = ((anchor[1:], head if any(head) else None, 1),
+                     *((anchor[:j] + anchor[j + 1:], None, (-1) ** j)
+                       for j in range(1, len(anchor))))
+        self._anchor_faces[anchor] = faces
         return faces
 
     def _boundaries(self, flat, split=True, signed=True):
@@ -145,17 +153,27 @@ class NerveModel:
         total boundary when signed (a part not asked for comes back
         empty).  The total takes the bidegree sign rule: the word faces
         of a cell in bidegree (q, n) carry the sign (-1)^(q+n), its
-        anchor faces (-1)^q."""
-        memo = self._faces
+        anchor faces (-1)^q.  Faces come from the model's tables; an
+        empty entry is a vertex or the empty word, a missing one None."""
+        words, anchors, moves = (self._word_faces, self._anchor_faces,
+                                 self._moves)
+        apply_tuple = self.action.apply_tuple
         word_part, face_part, total = {}, {}, {}
         for (a, w, e), c in flat.items():
-            word_faces, anchor_faces = (memo.get((a, w))
-                                        or self._cell_faces(a, w))
             q = len(a) - 1
+            entry = words.get(w)
+            if entry is None:
+                entry = self._word_entry(w)
             t = -c if (q + len(w)) % 2 else c
             # word faces keep the exponent; only anchor faces shift it
-            for anchor, word, _, sign in word_faces:
-                key = (anchor, word, e)
+            for word, sign, g in entry:
+                if g is None:
+                    key = (a, word, e)
+                else:
+                    moved = moves.get((g, a))
+                    if moved is None:
+                        moved = moves[(g, a)] = apply_tuple(g, a)
+                    key = (moved, word, e)
                 if split:
                     x = word_part.get(key, 0) + sign * c
                     if x:
@@ -168,9 +186,12 @@ class NerveModel:
                         total[key] = x
                     else:
                         del total[key]
+            faces = anchors.get(a)
+            if faces is None:
+                faces = self._anchor_entry(a)
             t = -c if q % 2 else c
-            for anchor, word, shift, sign in anchor_faces:
-                key = (anchor, word,
+            for anchor, shift, sign in faces:
+                key = (anchor, w,
                        e if shift is None else tuple(map(add, e, shift)))
                 if split:
                     x = face_part.get(key, 0) + sign * c
@@ -207,18 +228,32 @@ def random_chain(model, rng, max_word=3, max_cells=3):
     included), coefficients are signed monomials with small exponents;
     a cell drawn twice at one exponent has its coefficients summed.
     Every key is a valid cell by construction, so only the word length
-    is checked against the model's depth.
+    is checked against the model's depth.  The draws call
+    rng._randbelow directly, in the order and with the bounds that
+    randrange, choice and shuffle would, so the stream is theirs.
     """
+    # _randbelow(0) never returns, where randrange raises
+    if max_cells < 1:
+        raise ValueError("max_cells must be at least 1, got %d"
+                         % (max_cells,))
+    if max_word < 0:
+        raise ValueError("max_word must be nonnegative, got %d"
+                         % (max_word,))
     X = model.complex
     elements = model.action.group.elements
-    choice, randrange, shuffle = rng.choice, rng.randrange, rng.shuffle
+    n_elements, r = len(elements), model.r
+    below = rng._randbelow
     chain = {}
-    for _ in range(randrange(1, max_cells + 1)):
-        anchor = list(choice(X.cells[randrange(X.dim + 1)]))
-        shuffle(anchor)
-        word = tuple(choice(elements) for _ in range(randrange(max_word + 1)))
-        exp = tuple(randrange(-2, 3) for _ in range(model.r))
-        sign = choice((1, -1))
+    for _ in range(1 + below(max_cells)):
+        cells = X.cells[below(X.dim + 1)]
+        anchor = list(cells[below(len(cells))])
+        for i in range(len(anchor) - 1, 0, -1):
+            j = below(i + 1)
+            anchor[i], anchor[j] = anchor[j], anchor[i]
+        word = tuple([elements[below(n_elements)]
+                      for _ in range(below(max_word + 1))])
+        exp = tuple([below(5) - 2 for _ in range(r)])
+        sign = -1 if below(2) else 1
         if len(word) > model.depth:
             raise ValidationError(
                 "word of length %d exceeds truncation depth %d"

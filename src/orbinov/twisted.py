@@ -266,11 +266,12 @@ def cyclic_cover_oracle(lift, p):
 
     lift is the integral lift of a rank one class (see integralize).
     The explicit route builds the cover as a simplicial complex with
-    vertices (v, level) and takes integer homology.  The algebraic
-    route substitutes the p by p cyclic shift for the twisting
-    variable in the twisted boundary and takes homology of the block
-    matrices.  The two answers must agree; disagreement would expose a
-    defect in the twisting conventions.
+    vertices (v, level) and takes integer homology, pairing d_1 by the
+    cover's own spanning forest.  The algebraic route substitutes the
+    p by p cyclic shift for the twisting variable in the twisted
+    boundary and eliminates every degree of the block matrices.  The
+    two answers must agree; disagreement would expose a defect in the
+    twisting conventions.
     """
     check_cover_degree(p)
     if lift.rank != 1:
@@ -301,9 +302,7 @@ def _explicit_cover_homology(X, lift, p):
     cover = build_complex(simplices)
     if any(cover.n_cells(q) != p * X.n_cells(q) for q in range(X.dim + 1)):
         raise ValidationError("cover has collapsed cells")
-    return homology_of_matrices(
-        [cover.n_cells(q) for q in range(X.dim + 1)],
-        [cover.boundary_entries(q) for q in range(X.dim + 1)])
+    return integer_homology(cover)
 
 
 def _block_substitution_homology(X, tc, p):

@@ -11,9 +11,13 @@ its own with all its rows, so they check only the step that carries
 pivot pairs from one degree to the next.  The quotient reference is
 the second: it builds the orbit space with the package's build_complex,
 from vertex orbits and the image of every cell.  The nerve reference
-is the third: it checks the identities one operator at a time, on the
-faces that the model's own _cell_faces lists.  The loader references
-are the fourth: build_complex, the space and cocycle parsers and the
+is the third: it checks the identities one operator at a time, on
+faces that reference_cell_faces lists cell by cell from the model's
+exponents, group and action.  The cover reference is the fourth: it
+eliminates every boundary of the explicit cyclic cover with the
+package's homology_of_matrices, d_1 included, where the package pairs
+d_1 by the cover's spanning forest.  The loader references are the
+fifth: build_complex, the space and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
 compared by exception class and text.
@@ -28,7 +32,8 @@ from operator import add, mul
 
 from orbinov.actions import SimplicialAction
 from orbinov.cochains import vec_neg
-from orbinov.complexes import IntHomology, SimplicialComplex, build_complex
+from orbinov.complexes import (IntHomology, SimplicialComplex, build_complex,
+                               homology_of_matrices)
 from orbinov.documents import (OrbifoldDocument, _check_keys, _expect,
                                _parse_critical, _parse_group,
                                parse_fraction)
@@ -358,16 +363,16 @@ def reference_identity_failures(model, seed, samples, max_word=3):
     fails = []
     for i in range(samples):
         c = _reference_random_chain(model, rng, max_word, 3)
-        word = _reference_boundary(model, c, anchor=False)
-        face = _reference_boundary(model, c, word=False)
-        if _reference_boundary(model, word, anchor=False):
+        word = reference_boundary(model, c, anchor=False)
+        face = reference_boundary(model, c, word=False)
+        if reference_boundary(model, word, anchor=False):
             fails.append("sample %d: word boundary squared is nonzero" % i)
-        if _reference_boundary(model, face, word=False):
+        if reference_boundary(model, face, word=False):
             fails.append("sample %d: face boundary squared is nonzero" % i)
-        if (_reference_boundary(model, word, word=False)
-                != _reference_boundary(model, face, anchor=False)):
+        if (reference_boundary(model, word, word=False)
+                != reference_boundary(model, face, anchor=False)):
             fails.append("sample %d: boundaries do not commute" % i)
-        if _reference_boundary(model, _reference_boundary(model, c)):
+        if reference_boundary(model, reference_boundary(model, c)):
             fails.append("sample %d: total differential squared is nonzero"
                          % i)
     return fails
@@ -390,13 +395,14 @@ def _reference_random_chain(model, rng, max_word, max_cells):
     return {key: c for key, c in chain.items() if c}
 
 
-def _reference_boundary(model, flat, word=True, anchor=True):
-    # word faces, anchor faces, or both with the bidegree sign rule:
-    # the word faces of a cell carry (-1)^(q+n), its anchor faces (-1)^q
+def reference_boundary(model, flat, word=True, anchor=True):
+    """Word faces, anchor faces, or both with the bidegree sign rule:
+    the word faces of a cell carry (-1)^(q+n), its anchor faces
+    (-1)^q."""
     total = word and anchor
     out = {}
     for (a, w, e), c in flat.items():
-        word_faces, anchor_faces = model._cell_faces(a, w)
+        word_faces, anchor_faces = reference_cell_faces(model, a, w)
         if word:
             _reference_add_faces(
                 out, word_faces, e,
@@ -405,6 +411,32 @@ def _reference_boundary(model, flat, word=True, anchor=True):
             _reference_add_faces(out, anchor_faces, e,
                                  -c if total and len(a) % 2 == 0 else c)
     return out
+
+
+def reference_cell_faces(model, anchor, word):
+    """Word and anchor faces of one cell, each as (anchor, word,
+    exponent shift or None, sign); only the leading anchor face is
+    shifted, by the exponent of the first edge."""
+    n = len(word)
+    group = model.action.group
+    word_faces = []
+    if n:
+        word_faces.append((anchor, word[1:], None, 1))
+        for k in range(1, n):
+            merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
+                      + word[k + 1:])
+            word_faces.append((anchor, merged, None, (-1) ** k))
+        moved = model.action.apply_tuple(group.inverse(word[-1]), anchor)
+        word_faces.append((moved, word[:-1], None, (-1) ** n))
+    anchor_faces = []
+    if len(anchor) > 1:
+        head = model.exp(anchor[0], anchor[1])
+        anchor_faces.append((anchor[1:], word, head if any(head) else None,
+                             1))
+        for j in range(1, len(anchor)):
+            anchor_faces.append((anchor[:j] + anchor[j + 1:], word, None,
+                                 (-1) ** j))
+    return word_faces, anchor_faces
 
 
 def _reference_add_faces(out, faces, exp, coeff):
@@ -416,6 +448,32 @@ def _reference_add_faces(out, faces, exp, coeff):
             out[key] = total
         else:
             del out[key]
+
+
+def reference_explicit_cover_homology(X, lift, p):
+    """Integer homology of the degree p cyclic cover of a rank one
+    lift, built as a complex with vertices (v, level), every boundary
+    eliminated in full: the route twisted.cyclic_cover_oracle took
+    before the cover paired d_1 by its own spanning forest."""
+    def label(v, level):
+        return "%s@%d" % (v, level)
+
+    simplices = []
+    all_cells = [cell for q in range(X.dim + 1) for cell in X.cells[q]]
+    for cell in all_cells:
+        v0 = cell[0]
+        offsets = [0]
+        for v in cell[1:]:
+            offsets.append(lift.exponent(v0, v)[0])
+        for level in range(p):
+            simplices.append(tuple(label(v, (level + off) % p)
+                                   for v, off in zip(cell, offsets)))
+    cover = build_complex(simplices)
+    if any(cover.n_cells(q) != p * X.n_cells(q) for q in range(X.dim + 1)):
+        raise ValidationError("cover has collapsed cells")
+    return homology_of_matrices(
+        [cover.n_cells(q) for q in range(X.dim + 1)],
+        [cover.boundary_entries(q) for q in range(X.dim + 1)])
 
 
 def reference_build_complex(simplices, vertices=None):

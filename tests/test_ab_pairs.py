@@ -4,6 +4,8 @@ benchmark runs here."""
 import contextlib
 import io
 import json
+import os
+import subprocess
 
 from test_tools import load_script
 
@@ -57,7 +59,7 @@ def test_a_comma_list_gives_one_table_per_workload(monkeypatch):
     ab_pairs = load_script("tools", "ab_pairs.py")
     calls = []
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, pycache):
         # the working tree runs 100 analyses/s faster on integral only
         calls.append((tree == ab_pairs.ROOT, workload, seed, seconds))
         gain = 100 if tree == ab_pairs.ROOT and workload == "integral" else 0
@@ -85,3 +87,28 @@ def test_a_comma_list_gives_one_table_per_workload(monkeypatch):
     assert rows[0]["analyses_per_s"] == ["1/s", "508", "1", "608", "3/3"]
     assert rows[1]["analyses_per_s"] == ["1/s", "508", "1", "508", "0/3"]
     assert err.getvalue().count("done") == 6
+
+
+def test_both_trees_share_one_fresh_bytecode_prefix(monkeypatch):
+    # an exported revision has no __pycache__, so each side must import
+    # through the same fresh prefix, outside both trees
+    ab_pairs = load_script("tools", "ab_pairs.py")
+    runs = []
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout=b"")
+        if cmd[0] == "tar":
+            return subprocess.CompletedProcess(cmd, 0)
+        runs.append((kwargs["cwd"], kwargs["env"]["PYTHONPYCACHEPREFIX"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=result(500, 2.0))
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert ab_pairs.main(["--rev", "HEAD", "--workload", "oracle",
+                              "--pairs", "1", "--seconds", "1"]) == 0
+    (base, prefix), (root, same) = runs
+    assert root == ab_pairs.ROOT and base != root and same == prefix
+    for tree in (base, root):
+        assert os.path.commonpath([tree, prefix]) != tree
+    assert not os.path.exists(prefix)

@@ -22,7 +22,7 @@ from orbinov.documents import loads_document
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.nerve import NerveModel
 from orbinov.periods import H1Presentation
-from orbinov.snf import smith_normal_form
+from orbinov.snf import eliminate_units, smith_normal_form
 from orbinov.twisted import integralize
 
 
@@ -421,7 +421,7 @@ def stage_counts(monkeypatch, argv):
                actions._orbit_classes,
                descend_cochain, integralize, is_invariant,
                sparse_product_is_zero, invariant_factors,
-               fraction_field_rank, cycle_periods):
+               fraction_field_rank, cycle_periods, eliminate_units):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -442,13 +442,22 @@ def stage_counts(monkeypatch, argv):
     (["check-inequalities", "rp2", "--class", "zero"], {"bfs_forest": 1}),
     # one quotient per document; one descent and one lift per class,
     # shared by the nerve model and the cover oracle; the descent is
-    # the invariance check, so is_invariant only classifies failures
+    # the invariance check, so is_invariant only classifies failures;
+    # one spanning forest per lift, and one for the one explicit cover
+    # (hexagon_z2 has a single rank-one class)
     (["validate", "hexagon_z2", "--cyclic", "3"],
-     {"quotient_complex": 1, "H1Presentation": 0, "bfs_forest": 2,
+     {"quotient_complex": 1, "H1Presentation": 0, "bfs_forest": 3,
       "descend_cochain": 2, "integralize": 2, "is_invariant": 0}),
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
+    # the explicit cover pairs d_1 by its own forest and the block
+    # route eliminates every degree: a one-dimensional cover eliminates
+    # only the block d_1, a surface's the block d_1 and d_2 and the
+    # explicit d_2
+    (["validate", "circle", "--cyclic", "3"], {"eliminate_units": 1}),
+    (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 1}),
+    (["validate", "klein", "--cyclic", "3"], {"eliminate_units": 3}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),

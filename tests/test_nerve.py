@@ -1,8 +1,13 @@
 """Nerve operators: pinned small cases and the four chain identities."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import orbinov
 
 from orbinov import (DocumentError, LaurentPoly, RationalCochain1,
                      SimplicialAction, ValidationError, coboundary0,
@@ -14,7 +19,7 @@ from orbinov.nerve import identity_failures, random_chain
 from families import (Z2, dihedral_hexagon_action, grid_class,
                       hexagon_action, hexagon_dtheta, mirror_square_action,
                       seeded_invariant_actions, torus_grid, torus_reflection)
-from oracles import reference_identity_failures
+from oracles import reference_boundary, reference_identity_failures
 
 
 def torus_shift_action():
@@ -414,9 +419,7 @@ def corpus_models(depth):
 
 
 def same_as_reference(model, seed, samples):
-    # each side lists the faces of every cell it meets afresh
     want = reference_identity_failures(model, seed, samples)
-    model._faces.clear()
     assert identity_failures(model, seed, samples) == want
     return want
 
@@ -461,7 +464,6 @@ def test_missing_edge_exponent_raises_as_in_the_reference():
     del model.exponents[sorted(model.exponents)[0]]
     with pytest.raises(ValidationError) as want:
         reference_identity_failures(model, 7, 100)
-    model._faces.clear()
     with pytest.raises(ValidationError) as got:
         identity_failures(model, 7, 100)
     assert str(got.value) == str(want.value)
@@ -501,3 +503,68 @@ def test_random_chain_refuses_words_past_the_depth():
                                               "truncation depth 3"):
         for _ in range(100):
             random_chain(model, rng, max_word=model.depth + 1)
+
+
+def test_face_tables_match_the_reference_cell_by_cell():
+    # the group, face and total boundary of each drawn key alone, read
+    # from the model's tables, against faces listed cell by cell; the
+    # D_3 hexagon merges letters that do not commute
+    act = dihedral_hexagon_action()
+    qres = quotient_complex(act)
+    lift = integralize(descend_cochain(qres, RationalCochain1(act.complex,
+                                                              {})))
+    models = [(depth, model) for depth in range(5)
+              for model in corpus_models(depth)]
+    models.append((3, nerve_model(qres, lift, 3)))
+    keys = 0
+    for depth, model in models:
+        rng = random.Random(depth)
+        for _ in range(20):
+            for key in random_chain(model, rng, max_word=depth):
+                unit = {key: 1}
+                assert model.group_boundary(unit) == reference_boundary(
+                    model, unit, anchor=False)
+                assert model.face_boundary(unit) == reference_boundary(
+                    model, unit, word=False)
+                assert model.total_boundary(unit) == reference_boundary(
+                    model, unit)
+                keys += 1
+    assert keys > 2000
+
+
+def test_random_chain_refuses_empty_draws_without_hanging():
+    # rng._randbelow(0) never returns where randrange(0) raises, so the
+    # sampler refuses the bounds that would ask for it
+    script = "\n".join([
+        "import random",
+        "from orbinov import (descend_cochain, integralize, nerve_model,",
+        "                     quotient_complex)",
+        "from orbinov.cli import resolve_document",
+        "from orbinov.nerve import identity_failures, random_chain",
+        "doc = resolve_document('hexagon_z2')",
+        "qres = quotient_complex(doc.action)",
+        "lift = integralize(descend_cochain(qres, doc.cochain('dtheta')))",
+        "model = nerve_model(qres, lift, 3)",
+        "for call in (lambda: random_chain(model, random.Random(0),",
+        "                                  max_cells=0),",
+        "             lambda: random_chain(model, random.Random(0),",
+        "                                  max_word=-1),",
+        "             lambda: identity_failures(nerve_model(qres, lift, -1),",
+        "                                       0, 1)):",
+        "    try:",
+        "        call()",
+        "    except ValueError as exc:",
+        "        print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(orbinov.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("random_chain ran past 10 s on an empty draw")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "max_cells must be at least 1, got 0",
+        "max_word must be nonnegative, got -1",
+        "max_word must be nonnegative, got -1"]

@@ -24,7 +24,8 @@ from orbinov.laurent import LaurentPoly, WeightSystem
 from orbinov.lmatrix import WeightedLaurentMatrix
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
                              period_homomorphism)
-from orbinov.twisted import (IntegralLift, _monomial_product_is_zero,
+from orbinov.twisted import (IntegralLift, _explicit_cover_homology,
+                             _monomial_product_is_zero,
                              _novikov_of_lift, cyclic_cover_oracle,
                              integralize, novikov_numbers, rank1_perturb,
                              twisted_complex)
@@ -33,7 +34,7 @@ from families import (ALPHA, circle, circle_dtheta, genus_class,
                       grid_class, klein_grid, torus3_grid, torus_grid,
                       z2_grid_actions)
 from oracles import (forest_pairs_oracle, per_boundary_homology,
-                     per_boundary_novikov)
+                     per_boundary_novikov, reference_explicit_cover_homology)
 
 F = Fraction
 
@@ -233,6 +234,38 @@ def test_cyclic_cover_on_grids(surface, n, p, cover):
     chk = cyclic_cover_oracle(integralize(om), p)
     assert chk.consistent
     assert chk.explicit == SURFACES[cover]
+
+
+def rank_one_lifts():
+    """Every rank-one corpus class on its document's space and, for an
+    orbifold document, descended to the orbit space as validate takes
+    it; then dx and dy on the grid torus and dy on the Klein grid at
+    n = 3, 4."""
+    for name in corpus_names():
+        doc = resolve_document(name)
+        qres = doc.action and quotient_complex(doc.action)
+        for cname in doc.cocycle_names():
+            lifts = [integralize(doc.cochain(cname))]
+            if qres:
+                lifts.append(integralize(descend_cochain(
+                    qres, doc.cochain(cname))))
+            yield from (lift for lift in lifts if lift.rank == 1)
+    for n in (3, 4):
+        yield integralize(grid_class(torus_grid(n), n))
+        yield integralize(grid_class(torus_grid(n), n, (0,), (1,)))
+        yield integralize(grid_class(klein_grid(n), n, (0,), (1,)))
+
+
+def test_explicit_cover_matches_full_elimination():
+    # the cover pairs d_1 by its own spanning forest; eliminating every
+    # boundary in full must give the same homology
+    lifts = list(rank_one_lifts())
+    for lift in lifts:
+        for p in range(2, 8):
+            X = lift.complex
+            assert (_explicit_cover_homology(X, lift, p)
+                    == reference_explicit_cover_homology(X, lift, p))
+    assert len(lifts) == 13
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -5,8 +5,11 @@ working tree.
         --pairs 10 --seconds 15 --seed 41
 
 --workload takes one workload or a comma list; the pairs run for each
-workload in turn, and each gets its own table.  The revision is exported with ``git archive`` into a temporary
-directory, so no worktree is made and nothing under .git changes.  Pair
+workload in turn, and each gets its own table.  The revision is
+exported with ``git archive`` into a temporary directory, so no
+worktree is made and nothing under .git changes.  Both trees import
+through one fresh PYTHONPYCACHEPREFIX in that directory, so neither
+reads bytecode that the other lacks (an export has no __pycache__).  Pair
 i runs each tree's own perfbench/run.py once with seed + i: the
 revision first on even pairs, the working tree first on odd ones.  The
 summary gives each metric's median per side, the spread between the
@@ -34,9 +37,11 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=data, check=True)
 
 
-def run_once(tree, workload, seed, seconds):
-    """The result line (last line of stdout) of one untraced run."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+def run_once(tree, workload, seed, seconds, pycache):
+    """The result line (last line of stdout) of one untraced run, with
+    bytecode caches under pycache."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONPYCACHEPREFIX=pycache)
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -92,13 +97,13 @@ def format_rows(rows, pairs):
     return "\n".join(out)
 
 
-def run_pairs(base, workload, pairs, seed, seconds):
+def run_pairs(base, workload, pairs, seed, seconds, pycache):
     """Result lines (base, change, base, change, ...) of alternating
     pairs on one workload."""
     lines = []
     for i in range(pairs):
         trees = [base, ROOT] if i % 2 == 0 else [ROOT, base]
-        got = {tree: run_once(tree, workload, seed + i, seconds)
+        got = {tree: run_once(tree, workload, seed + i, seconds, pycache)
                for tree in trees}
         lines += [got[base], got[ROOT]]
         print("%s: pair %d (seed %d) done" % (workload, i + 1, seed + i),
@@ -116,11 +121,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=41)
     args = parser.parse_args(argv)
     better = better_directions()
-    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as base:
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        base, pycache = os.path.join(tmp, "rev"), os.path.join(tmp, "pycache")
+        os.mkdir(base)
         export(args.rev, base)
         for n, workload in enumerate(args.workload.split(",")):
             lines = run_pairs(base, workload, args.pairs, args.seed,
-                              args.seconds)
+                              args.seconds, pycache)
             print("%s%s: %s against the working tree, %d pairs of %g s"
                   % ("\n" if n else "", workload, args.rev, args.pairs,
                      args.seconds))
