@@ -101,7 +101,7 @@ def cmd_homology(args):
             snf = smith_normal_form(X.boundary_matrix(q),
                                     shape=(X.n_cells(q - 1), X.n_cells(q)),
                                     want_transforms=True)
-            S, _, T, _ = snf.transforms
+            S, _, T = snf.transforms
             blocks["boundary_%d" % (q,)] = {
                 "diagonal": list(snf.diagonal),
                 "row_transform": [list(r) for r in S],

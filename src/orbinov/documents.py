@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .actions import FiniteGroup, SimplicialAction
 from .cochains import PeriodSpace, RationalCochain1, vec_neg
@@ -85,6 +86,28 @@ def _expect(obj, kind, where, kindname):
     return obj
 
 
+def _expect_each(items, kind, where, kindname):
+    """items, each of them of kind: one test at C speed, and a walk
+    that names the first offender only when it fails."""
+    if not all(map(kind.__instancecheck__, items)):
+        for x in items:
+            _expect(x, kind, where, kindname)
+    return items
+
+
+def _expect_rows(rows, where, kindname):
+    """rows, a list of lists of strings, tested as in _expect_each; a
+    fault in row i is named at where[i]."""
+    _expect(rows, list, where, "a list")
+    if not (all(map(list.__instancecheck__, rows))
+            and all(map(str.__instancecheck__, chain.from_iterable(rows)))):
+        for i, row in enumerate(rows):
+            spot = "%s[%d]" % (where, i)
+            _expect_each(_expect(row, list, spot, "a list"), str, spot,
+                         kindname)
+    return rows
+
+
 def _check_keys(obj, allowed, where):
     extra = sorted(set(obj) - set(allowed))
     if extra:
@@ -92,38 +115,17 @@ def _check_keys(obj, allowed, where):
 
 
 def _parse_space(obj, where):
-    # One expression tests the shape.  A simplex vertex that is not a
-    # string is not in the vertex index, so build_complex refuses it;
-    # on any refusal the per-field checks run first and name the bad
-    # entry, as they did before the complex was built.
-    if (isinstance(obj, dict) and obj.keys() == _SPACE_KEYS
-            and isinstance(obj["vertices"], list)
-            and isinstance(obj["simplices"], list)
-            and all(map(str.__instancecheck__, obj["vertices"]))
-            and all(map(list.__instancecheck__, obj["simplices"]))):
-        try:
-            return build_complex(obj["simplices"], vertices=obj["vertices"])
-        except (DocumentError, TypeError):
-            pass
-    _check_space(obj, where)
-    return build_complex(obj["simplices"], vertices=obj["vertices"])
-
-
-def _check_space(obj, where):
+    # every field is checked once, in document order, and only then is
+    # the complex built, so build_complex sees strings in lists alone
     _expect(obj, dict, where, "an object")
-    _check_keys(obj, ("vertices", "simplices"), where)
-    if "vertices" not in obj or "simplices" not in obj:
+    if obj.keys() != _SPACE_KEYS:
+        _check_keys(obj, _SPACE_KEYS, where)
         raise DocumentError("%s: needs vertices and simplices" % (where,))
     vertices = _expect(obj["vertices"], list, where + ".vertices", "a list")
-    for v in vertices:
-        _expect(v, str, where + ".vertices", "vertex names")
-    simplices = _expect(obj["simplices"], list, where + ".simplices",
-                        "a list")
-    for i, cell in enumerate(simplices):
-        spot = "%s.simplices[%d]" % (where, i)
-        _expect(cell, list, spot, "a list")
-        for v in cell:
-            _expect(v, str, spot, "vertex names")
+    _expect_each(vertices, str, where + ".vertices", "vertex names")
+    simplices = _expect_rows(obj["simplices"], where + ".simplices",
+                             "vertex names")
+    return build_complex(simplices, vertices=vertices)
 
 
 def _parse_group(obj, where):
@@ -132,13 +134,8 @@ def _parse_group(obj, where):
     if "elements" not in obj or "table" not in obj:
         raise DocumentError("%s: needs elements and table" % (where,))
     elements = _expect(obj["elements"], list, where + ".elements", "a list")
-    for g in elements:
-        _expect(g, str, where + ".elements", "element names")
-    table = _expect(obj["table"], list, where + ".table", "a list")
-    for i, row in enumerate(table):
-        spot = "%s.table[%d]" % (where, i)
-        for g in _expect(row, list, spot, "a list"):
-            _expect(g, str, spot, "element names")
+    _expect_each(elements, str, where + ".elements", "element names")
+    table = _expect_rows(obj["table"], where + ".table", "element names")
     return FiniteGroup(elements, table)
 
 
@@ -153,22 +150,18 @@ def _parse_action(obj, where):
     raw = _expect(obj["vertex_maps"], dict, where + ".vertex_maps",
                   "an object")
     for g, table in raw.items():
-        if not (isinstance(table, dict)
-                and all(map(str.__instancecheck__, table.values()))):
-            spot = "%s.vertex_maps.%s" % (where, g)
-            for image in _expect(table, dict, spot, "an object").values():
-                _expect(image, str, spot, "vertex names")
+        spot = "%s.vertex_maps.%s" % (where, g)
+        _expect_each(_expect(table, dict, spot, "an object").values(), str,
+                     spot, "vertex names")
     return SimplicialAction(group, space, raw)
 
 
 def _parse_cocycle(obj, X, where):
     _expect(obj, dict, where, "an object")
-    if not obj.keys() <= _COCYCLE_KEYS:
-        _check_keys(obj, _COCYCLE_KEYS, where)
+    _check_keys(obj, _COCYCLE_KEYS, where)
     symbols = _expect(obj.get("symbols", []), list, where + ".symbols",
                       "a list")
-    for s in symbols:
-        _expect(s, str, where + ".symbols", "symbol names")
+    _expect_each(symbols, str, where + ".symbols", "symbol names")
     if len(set(symbols)) != len(symbols):
         raise DocumentError("%s.symbols: repeated symbol" % (where,))
     shadows = _expect(obj.get("shadows", {}), dict, where + ".shadows",
@@ -185,57 +178,41 @@ def _parse_cocycle(obj, X, where):
         if digits > _digit_limit() > 0:
             raise _too_long(spot, digits)
     k = 1 + len(symbols)
-    edges = obj.get("edges", [])
-    if not isinstance(edges, list):
-        _expect(edges, list, where + ".edges", "a list")
+    edges = _expect(obj.get("edges", []), list, where + ".edges", "a list")
     orient = X.orient
+    spot = where + ".edges[%d]"     # formatted only to name a fault
     parsed = {}         # each distinct p/q string is parsed once
-    cached = parsed.__getitem__
     values = {}
     for i, entry in enumerate(edges):
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
-            _check_edge(entry, "%s.edges[%d]" % (where, i))
+            if len(_expect(entry, list, spot % i,
+                           "a [u, v, value] triple")) != 3:
+                raise DocumentError("%s: expected a [u, v, value] triple"
+                                    % (spot % i,))
+            _expect_each(entry[:2], str, spot % i, "vertex names")
         u, v, value = entry
         try:
             key, sign = orient(u, v)
         except (DocumentError, ValidationError) as exc:
-            raise DocumentError("%s.edges[%d]: %s" % (where, i, exc)) from None
+            raise DocumentError("%s: %s" % (spot % i, exc)) from None
         if key in values:
-            raise DocumentError("%s.edges[%d]: edge assigned twice"
-                                % (where, i))
+            raise DocumentError("%s: edge assigned twice" % (spot % i,))
         if isinstance(value, str):
             value = [value]
         if not (isinstance(value, list) and len(value) == k):
-            _check_value(value, k, "%s.edges[%d]" % (where, i))
-        try:
-            vec = tuple(map(cached, value))
-        except (KeyError, TypeError):
-            spot = "%s.edges[%d]" % (where, i)
-            for x in value:
-                if not (isinstance(x, str) and x in parsed):
-                    parsed[x] = parse_fraction(x, spot)
-            vec = tuple(map(cached, value))
+            _expect(value, list, spot % i, "a list of p/q strings")
+            raise DocumentError(
+                "%s: value needs %d coordinates (1 + symbols), got %d"
+                % (spot % i, k, len(value)))
+        for x in value:
+            if not (isinstance(x, str) and x in parsed):
+                parsed[x] = parse_fraction(x, spot % i)
+        vec = tuple(map(parsed.__getitem__, value))
         values[key] = vec if sign > 0 else vec_neg(vec)
     return {"symbols": list(symbols),
             "shadows": {s: shadows[s] for s in symbols if s in shadows},
             "values": values}
-
-
-def _check_edge(entry, spot):
-    _expect(entry, list, spot, "a [u, v, value] triple")
-    if len(entry) != 3:
-        raise DocumentError("%s: expected a [u, v, value] triple" % (spot,))
-    _expect(entry[0], str, spot, "vertex names")
-    _expect(entry[1], str, spot, "vertex names")
-
-
-def _check_value(value, k, spot):
-    _expect(value, list, spot, "a list of p/q strings")
-    if len(value) != k:
-        raise DocumentError(
-            "%s: value needs %d coordinates (1 + symbols), got %d"
-            % (spot, k, len(value)))
 
 
 def _parse_critical(obj, where):

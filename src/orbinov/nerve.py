@@ -23,10 +23,9 @@ chains; the module itself stays agnostic about truncation except for
 refusing words longer than its depth.  The drawn cells are valid by
 construction (stored simplices in a shuffled vertex order, words from
 the element list), so the sampler checks only their word length.  One
-face kernel lists the word part, the face part and the signed total of
-a chain's boundary in one traversal, and the three operators are views
-of it; a sample makes one face pass per level, over c, W(c), F(c) and
-D(c), and DD(c) goes through the total operator.
+face kernel gives the word part and the face part of a chain's
+boundary in one traversal, and the total is their signed sum; a sample
+makes one face pass per level, over c, W(c), F(c) and D(c).
 
 A chain is a flat map {(anchor, word, exponent): int} without zero
 entries: a chain with coefficients in the group ring of the period
@@ -147,24 +146,19 @@ class NerveModel:
         self._anchor_faces[anchor] = faces
         return faces
 
-    def _boundaries(self, flat, split=True, signed=True):
+    def _boundaries(self, flat):
         """The face kernel: one traversal of a flat chain that returns
-        its word boundary and its face boundary when split, and its
-        total boundary when signed (a part not asked for comes back
-        empty).  The total takes the bidegree sign rule: the word faces
-        of a cell in bidegree (q, n) carry the sign (-1)^(q+n), its
-        anchor faces (-1)^q.  Faces come from the model's tables; an
-        empty entry is a vertex or the empty word, a missing one None."""
+        its word boundary and its face boundary.  Faces come from the
+        model's tables; an empty entry is a vertex or the empty word, a
+        missing one None."""
         words, anchors, moves = (self._word_faces, self._anchor_faces,
                                  self._moves)
         apply_tuple = self.action.apply_tuple
-        word_part, face_part, total = {}, {}, {}
+        word_part, face_part = {}, {}
         for (a, w, e), c in flat.items():
-            q = len(a) - 1
             entry = words.get(w)
             if entry is None:
                 entry = self._word_entry(w)
-            t = -c if (q + len(w)) % 2 else c
             # word faces keep the exponent; only anchor faces shift it
             for word, sign, g in entry:
                 if g is None:
@@ -174,50 +168,51 @@ class NerveModel:
                     if moved is None:
                         moved = moves[(g, a)] = apply_tuple(g, a)
                     key = (moved, word, e)
-                if split:
-                    x = word_part.get(key, 0) + sign * c
-                    if x:
-                        word_part[key] = x
-                    else:
-                        del word_part[key]
-                if signed:
-                    x = total.get(key, 0) + sign * t
-                    if x:
-                        total[key] = x
-                    else:
-                        del total[key]
+                x = word_part.get(key, 0) + sign * c
+                if x:
+                    word_part[key] = x
+                else:
+                    del word_part[key]
             faces = anchors.get(a)
             if faces is None:
                 faces = self._anchor_entry(a)
-            t = -c if q % 2 else c
             for anchor, shift, sign in faces:
                 key = (anchor, w,
                        e if shift is None else tuple(map(add, e, shift)))
-                if split:
-                    x = face_part.get(key, 0) + sign * c
-                    if x:
-                        face_part[key] = x
-                    else:
-                        del face_part[key]
-                if signed:
-                    x = total.get(key, 0) + sign * t
-                    if x:
-                        total[key] = x
-                    else:
-                        del total[key]
-        return word_part, face_part, total
+                x = face_part.get(key, 0) + sign * c
+                if x:
+                    face_part[key] = x
+                else:
+                    del face_part[key]
+        return word_part, face_part
 
     def group_boundary(self, chain):
         """Word-direction boundary: drop, compose, or relocate."""
-        return self._boundaries(chain, signed=False)[0]
+        return self._boundaries(chain)[0]
 
     def face_boundary(self, chain):
         """Anchor-direction boundary, twisted on the leading face."""
-        return self._boundaries(chain, signed=False)[1]
+        return self._boundaries(chain)[1]
 
     def total_boundary(self, chain):
         """Total differential, with the bidegree sign rule."""
-        return self._boundaries(chain, split=False)[2]
+        return _total(*self._boundaries(chain))
+
+
+def _total(word, face):
+    """Signed sum of a word and a face boundary, without the keys that
+    cancel.  A face key's bidegree gives its cell's sign: (-1)^(len
+    anchor + len word) on a word face, (-1)^(len anchor) on an anchor
+    face."""
+    total = {key: -c if (len(key[0]) + len(key[1])) % 2 else c
+             for key, c in word.items()}
+    for key, c in face.items():
+        x = total.get(key, 0) + (-c if len(key[0]) % 2 else c)
+        if x:
+            total[key] = x
+        else:
+            del total[key]
+    return total
 
 
 def random_chain(model, rng, max_word=3, max_cells=3):
@@ -263,31 +258,32 @@ def random_chain(model, rng, max_word=3, max_cells=3):
     return {key: c for key, c in chain.items() if c}
 
 
-def identity_failures(model, seed, samples, max_word=3):
+def identity_failures(model, seed, samples):
     """Check the four boundary identities on seeded random chains.
 
     Both operators must square to zero, they must commute, and the
     signed total differential must square to zero on the chains that
-    random_chain draws.  Each sample makes one face pass per level:
-    over the chain c, over its word and face boundaries W(c) and F(c),
-    and over its total boundary D(c), whose total part is DD(c).
+    random_chain draws, with words of at most min(3, depth) letters.
+    The face kernel yields the word and face parts of a boundary, the
+    total is their signed sum, and each sample makes one pass per
+    level: over c, over W(c) and F(c), and over D(c) for DD(c).
     Returns failure descriptions; an empty list is a clean pass.
     """
-    max_word = min(max_word, model.depth)
+    max_word = min(3, model.depth)
     rng = random.Random(seed)
     boundaries = model._boundaries
     fails = []
     for i in range(samples):
-        word, face, total = boundaries(random_chain(model, rng, max_word, 3))
-        word_word, face_word, _ = boundaries(word, signed=False)
-        word_face, face_face, _ = boundaries(face, signed=False)
+        word, face = boundaries(random_chain(model, rng, max_word, 3))
+        word_word, face_word = boundaries(word)
+        word_face, face_face = boundaries(face)
         if word_word:
             fails.append("sample %d: word boundary squared is nonzero" % i)
         if face_face:
             fails.append("sample %d: face boundary squared is nonzero" % i)
         if face_word != word_face:
             fails.append("sample %d: boundaries do not commute" % i)
-        if boundaries(total, split=False)[2]:
+        if _total(*boundaries(_total(word, face))):
             fails.append("sample %d: total differential squared is nonzero"
                          % i)
     return fails

@@ -57,7 +57,7 @@ class H1Presentation:
                     rel[idx][j] += s
         snf = smith_normal_form(rel, shape=(n_ot, len(triangles)),
                                 want_transforms=True)
-        S, Si, _, _ = snf.transforms
+        S, Si, _ = snf.transforms
         self._S = S
         diag = snf.diagonal + [0] * (n_ot - len(snf.diagonal))
         self.orders = []

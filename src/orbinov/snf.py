@@ -55,8 +55,8 @@ class SNFResult:
     """Diagonal form d_1 | d_2 | ... of an integer matrix.
 
     diagonal has length min(m, n) and may end in zeros; rank counts the
-    nonzero entries.  When transforms are retained they are the 4-tuple
-    (S, S_inv, T, T_inv) with S*A*T equal to the diagonal form.
+    nonzero entries.  When transforms are retained they are the triple
+    (S, S_inv, T) with S*A*T equal to the diagonal form.
     """
 
     __slots__ = ("diagonal", "rank", "shape", "transforms")
@@ -105,7 +105,7 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
 
     if want_transforms:
         S, Si = identity_matrix(m), identity_matrix(m)
-        T, Ti = identity_matrix(n), identity_matrix(n)
+        T = identity_matrix(n)
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -139,7 +139,6 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
         if want_transforms:
             for r in T:
                 r[j], r[k] = r[k], r[j]
-            Ti[j], Ti[k] = Ti[k], Ti[j]
 
     def col_add(j, k, c):
         # col_j += c * col_k
@@ -148,9 +147,6 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
         if want_transforms:
             for r in T:
                 r[j] += c * r[k]
-            Tk, Tj = Ti[k], Ti[j]
-            for t in range(n):
-                Tk[t] -= c * Tj[t]
 
     t = 0
     while t < min(m, n):
@@ -206,7 +202,7 @@ def smith_normal_form(rows, shape=None, want_transforms=False):
                 want = diagonal[i] if i == j and i < len(diagonal) else 0
                 if D[i][j] != want:
                     raise ValidationError("transform bookkeeping broke")
-        transforms = (S, Si, T, Ti)
+        transforms = (S, Si, T)
     return SNFResult(diagonal, (m, n), transforms)
 
 

@@ -17,7 +17,7 @@ exponents, group and action.  The cover reference is the fourth: it
 eliminates every boundary of the explicit cyclic cover with the
 package's homology_of_matrices, d_1 included, where the package pairs
 d_1 by the cover's spanning forest.  The loader references are the
-fifth: build_complex, the space and cocycle parsers and the
+fifth: build_complex, the space, group and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
 compared by exception class and text.
@@ -30,13 +30,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
 
-from orbinov.actions import SimplicialAction
+from orbinov.actions import FiniteGroup, SimplicialAction
 from orbinov.cochains import vec_neg
 from orbinov.complexes import (IntHomology, SimplicialComplex, build_complex,
                                homology_of_matrices)
 from orbinov.documents import (OrbifoldDocument, _check_keys, _expect,
-                               _parse_critical, _parse_group,
-                               parse_fraction)
+                               _parse_critical, parse_fraction)
 from orbinov.errors import DocumentError, ValidationError
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.snf import eliminate_units, smith_normal_form
@@ -572,13 +571,29 @@ def reference_action(group, complex, vertex_maps):
     return SimplicialAction._of(group, complex, maps)
 
 
+def _reference_parse_group(obj, where):
+    _expect(obj, dict, where, "an object")
+    _check_keys(obj, ("elements", "table"), where)
+    if "elements" not in obj or "table" not in obj:
+        raise DocumentError("%s: needs elements and table" % (where,))
+    elements = _expect(obj["elements"], list, where + ".elements", "a list")
+    for g in elements:
+        _expect(g, str, where + ".elements", "element names")
+    table = _expect(obj["table"], list, where + ".table", "a list")
+    for i, row in enumerate(table):
+        spot = "%s.table[%d]" % (where, i)
+        for g in _expect(row, list, spot, "a list"):
+            _expect(g, str, spot, "element names")
+    return FiniteGroup(elements, table)
+
+
 def _reference_parse_action(obj, where):
     _expect(obj, dict, where, "an object")
     _check_keys(obj, ("group", "space", "vertex_maps"), where)
     for field in ("group", "space", "vertex_maps"):
         if field not in obj:
             raise DocumentError("%s: needs %s" % (where, field))
-    group = _parse_group(obj["group"], where + ".group")
+    group = _reference_parse_group(obj["group"], where + ".group")
     space = reference_parse_space(obj["space"], where + ".space")
     raw = _expect(obj["vertex_maps"], dict, where + ".vertex_maps",
                   "an object")

@@ -320,6 +320,20 @@ def _outcome(parse, data):
         return type(exc), str(exc)
 
 
+def _mutate(rng, data, path, rename=False):
+    """Swap the node at path for a value of another JSON type or, with
+    rename, a string node for a name that nothing declares."""
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if rename and isinstance(old, str):
+        parent[path[-1]] = old + "_unknown"
+        return
+    parent[path[-1]] = copy.deepcopy(rng.choice(
+        [v for i, v in enumerate(JSON_VALUES) if i != _json_type(old)]))
+
+
 def test_mutated_corpus_documents_fail_only_as_document_errors():
     # each mutation is also parsed by the loader as it was before the
     # one-expression shape tests (tests/oracles.py): the same document,
@@ -352,6 +366,23 @@ def test_mutated_corpus_documents_fail_only_as_document_errors():
             except (DocumentError, ValidationError):
                 pass
     assert 0 < refused < 3000
+    # two faults per document, neither inside the other (say an unknown
+    # vertex in one simplex and a non-string vertex in a later one): the
+    # loader must name the one the reference meets first
+    rng = random.Random(1)
+    refused = 0
+    for _ in range(3000):
+        data = copy.deepcopy(rng.choice(corpus))
+        nodes = list(_nodes(data))[1:]
+        first = rng.choice(nodes)
+        second = rng.choice([p for p in nodes if p[:len(first)] != first
+                             and first[:len(p)] != p])
+        for path in (first, second):
+            _mutate(rng, data, path, rename=rng.random() < 0.5)
+        got = _outcome(OrbifoldDocument.from_dict, data)
+        assert got == _outcome(reference_document, data), (first, second)
+        refused += not isinstance(got, str)
+    assert 2000 < refused < 3000
 
 
 def _edge_entry_mutations(rng, data):

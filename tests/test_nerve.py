@@ -230,8 +230,17 @@ def test_total_boundary_matches_its_definition(make):
     # boundaries of that one cell
     model = make(depth=3)
     rng = random.Random(20261018)
-    for _ in range(20):
-        c = random_chain(model, rng, max_word=3, max_cells=4)
+    chains = [random_chain(model, rng, max_word=3, max_cells=4)
+              for _ in range(20)]
+    if model.complex.dim >= 2:
+        # the first word face of the first cell and the last anchor
+        # face of the second land on one key with opposite total signs
+        u, v, w = model.complex.cells[2][0]
+        g = model.action.group.elements[-1]
+        e = (0,) * model.r
+        chains.append({((u, v), (g,), e): 1, ((u, v, w), (), e): -1})
+        assert ((u, v), (), e) not in model.total_boundary(chains[-1])
+    for c in chains:
         want = {}
         for key, coeff in c.items():
             anchor, word, _ = key

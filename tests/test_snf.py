@@ -69,9 +69,8 @@ def test_transforms_are_inverse_pairs():
         n = rng.randint(1, 5)
         A = random_matrix(rng, m, n)
         res = smith_normal_form(A, want_transforms=True)
-        S, Si, T, Ti = res.transforms
+        S, Si, T = res.transforms
         assert mat_mul(S, Si) == identity_matrix(m)
-        assert mat_mul(T, Ti) == identity_matrix(n)
         # S*A*T is re-checked inside smith_normal_form already; spot check
         D = mat_mul(mat_mul(S, A), T)
         for i in range(m):
@@ -201,7 +200,7 @@ def check_against_sympy(A):
                                          (m, n), ZZ))
     assert [d for d in res.diagonal if d] == [abs(int(d)) for d in ref if d]
     assert res.rank == gauss_rank(A)
-    S, _, T, _ = res.transforms
+    S, _, T = res.transforms
     D = mat_mul(mat_mul(S, A), T)
     assert D == [[res.diagonal[i] if i == j else 0 for j in range(n)]
                  for i in range(m)]
