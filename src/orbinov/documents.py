@@ -180,7 +180,8 @@ def _parse_cocycle(obj, X, where):
     k = 1 + len(symbols)
     edges = _expect(obj.get("edges", []), list, where + ".edges", "a list")
     orient = X.orient
-    spot = where + ".edges[%d]"     # formatted only to name a fault
+    # formatted only to name a fault; a cocycle's name may hold a '%'
+    spot = where.replace("%", "%%") + ".edges[%d]"
     parsed = {}         # each distinct p/q string is parsed once
     values = {}
     for i, entry in enumerate(edges):

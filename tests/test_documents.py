@@ -412,6 +412,29 @@ def test_edge_mistakes_match_the_reference_loader():
         assert isinstance(got, tuple) and got[0] is DocumentError
 
 
+def test_cocycle_names_with_a_percent_sign_load_and_name_their_faults():
+    # the name is part of each fault's path, never a format string
+    text = (resources.files("orbinov") / "corpus"
+            / "circle.json").read_text(encoding="utf-8")
+    for name in ("50%", "a%b", "x%s", "%%", "%d"):
+        data = json.loads(text)
+        specs = data["cocycles"]
+        cname = next(c for c in specs if specs[c]["edges"])
+        specs[name] = specs.pop(cname)
+        got = _outcome(OrbifoldDocument.from_dict, data)
+        assert isinstance(got, str)
+        assert got == _outcome(reference_document, data)
+        loaded = OrbifoldDocument.from_dict(data)
+        assert loaded.cocycle_specs[name] == (
+            OrbifoldDocument.from_dict(json.loads(text))
+            .cocycle_specs[cname])
+        specs[name]["edges"][0][0] = "nowhere"
+        got = _outcome(OrbifoldDocument.from_dict, data)
+        assert got == _outcome(reference_document, data)
+        assert got[0] is DocumentError
+        assert got[1].startswith("cocycles.%s.edges[0]: " % (name,))
+
+
 def test_repeated_fraction_strings_share_one_parse():
     # one Fraction per distinct p/q string per cocycle; the values and
     # their orientation are as when each coordinate is parsed alone

@@ -234,9 +234,13 @@ def test_total_boundary_matches_its_definition(make):
               for _ in range(20)]
     if model.complex.dim >= 2:
         # the first word face of the first cell and the last anchor
-        # face of the second land on one key with opposite total signs
+        # face of the second land on one key with opposite total signs;
+        # g^-1 moves (u, v), so the last word face lands elsewhere
         u, v, w = model.complex.cells[2][0]
-        g = model.action.group.elements[-1]
+        group = model.action.group
+        g = next(g for g in group.elements
+                 if model.action.apply_tuple(group.inverse(g), (u, v))
+                 != (u, v))
         e = (0,) * model.r
         chains.append({((u, v), (g,), e): 1, ((u, v, w), (), e): -1})
         assert ((u, v), (), e) not in model.total_boundary(chains[-1])

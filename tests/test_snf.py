@@ -71,6 +71,8 @@ def test_transforms_are_inverse_pairs():
         res = smith_normal_form(A, want_transforms=True)
         S, Si, T = res.transforms
         assert mat_mul(S, Si) == identity_matrix(m)
+        # T is unimodular: all its invariant factors are 1
+        assert smith_normal_form(T).diagonal == [1] * n
         # S*A*T is re-checked inside smith_normal_form already; spot check
         D = mat_mul(mat_mul(S, A), T)
         for i in range(m):
