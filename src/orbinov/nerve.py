@@ -18,14 +18,13 @@ closedness is re-verified when the model is built.
 
 The operators satisfy four identities: each boundary squares to zero,
 they commute, and the total differential (with the bidegree sign
-rule) squares to zero.  identity_failures checks them on seeded random
-chains; the module itself stays agnostic about truncation except for
-refusing words longer than its depth.  The drawn cells are valid by
-construction (stored simplices in a shuffled vertex order, words from
-the element list), so the sampler checks only their word length.  One
-face kernel gives the word part and the face part of a chain's
-boundary in one traversal, and the total is their signed sum; a sample
-makes one face pass per level, over c, W(c), F(c) and D(c).
+rule) squares to zero.  identity_failures checks them on every cell
+of a finite unit set, which is enough for every chain (see there); the
+module itself stays agnostic about truncation except for refusing
+words longer than its depth.  One face kernel gives the word part and
+the face part of a chain's boundary in one traversal, and the total
+is their signed sum; a unit makes one face pass per level, over c,
+W(c), F(c) and D(c).
 
 A chain is a flat map {(anchor, word, exponent): int} without zero
 entries: a chain with coefficients in the group ring of the period
@@ -37,12 +36,12 @@ each word, the signed faces of each anchor (reading the exponent of
 its first edge then), and each anchor moved by a group element.
 """
 
-import random
+from itertools import product
 from operator import add
 
 from .errors import DocumentError, ValidationError
 
-__all__ = ["NerveModel", "nerve_model", "random_chain", "identity_failures"]
+__all__ = ["NerveModel", "nerve_model", "unit_cells", "identity_failures"]
 
 
 class NerveModel:
@@ -58,6 +57,8 @@ class NerveModel:
                  "_word_faces", "_anchor_faces", "_moves")
 
     def __init__(self, qres, lift, depth):
+        if depth < 0:
+            raise ValueError("depth must be nonnegative, got %d" % (depth,))
         if lift.complex is not qres.complex:
             raise DocumentError("lift lives on a different complex than the "
                                 "orbit space")
@@ -215,77 +216,75 @@ def _total(word, face):
     return total
 
 
-def random_chain(model, rng, max_word=3, max_cells=3):
-    """Small random chain for identity spot checks, rng driven.
-
-    Anchors are stored cells of the model's complex in a shuffled
-    vertex order, words come from the full element list (identities
-    included), coefficients are signed monomials with small exponents;
-    a cell drawn twice at one exponent has its coefficients summed.
-    Every key is a valid cell by construction, so only the word length
-    is checked against the model's depth.  The draws call
-    rng._randbelow directly, in the order and with the bounds that
-    randrange, choice and shuffle would, so the stream is theirs.
+def unit_cells(model):
+    """The (anchor, word) cells that identity_failures checks, anchors
+    in stored vertex order, with m = min(3, depth): every stored cell
+    with the empty word and, when m >= 1, with every one-letter word;
+    and every word of length 2..m at one anchor per dimension, the cell
+    that the fewest group elements fix, so that a wrong relocation
+    cannot cancel against itself.  That is
+    sum_q |cells_q| * (1 + |G|) + (dim + 1) * sum_{n=2..m} |G|^n
+    cells for depth >= 1, and sum_q |cells_q| at depth 0.
     """
-    # _randbelow(0) never returns, where randrange raises
-    if max_cells < 1:
-        raise ValueError("max_cells must be at least 1, got %d"
-                         % (max_cells,))
-    if max_word < 0:
-        raise ValueError("max_word must be nonnegative, got %d"
-                         % (max_word,))
-    X = model.complex
     elements = model.action.group.elements
-    n_elements, r = len(elements), model.r
-    below = rng._randbelow
-    chain = {}
-    for _ in range(1 + below(max_cells)):
-        cells = X.cells[below(X.dim + 1)]
-        anchor = list(cells[below(len(cells))])
-        for i in range(len(anchor) - 1, 0, -1):
-            j = below(i + 1)
-            anchor[i], anchor[j] = anchor[j], anchor[i]
-        word = tuple([elements[below(n_elements)]
-                      for _ in range(below(max_word + 1))])
-        exp = tuple([below(5) - 2 for _ in range(r)])
-        sign = -1 if below(2) else 1
-        if len(word) > model.depth:
-            raise ValidationError(
-                "word of length %d exceeds truncation depth %d"
-                % (len(word), model.depth))
-        key = (tuple(anchor), word, exp)
-        chain[key] = chain.get(key, 0) + sign
-    return {key: c for key, c in chain.items() if c}
+    apply_tuple = model.action.apply_tuple
+    m = min(3, model.depth)
+    short = [()] + ([(g,) for g in elements] if m else [])
+    for cells in model.complex.cells:
+        for anchor in cells:
+            for word in short:
+                yield anchor, word
+    for cells in model.complex.cells:
+        anchor = min(cells, key=lambda a: sum(apply_tuple(g, a) == a
+                                              for g in elements))
+        for n in range(2, m + 1):
+            for word in product(elements, repeat=n):
+                yield anchor, word
 
 
-def identity_failures(model, seed, samples):
-    """Check the four boundary identities on seeded random chains.
+def identity_failures(model):
+    """Check the four boundary identities on every cell of unit_cells.
 
     Both operators must square to zero, they must commute, and the
-    signed total differential must square to zero on the chains that
-    random_chain draws, with words of at most min(3, depth) letters.
-    The face kernel yields the word and face parts of a boundary, the
-    total is their signed sum, and each sample makes one pass per
-    level: over c, over W(c) and F(c), and over D(c) for DD(c).
-    Returns failure descriptions; an empty list is a clean pass.
+    signed total differential must square to zero.  Each unit is one
+    cell with coefficient 1 at exponent 0.  The operators are linear
+    and a face only shifts its cell's exponent, so identities that hold
+    on the units hold on every chain of their cells.  The total is the
+    signed sum of the word direction W and the anchor direction F, the
+    total complex of a double complex, so D^2 = 0 follows from W^2 = 0,
+    F^2 = 0 and WF = FW, and each of these sees only part of a cell:
+
+    - F^2 on (a, w) depends only on a: it is closedness on a's
+      triangles, checked with the empty word.  exp is antisymmetric by
+      construction, so closedness in stored vertex order implies
+      closedness in every order.
+    - WF = FW: only the last word face moves the anchor, so
+      F(g.a) = g.F(a) is all that is at stake, checked with every
+      one-letter word at every cell.
+    - W^2 depends on the word and on how the group moves the anchor; G
+      acts vertex by vertex, so the relocations of one anchor stand for
+      those of every anchor and every vertex order.  It is checked with
+      every longer word at one anchor per dimension.
+
+    Each unit makes one face pass per level: over c, over W(c) and
+    F(c), and over D(c) for DD(c).  Returns failure descriptions, each
+    naming its cell; an empty list is a clean pass.
     """
-    max_word = min(3, model.depth)
-    rng = random.Random(seed)
     boundaries = model._boundaries
+    zero = (0,) * model.r
     fails = []
-    for i in range(samples):
-        word, face = boundaries(random_chain(model, rng, max_word, 3))
-        word_word, face_word = boundaries(word)
-        word_face, face_face = boundaries(face)
-        if word_word:
-            fails.append("sample %d: word boundary squared is nonzero" % i)
-        if face_face:
-            fails.append("sample %d: face boundary squared is nonzero" % i)
-        if face_word != word_face:
-            fails.append("sample %d: boundaries do not commute" % i)
-        if _total(*boundaries(_total(word, face))):
-            fails.append("sample %d: total differential squared is nonzero"
-                         % i)
+    for cell in unit_cells(model):
+        w, f = boundaries({(*cell, zero): 1})
+        word_word, face_word = boundaries(w)
+        word_face, face_face = boundaries(f)
+        for bad, what in ((word_word, "word boundary squared is nonzero"),
+                          (face_face, "face boundary squared is nonzero"),
+                          (face_word != word_face,
+                           "boundaries do not commute"),
+                          (_total(*boundaries(_total(w, f))),
+                           "total differential squared is nonzero")):
+            if bad:
+                fails.append("cell %r: %s" % (cell, what))
     return fails
 
 

@@ -322,11 +322,13 @@ def _block_substitution_homology(X, tc, p):
 def rank1_perturb(cochain, precision=6):
     """Rational rank one stand-in for a higher rank class.
 
-    Every symbolic direction is collapsed onto its decimal shadow,
-    rounded to the requested number of digits; periods then live in a
-    rank one lattice and torsion becomes computable.  Rank one input
-    passes through unchanged; rank zero input (before or after the
-    collapse) is refused since it no longer points anywhere.
+    Each symbol's decimal shadow is rounded once, to the requested
+    number of digits, and every value vector is collapsed onto the
+    rational number it takes under those rounded shadows.  That map is
+    linear, so the stand-in is closed whenever the class is; periods
+    then live in a rank one lattice and torsion becomes computable.
+    Rank one input passes through unchanged; rank zero input (before or
+    after the collapse) is refused since it no longer points anywhere.
     """
     X = cochain.complex
     if integralize(cochain).rank == 0:
@@ -334,20 +336,17 @@ def rank1_perturb(cochain, precision=6):
     if not cochain.space.symbols:
         return cochain
     scale = 10 ** precision
-    space = PeriodSpace()
-
-    def collapse(vec):
-        exact = cochain.space.shadow_value(vec)
-        return (Fraction(round(exact * scale), scale),)
-
+    rounded = PeriodSpace(cochain.space.symbols, {
+        name: Fraction(round(s * scale), scale)
+        for name, s in cochain.space.shadows.items()})
     values = {}
     for (u, v) in X.edges():
         w = cochain.value(u, v)
         if any(w):
-            c = collapse(w)
-            if any(c):
-                values[(u, v)] = c
-    out = RationalCochain1(X, values, space)
+            c = rounded.shadow_value(w)
+            if c:
+                values[(u, v)] = (c,)
+    out = RationalCochain1(X, values, PeriodSpace())
     if integralize(out).rank == 0:
         raise ValidationError(
             "perturbation collapsed the class to zero; raise precision")

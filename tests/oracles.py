@@ -11,12 +11,13 @@ its own with all its rows, so they check only the step that carries
 pivot pairs from one degree to the next.  The quotient reference is
 the second: it builds the orbit space with the package's build_complex,
 from vertex orbits and the image of every cell.  The nerve reference
-is the third: it checks the identities one operator at a time, on
-faces that reference_cell_faces lists cell by cell from the model's
-exponents, group and action.  The cover reference is the fourth: it
-eliminates every boundary of the explicit cyclic cover with the
-package's homology_of_matrices, d_1 included, where the package pairs
-d_1 by the cover's spanning forest.  The loader references are the
+is the third: it checks the identities unfactorised, one operator at
+a time, on every stored cell in every vertex order, with faces that
+reference_word_faces and reference_anchor_faces list cell by cell from
+the model's exponents, group and action.  The cover reference is the
+fourth: it eliminates every boundary of the explicit cyclic cover with
+the package's homology_of_matrices, d_1 included, where the package
+pairs d_1 by the cover's spanning forest.  The loader references are the
 fifth: build_complex, the space, group and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
@@ -24,10 +25,9 @@ compared by exception class and text.
 """
 
 import math
-import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import add, mul
 
 from orbinov.actions import FiniteGroup, SimplicialAction
@@ -352,46 +352,34 @@ def reference_quotient(action):
     return build_complex(sorted(simplices), vertices=labels), projection
 
 
-def reference_identity_failures(model, seed, samples, max_word=3):
-    """The nerve identities checked one operator at a time: eight
-    boundary passes per sample over chains whose every cell goes through
-    model.cell.  The reference for nerve.identity_failures, which draws
-    cells valid by construction and makes one face pass per level."""
-    max_word = min(max_word, model.depth)
-    rng = random.Random(seed)
-    fails = []
-    for i in range(samples):
-        c = _reference_random_chain(model, rng, max_word, 3)
-        word = reference_boundary(model, c, anchor=False)
-        face = reference_boundary(model, c, word=False)
-        if reference_boundary(model, word, anchor=False):
-            fails.append("sample %d: word boundary squared is nonzero" % i)
-        if reference_boundary(model, face, word=False):
-            fails.append("sample %d: face boundary squared is nonzero" % i)
-        if (reference_boundary(model, word, word=False)
-                != reference_boundary(model, face, anchor=False)):
-            fails.append("sample %d: boundaries do not commute" % i)
-        if reference_boundary(model, reference_boundary(model, c)):
-            fails.append("sample %d: total differential squared is nonzero"
-                         % i)
-    return fails
-
-
-def _reference_random_chain(model, rng, max_word, max_cells):
-    X = model.complex
+def reference_identity_failures(model):
+    """The nerve identities checked unfactorised, one operator at a
+    time: every stored cell in every vertex order with every word of
+    at most min(3, depth) letters, each unit through model.unit, eight
+    boundary passes per unit.  Yields a description of each failure,
+    naming its cell, as it is found.  The reference for
+    nerve.identity_failures, which checks a factorised unit set in
+    stored vertex order and makes one face pass per level."""
     elements = model.action.group.elements
-    chain = {}
-    for _ in range(rng.randrange(1, max_cells + 1)):
-        q = rng.randrange(X.dim + 1)
-        anchor = list(rng.choice(X.cells[q]))
-        rng.shuffle(anchor)
-        word = tuple(rng.choice(elements)
-                     for _ in range(rng.randrange(max_word + 1)))
-        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
-        sign = rng.choice((1, -1))
-        key = (*model.cell(anchor, word), exp)
-        chain[key] = chain.get(key, 0) + sign
-    return {key: c for key, c in chain.items() if c}
+    words = [w for n in range(min(3, model.depth) + 1)
+             for w in product(elements, repeat=n)]
+    for cells in model.complex.cells:
+        for cell in cells:
+            for anchor in permutations(cell):
+                for w in words:
+                    c = model.unit(anchor, w)
+                    word = reference_boundary(model, c, anchor=False)
+                    face = reference_boundary(model, c, word=False)
+                    name = "cell %r: " % ((anchor, w),)
+                    if reference_boundary(model, word, anchor=False):
+                        yield name + "word boundary squared is nonzero"
+                    if reference_boundary(model, face, word=False):
+                        yield name + "face boundary squared is nonzero"
+                    if (reference_boundary(model, word, word=False)
+                            != reference_boundary(model, face, anchor=False)):
+                        yield name + "boundaries do not commute"
+                    if reference_boundary(model, reference_boundary(model, c)):
+                        yield name + "total differential squared is nonzero"
 
 
 def reference_boundary(model, flat, word=True, anchor=True):
@@ -401,41 +389,44 @@ def reference_boundary(model, flat, word=True, anchor=True):
     total = word and anchor
     out = {}
     for (a, w, e), c in flat.items():
-        word_faces, anchor_faces = reference_cell_faces(model, a, w)
         if word:
             _reference_add_faces(
-                out, word_faces, e,
+                out, reference_word_faces(model, a, w), e,
                 -c if total and (len(a) + len(w)) % 2 == 0 else c)
         if anchor:
-            _reference_add_faces(out, anchor_faces, e,
-                                 -c if total and len(a) % 2 == 0 else c)
+            _reference_add_faces(out, reference_anchor_faces(model, a, w),
+                                 e, -c if total and len(a) % 2 == 0 else c)
     return out
 
 
-def reference_cell_faces(model, anchor, word):
-    """Word and anchor faces of one cell, each as (anchor, word,
-    exponent shift or None, sign); only the leading anchor face is
-    shifted, by the exponent of the first edge."""
+def reference_word_faces(model, anchor, word):
+    """Word faces of one cell as (anchor, word, None, sign): the last
+    relocates the anchor by the inverse of the dropped letter."""
     n = len(word)
     group = model.action.group
-    word_faces = []
-    if n:
-        word_faces.append((anchor, word[1:], None, 1))
-        for k in range(1, n):
-            merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
-                      + word[k + 1:])
-            word_faces.append((anchor, merged, None, (-1) ** k))
-        moved = model.action.apply_tuple(group.inverse(word[-1]), anchor)
-        word_faces.append((moved, word[:-1], None, (-1) ** n))
-    anchor_faces = []
-    if len(anchor) > 1:
-        head = model.exp(anchor[0], anchor[1])
-        anchor_faces.append((anchor[1:], word, head if any(head) else None,
-                             1))
-        for j in range(1, len(anchor)):
-            anchor_faces.append((anchor[:j] + anchor[j + 1:], word, None,
-                                 (-1) ** j))
-    return word_faces, anchor_faces
+    if not n:
+        return []
+    faces = [(anchor, word[1:], None, 1)]
+    for k in range(1, n):
+        merged = (word[:k - 1] + (group.mul(word[k - 1], word[k]),)
+                  + word[k + 1:])
+        faces.append((anchor, merged, None, (-1) ** k))
+    moved = model.action.apply_tuple(group.inverse(word[-1]), anchor)
+    faces.append((moved, word[:-1], None, (-1) ** n))
+    return faces
+
+
+def reference_anchor_faces(model, anchor, word):
+    """Anchor faces of one cell as (anchor, word, exponent shift or
+    None, sign); only the leading face is shifted, by the exponent of
+    the first edge."""
+    if len(anchor) == 1:
+        return []
+    head = model.exp(anchor[0], anchor[1])
+    faces = [(anchor[1:], word, head if any(head) else None, 1)]
+    for j in range(1, len(anchor)):
+        faces.append((anchor[:j] + anchor[j + 1:], word, None, (-1) ** j))
+    return faces
 
 
 def _reference_add_faces(out, faces, exp, coeff):

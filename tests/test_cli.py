@@ -482,8 +482,8 @@ def stage_counts(monkeypatch, argv):
     # reads them off the off-tree exponents
     (["novikov", "klein", "--class", "dy"], {"cycle_periods": 1,
                                             "vector": 0}),
-    # the sampler draws stored cells and group elements, valid by
-    # construction, so no drawn cell is validated again
+    # the identity check builds its unit cells from stored cells and
+    # group elements, valid by construction, so none is validated again
     (["validate", "hexagon_z2", "--cyclic", "3"], {"cell": 0}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):

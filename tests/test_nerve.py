@@ -1,20 +1,17 @@
 """Nerve operators: pinned small cases and the four chain identities."""
 
-import os
 import random
-import subprocess
-import sys
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
-
-import orbinov
 
 from orbinov import (DocumentError, LaurentPoly, RationalCochain1,
                      SimplicialAction, ValidationError, coboundary0,
                      descend_cochain, integralize, nerve_model,
                      quotient_complex)
 from orbinov.cli import corpus_names, resolve_document
-from orbinov.nerve import identity_failures, random_chain
+from orbinov.nerve import identity_failures, unit_cells
 
 from families import (Z2, dihedral_hexagon_action, grid_class,
                       hexagon_action, hexagon_dtheta, mirror_square_action,
@@ -209,6 +206,17 @@ def test_chain_identities_on_seeded_cells(make):
         assert not model.total_boundary(model.total_boundary(c))
 
 
+def _random_chain(model, rng):
+    # signed units at small exponents; a cell drawn twice at one
+    # exponent has its coefficients summed, and may cancel
+    chain = {}
+    for _ in range(rng.randrange(1, 5)):
+        ((anchor, word, _),) = _random_unit(model, rng, max_word=3)
+        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
+        _add_into(chain, {(anchor, word, exp): rng.choice((1, -1))}, 1)
+    return chain
+
+
 def _sign(degree):
     return -1 if degree % 2 else 1
 
@@ -230,8 +238,7 @@ def test_total_boundary_matches_its_definition(make):
     # boundaries of that one cell
     model = make(depth=3)
     rng = random.Random(20261018)
-    chains = [random_chain(model, rng, max_word=3, max_cells=4)
-              for _ in range(20)]
+    chains = [_random_chain(model, rng) for _ in range(20)]
     if model.complex.dim >= 2:
         # the first word face of the first cell and the last anchor
         # face of the second land on one key with opposite total signs;
@@ -349,66 +356,40 @@ def test_multi_term_coefficients_match_laurent_reference(make):
     assert multi > 25
 
 
-def test_random_chain_is_pinned():
-    # the first three chains of a seeded stream, as drawn before the
-    # sampler ran on flat chains
-    model = hexagon_model()
-    rng = random.Random(5)
-    got = [random_chain(model, rng) for _ in range(3)]
-    assert got == [
-        {(("h1",), (), (0,)): -1, (("h3",), (), (2,)): 1,
-         (("h4", "h5"), (), (1,)): 1},
-        {(("h3",), ("e", "m"), (-1,)): 1},
-        {(("h5", "h0"), (), (-2,)): 1},
-    ]
+COMMUTE = "boundaries do not commute"
+TOTAL = "total differential squared is nonzero"
+FACE = "face boundary squared is nonzero"
 
 
-def _laurent_draw(model, rng, max_word, max_cells):
-    # the draw written with LaurentPoly coefficients, one rng call at a
-    # time in the sampler's order
-    X = model.complex
-    terms = []
-    for _ in range(rng.randrange(1, max_cells + 1)):
-        anchor = list(rng.choice(X.cells[rng.randrange(X.dim + 1)]))
-        rng.shuffle(anchor)
-        word = tuple(rng.choice(model.action.group.elements)
-                     for _ in range(rng.randrange(max_word + 1)))
-        exp = tuple(rng.randrange(-2, 3) for _ in range(model.r))
-        coeff = LaurentPoly.monomial(model.r, exp, rng.choice((1, -1)))
-        terms.append((model.cell(anchor, word), coeff))
-    return _flat(_reference_sum(model.r, terms))
-
-
-@pytest.mark.parametrize("make", [hexagon_model, mirror_model])
-def test_random_chain_matches_a_laurent_draw(make):
-    # long chains on small complexes, so repeated cells merge and cancel
-    model = make(depth=2)
-    ours, theirs = random.Random(31), random.Random(31)
-    doubled = 0
-    for _ in range(200):
-        want = _laurent_draw(model, theirs, 1, 12)
-        assert random_chain(model, ours, max_word=1, max_cells=12) == want
-        doubled += any(abs(c) == 2 for c in want.values())
-    assert doubled > 5
-    assert ours.random() == theirs.random()
+def _bump_first_exponent(model):
+    # break closedness and invariance after the model is built
+    first = sorted(model.exponents)[0]
+    model.exponents[first] = tuple(e + 1 for e in model.exponents[first])
+    return first
 
 
 @pytest.mark.parametrize("make, want", [
-    (hexagon_model,
-     ["sample %d: %s" % (i, what) for i in (20, 29, 46, 63, 75, 83, 94, 99)
-      for what in ("boundaries do not commute",
-                   "total differential squared is nonzero")]),
-    (shift_model,
-     ["sample 16: face boundary squared is nonzero",
-      "sample 16: total differential squared is nonzero"]),
+    (hexagon_model, {COMMUTE: 8, TOTAL: 8}),
+    (shift_model, {FACE: 18, COMMUTE: 18, TOTAL: 28}),
 ])
 def test_sampler_catches_an_unclosed_exponent(make, want):
-    # break closedness after the model is built: the sampler must draw
-    # the same chains and find exactly the same failures
+    # the bumped edge is neither closed nor invariant: F^2 fails on the
+    # triangles through it, WF = FW where the last letter m moves an
+    # anchor onto or off it, and D^2 wherever either fails
     model = make(depth=3)
-    first = sorted(model.exponents)[0]
-    model.exponents[first] = tuple(e + 1 for e in model.exponents[first])
-    assert identity_failures(model, 7, 100) == want
+    first = _bump_first_exponent(model)
+    edges = {first, model.action.apply_cell("m", first)}
+    expected = []
+    for anchor, word in unit_cells(model):
+        on = set(combinations(anchor, 2))
+        face = len(anchor) == 3 and first in on
+        commute = word[-1:] == ("m",) and bool(on & edges)
+        for what, bad in ((FACE, face), (COMMUTE, commute),
+                          (TOTAL, face or commute)):
+            if bad:
+                expected.append("cell %r: %s" % ((anchor, word), what))
+    assert identity_failures(model) == expected
+    assert Counter(f.rsplit(": ", 1)[1] for f in expected) == want
 
 
 def test_missing_edge_exponent_still_raises():
@@ -418,7 +399,7 @@ def test_missing_edge_exponent_still_raises():
     with pytest.raises(ValidationError, match="no exponent for edge"):
         model.face_boundary(model.unit((u, v), ("m",)))
     with pytest.raises(ValidationError, match="no exponent for edge"):
-        identity_failures(model, 7, 100)
+        identity_failures(model)
 
 
 def corpus_models(depth):
@@ -431,20 +412,22 @@ def corpus_models(depth):
             yield model_of(act, doc.cochain(cname), depth)
 
 
-def same_as_reference(model, seed, samples):
-    want = reference_identity_failures(model, seed, samples)
-    assert identity_failures(model, seed, samples) == want
-    return want
+def same_verdict(model):
+    """identity_failures(model), once the unfactorised reference has
+    failed exactly when it does."""
+    fails = identity_failures(model)
+    clean = next(reference_identity_failures(model), None) is None
+    assert clean == (not fails)
+    return fails
 
 
 def test_identity_failures_match_the_reference_on_the_corpus():
     runs = 0
-    for depth in (2, 3, 4):
+    for depth in (2, 3):
         for model in corpus_models(depth):
-            for seed in range(5):
-                assert same_as_reference(model, seed, 25) == []
-                runs += 1
-    assert runs == 225
+            assert same_verdict(model) == []
+            runs += 1
+    assert runs == 30
 
 
 def mirror_cylinder_model(depth=4):
@@ -457,9 +440,8 @@ def mirror_cylinder_model(depth=4):
                                   mirror_cylinder_model])
 def test_identity_failures_match_the_reference_on_a_bumped_exponent(make):
     model = make(depth=3)
-    first = sorted(model.exponents)[0]
-    model.exponents[first] = tuple(e + 1 for e in model.exponents[first])
-    assert same_as_reference(model, 7, 100)
+    _bump_first_exponent(model)
+    assert same_verdict(model)
 
 
 def test_identity_failures_match_the_reference_on_a_tampered_action():
@@ -468,73 +450,79 @@ def test_identity_failures_match_the_reference_on_a_tampered_action():
     model = hexagon_model(depth=3)
     model.action.vertex_maps["m"] = {"h%d" % i: "h%d" % (-i % 6)
                                      for i in range(6)}
-    fails = same_as_reference(model, 7, 100)
-    assert any("do not commute" in f for f in fails)
+    assert any("do not commute" in f for f in same_verdict(model))
+    assert any("do not commute" in f
+               for f in reference_identity_failures(model))
 
 
 def test_missing_edge_exponent_raises_as_in_the_reference():
     model = hexagon_model(depth=3)
     del model.exponents[sorted(model.exponents)[0]]
     with pytest.raises(ValidationError) as want:
-        reference_identity_failures(model, 7, 100)
+        list(reference_identity_failures(model))
     with pytest.raises(ValidationError) as got:
-        identity_failures(model, 7, 100)
+        identity_failures(model)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("no exponent for edge")
 
 
 def test_nerve_identities_hold_for_non_abelian_groups():
-    # word letters merge as mul(w_{k-1}, w_k); a left/right slip only
-    # shows when some letters do not commute
+    # word letters merge as mul(w_{k-1}, w_k); merging them in the
+    # wrong order (here: the transposed table) only shows when some
+    # letters do not commute, and then on some unit cell
     actions = [dihedral_hexagon_action(), *seeded_invariant_actions(0)]
     non_abelian = 0
     for act in actions:
         qres = quotient_complex(act)
         lift = integralize(descend_cochain(
             qres, RationalCochain1(act.complex, {})))
-        assert identity_failures(nerve_model(qres, lift, 3), 0, 100) == []
         group = act.group
-        non_abelian += any(group.mul(g, h) != group.mul(h, g)
-                           for g in group.elements for h in group.elements)
+        swapped = any(group.mul(g, h) != group.mul(h, g)
+                      for g in group.elements for h in group.elements)
+        check = same_verdict if act is actions[0] else identity_failures
+        assert check(nerve_model(qres, lift, 3)) == []
+        group.table = [list(column) for column in zip(*group.table)]
+        model = nerve_model(qres, lift, 3)
+        fails = check(model)
+        assert bool(fails) == swapped
+        # a fixed anchor would hide the slip: each dimension's anchor of
+        # the longer words is one that the fewest elements fix, and the
+        # slip shows on each
+        anchors = {len(a): a for a, w in unit_cells(model) if len(w) > 1}
+
+        def fixed(a):
+            return sum(model.action.apply_tuple(g, a) == a
+                       for g in group.elements)
+        for layer in model.complex.cells:
+            assert fixed(anchors[len(layer[0])]) == min(map(fixed, layer))
+        assert all(any(f.startswith("cell (%r, " % (a,)) for f in fails)
+                   for a in anchors.values()) == swapped
+        non_abelian += swapped
     assert (len(actions), non_abelian) == (9, 5)
 
 
-def test_drawn_keys_are_cells_as_given():
-    for depth in range(5):
-        for model in corpus_models(depth):
-            rng = random.Random(depth)
-            for _ in range(20):
-                for anchor, word, _ in random_chain(model, rng,
-                                                    max_word=depth):
-                    assert model.cell(anchor, word) == (anchor, word)
-
-
-def test_random_chain_refuses_words_past_the_depth():
-    model = hexagon_model(depth=3)
-    rng = random.Random(0)
-    with pytest.raises(ValidationError, match="word of length 4 exceeds "
-                                              "truncation depth 3"):
-        for _ in range(100):
-            random_chain(model, rng, max_word=model.depth + 1)
-
-
 def test_face_tables_match_the_reference_cell_by_cell():
-    # the group, face and total boundary of each drawn key alone, read
-    # from the model's tables, against faces listed cell by cell; the
-    # D_3 hexagon merges letters that do not commute
+    # the group, face and total boundary of each unit cell alone, in
+    # every vertex order of its anchor, read from the model's tables,
+    # against faces listed cell by cell; the D_3 hexagon merges letters
+    # that do not commute
     act = dihedral_hexagon_action()
     qres = quotient_complex(act)
     lift = integralize(descend_cochain(qres, RationalCochain1(act.complex,
                                                               {})))
-    models = [(depth, model) for depth in range(5)
-              for model in corpus_models(depth)]
-    models.append((3, nerve_model(qres, lift, 3)))
+    models = [model for depth in range(5) for model in corpus_models(depth)]
+    models.append(nerve_model(qres, lift, 3))
     keys = 0
-    for depth, model in models:
-        rng = random.Random(depth)
-        for _ in range(20):
-            for key in random_chain(model, rng, max_word=depth):
-                unit = {key: 1}
+    for model in models:
+        units = list(unit_cells(model))
+        cells, n = model.complex.cells, len(model.action.group.elements)
+        m = min(3, model.depth)
+        short = 1 + n * (m > 0)
+        longer = sum(n ** k for k in range(2, m + 1))
+        assert len(units) == sum(map(len, cells)) * short + len(cells) * longer
+        for anchor, word in units:
+            for order in permutations(anchor):
+                unit = model.unit(order, word)
                 assert model.group_boundary(unit) == reference_boundary(
                     model, unit, anchor=False)
                 assert model.face_boundary(unit) == reference_boundary(
@@ -545,39 +533,11 @@ def test_face_tables_match_the_reference_cell_by_cell():
     assert keys > 2000
 
 
-def test_random_chain_refuses_empty_draws_without_hanging():
-    # rng._randbelow(0) never returns where randrange(0) raises, so the
-    # sampler refuses the bounds that would ask for it
-    script = "\n".join([
-        "import random",
-        "from orbinov import (descend_cochain, integralize, nerve_model,",
-        "                     quotient_complex)",
-        "from orbinov.cli import resolve_document",
-        "from orbinov.nerve import identity_failures, random_chain",
-        "doc = resolve_document('hexagon_z2')",
-        "qres = quotient_complex(doc.action)",
-        "lift = integralize(descend_cochain(qres, doc.cochain('dtheta')))",
-        "model = nerve_model(qres, lift, 3)",
-        "for call in (lambda: random_chain(model, random.Random(0),",
-        "                                  max_cells=0),",
-        "             lambda: random_chain(model, random.Random(0),",
-        "                                  max_word=-1),",
-        "             lambda: identity_failures(nerve_model(qres, lift, -1),",
-        "                                       0, 1)):",
-        "    try:",
-        "        call()",
-        "    except ValueError as exc:",
-        "        print(exc)",
-    ])
-    src = os.path.dirname(os.path.dirname(orbinov.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    try:
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=10)
-    except subprocess.TimeoutExpired:
-        pytest.fail("random_chain ran past 10 s on an empty draw")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "max_cells must be at least 1, got 0",
-        "max_word must be nonnegative, got -1",
-        "max_word must be nonnegative, got -1"]
+def test_a_negative_depth_is_refused_where_the_model_is_built():
+    # a negative depth would leave the identity check no word to check
+    act = hexagon_action()
+    qres = quotient_complex(act)
+    lift = integralize(descend_cochain(qres, hexagon_dtheta(act)))
+    with pytest.raises(ValueError,
+                       match="^depth must be nonnegative, got -1$"):
+        nerve_model(qres, lift, -1)

@@ -880,9 +880,6 @@ def test_grid_torus_32_hands_only_d2_to_elimination(monkeypatch):
     assert len(snf_calls) == 1
 
 
-@pytest.mark.xfail(strict=True, raises=ValidationError,
-                   reason="rank1_perturb rounds each edge on its own, so "
-                          "the rounded values need not close on a triangle")
 def test_rank1_perturb_of_a_gauged_class_stays_closed():
     om = rank_two_torus_class(random.Random("perturb/open"), 4, (1, 3, 7))
     assert rank1_perturb(om, precision=6).complex is om.complex
