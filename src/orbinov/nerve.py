@@ -23,8 +23,9 @@ of a finite unit set, which is enough for every chain (see there); the
 module itself stays agnostic about truncation except for refusing
 words longer than its depth.  One face kernel gives the word part and
 the face part of a chain's boundary in one traversal, and the total
-is their signed sum; a unit makes one face pass per level, over c,
-W(c), F(c) and D(c).
+is their signed sum; a unit makes two face passes, over c and over
+W(c) and F(c), and D^2(c) is a signed sum of the four parts of the
+second.
 
 A chain is a flat map {(anchor, word, exponent): int} without zero
 entries: a chain with coefficients in the group ring of the period
@@ -39,9 +40,16 @@ its first edge then), and each anchor moved by a group element.
 from itertools import product
 from operator import add
 
-from .errors import DocumentError, ValidationError
+from .errors import (DocumentError, UnsupportedOperationError,
+                     ValidationError)
 
-__all__ = ["NerveModel", "nerve_model", "unit_cells", "identity_failures"]
+__all__ = ["NerveModel", "nerve_model", "unit_cells", "identity_failures",
+           "NERVE_UNIT_CAP"]
+
+# identity_failures checks every unit cell, 15-18 microseconds each on
+# a 2-vCPU VM, so the cap is about 3 s of checking; larger checks are
+# refused rather than attempted
+NERVE_UNIT_CAP = 200_000
 
 
 class NerveModel:
@@ -200,20 +208,37 @@ class NerveModel:
         return _total(*self._boundaries(chain))
 
 
+def _signs(anchor, word):
+    """The bidegree signs of a face key with an anchor of the given
+    length and a word of the given length in the total differential:
+    (-1)^(anchor + word) on a word face, (-1)^anchor on an anchor
+    face, as the pair (word sign, anchor sign)."""
+    sign = -1 if anchor % 2 else 1
+    return -sign if word % 2 else sign, sign
+
+
 def _total(word, face):
     """Signed sum of a word and a face boundary, without the keys that
-    cancel.  A face key's bidegree gives its cell's sign: (-1)^(len
-    anchor + len word) on a word face, (-1)^(len anchor) on an anchor
-    face."""
-    total = {key: -c if (len(key[0]) + len(key[1])) % 2 else c
+    cancel; each key takes its bidegree's sign from _signs."""
+    total = {key: c * _signs(len(key[0]), len(key[1]))[0]
              for key, c in word.items()}
     for key, c in face.items():
-        x = total.get(key, 0) + (-c if len(key[0]) % 2 else c)
+        x = total.get(key, 0) + c * _signs(len(key[0]), len(key[1]))[1]
         if x:
             total[key] = x
         else:
             del total[key]
     return total
+
+
+def _signed_sum(s, x, t, y):
+    """s x + t y for signs s and t and chains x and y without a key in
+    common."""
+    if s < 0:
+        x = {key: -c for key, c in x.items()}
+    if t < 0:
+        y = {key: -c for key, c in y.items()}
+    return {**x, **y}
 
 
 def unit_cells(model):
@@ -242,6 +267,15 @@ def unit_cells(model):
                 yield anchor, word
 
 
+def _unit_count(model):
+    """The number of cells that unit_cells yields, from its formula."""
+    n = len(model.action.group.elements)
+    m = min(3, model.depth)
+    cells = model.complex.cells
+    return (sum(map(len, cells)) * (1 + n * (m > 0))
+            + len(cells) * sum(n ** k for k in range(2, m + 1)))
+
+
 def identity_failures(model):
     """Check the four boundary identities on every cell of unit_cells.
 
@@ -266,23 +300,38 @@ def identity_failures(model):
       those of every anchor and every vertex order.  It is checked with
       every longer word at one anchor per dimension.
 
-    Each unit makes one face pass per level: over c, over W(c) and
-    F(c), and over D(c) for DD(c).  Returns failure descriptions, each
-    naming its cell; an empty list is a clean pass.
+    Each unit makes one face pass over c and one over W(c) and F(c).
+    D(c) = s W(c) + t F(c), with the signs s and t that _signs gives
+    those faces, so W(D c) = s WW(c) + t WF(c) and F(D c) = s FW(c)
+    + t FF(c), and D^2(c) is their total: the four second-level parts
+    give it without a third pass over D(c).  The unit count comes from
+    the formula in unit_cells, and a check of more than NERVE_UNIT_CAP
+    units is refused before any is built.  Returns failure
+    descriptions, each naming its cell; an empty list is a clean pass.
     """
+    units = _unit_count(model)
+    if units > NERVE_UNIT_CAP:
+        raise UnsupportedOperationError(
+            "the nerve identity check needs %d unit cells; it is capped "
+            "at %d" % (units, NERVE_UNIT_CAP))
     boundaries = model._boundaries
     zero = (0,) * model.r
     fails = []
     for cell in unit_cells(model):
+        anchor, word = len(cell[0]), len(cell[1])
+        s, t = _signs(anchor, word - 1)[0], _signs(anchor - 1, word)[1]
         w, f = boundaries({(*cell, zero): 1})
         word_word, face_word = boundaries(w)
         word_face, face_face = boundaries(f)
+        # in each sum the two parts' anchors differ in length, so no
+        # key cancels there
+        total = _total(_signed_sum(s, word_word, t, word_face),
+                       _signed_sum(s, face_word, t, face_face))
         for bad, what in ((word_word, "word boundary squared is nonzero"),
                           (face_face, "face boundary squared is nonzero"),
                           (face_word != word_face,
                            "boundaries do not commute"),
-                          (_total(*boundaries(_total(w, f))),
-                           "total differential squared is nonzero")):
+                          (total, "total differential squared is nonzero")):
             if bad:
                 fails.append("cell %r: %s" % (cell, what))
     return fails

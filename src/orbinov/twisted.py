@@ -22,7 +22,8 @@ from operator import add
 
 from .cochains import RationalCochain1, PeriodSpace, forest_periods
 from .complexes import (bfs_forest, build_complex, forest_pairs,
-                        homology_of_matrices, integer_homology)
+                        homology_of_matrices, incidence_pairs,
+                        integer_homology)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -269,9 +270,11 @@ def cyclic_cover_oracle(lift, p):
     vertices (v, level) and takes integer homology, pairing d_1 by the
     cover's own spanning forest.  The algebraic route substitutes the
     p by p cyclic shift for the twisting variable in the twisted
-    boundary and eliminates every degree of the block matrices.  The
-    two answers must agree; disagreement would expose a defect in the
-    twisting conventions.
+    boundary.  Its block d_1 is the incidence matrix of the cover's
+    graph, paired by that graph's own spanning forest
+    (complexes.incidence_pairs), and the block matrices are eliminated
+    from d_2 up.  The two answers must agree; disagreement would expose
+    a defect in the twisting conventions.
     """
     check_cover_degree(p)
     if lift.rank != 1:
@@ -284,21 +287,22 @@ def cyclic_cover_oracle(lift, p):
 
 
 def _explicit_cover_homology(X, lift, p):
-    def label(v, level):
-        return "%s@%d" % (v, level)
-
+    # vertex (v, level) is labelled "v@level"; a cell's lift at level
+    # l puts each vertex v at level l + exponent(v0, v), the l-th entry
+    # of v's labels rotated by that exponent
+    labels = {v: ["%s@%d" % (v, level) for level in range(p)]
+              for v in X.vertices}
     simplices = []
     # every cell of every dimension is lifted; closure is recomputed,
     # which also carries isolated vertices along
-    all_cells = [cell for q in range(X.dim + 1) for cell in X.cells[q]]
-    for cell in all_cells:
-        v0 = cell[0]
-        offsets = [0]
-        for v in cell[1:]:
-            offsets.append(lift.exponent(v0, v)[0])
-        for level in range(p):
-            simplices.append(tuple(label(v, (level + off) % p)
-                                   for v, off in zip(cell, offsets)))
+    for cells in X.cells:
+        for cell in cells:
+            v0 = cell[0]
+            rotated = [labels[v0]]
+            for v in cell[1:]:
+                off = lift.exponent(v0, v)[0] % p
+                rotated.append(labels[v][off:] + labels[v][:off])
+            simplices.extend(zip(*rotated))
     cover = build_complex(simplices)
     if any(cover.n_cells(q) != p * X.n_cells(q) for q in range(X.dim + 1)):
         raise ValidationError("cover has collapsed cells")
@@ -316,7 +320,8 @@ def _block_substitution_homology(X, tc, p):
                 key = (i * p + (level + e) % p, j * p + level)
                 entries[key] = entries.get(key, 0) + c
         boundaries.append({key: c for key, c in entries.items() if c})
-    return homology_of_matrices(ncells, boundaries)
+    return homology_of_matrices(ncells, boundaries,
+                                incidence_pairs(ncells[0], boundaries[1]))
 
 
 def rank1_perturb(cochain, precision=6):

@@ -14,10 +14,14 @@ from vertex orbits and the image of every cell.  The nerve reference
 is the third: it checks the identities unfactorised, one operator at
 a time, on every stored cell in every vertex order, with faces that
 reference_word_faces and reference_anchor_faces list cell by cell from
-the model's exponents, group and action.  The cover reference is the
-fourth: it eliminates every boundary of the explicit cyclic cover with
-the package's homology_of_matrices, d_1 included, where the package
-pairs d_1 by the cover's spanning forest.  The loader references are the
+the model's exponents, group and action.  The per-unit nerve reference
+runs the package's own face kernel over the same unit cells, but
+takes D^2 from a third face pass, where the package sums the four
+second-level parts.  The cover references are the fourth: they
+eliminate every boundary of the explicit cyclic cover, and every
+block boundary of the algebraic one, with the package's
+homology_of_matrices, d_1 included, where the package pairs each d_1
+by its own graph's spanning forest.  The loader references are the
 fifth: build_complex, the space, group and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
@@ -38,6 +42,7 @@ from orbinov.documents import (OrbifoldDocument, _check_keys, _expect,
                                _parse_critical, parse_fraction)
 from orbinov.errors import DocumentError, ValidationError
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
+from orbinov.nerve import unit_cells
 from orbinov.snf import eliminate_units, smith_normal_form
 from orbinov.twisted import twisted_complex
 
@@ -359,7 +364,7 @@ def reference_identity_failures(model):
     boundary passes per unit.  Yields a description of each failure,
     naming its cell, as it is found.  The reference for
     nerve.identity_failures, which checks a factorised unit set in
-    stored vertex order and makes one face pass per level."""
+    stored vertex order and makes two face passes per unit."""
     elements = model.action.group.elements
     words = [w for n in range(min(3, model.depth) + 1)
              for w in product(elements, repeat=n)]
@@ -380,6 +385,41 @@ def reference_identity_failures(model):
                         yield name + "boundaries do not commute"
                     if reference_boundary(model, reference_boundary(model, c)):
                         yield name + "total differential squared is nonzero"
+
+
+def reference_unit_failures(model):
+    """The per-unit loop of nerve.identity_failures as it was before
+    D^2 came from the four second-level parts: over the same unit
+    cells, with the model's face kernel, D^2(c) from a third face pass
+    over D(c), and the bidegree signs written out in _reference_total.
+    Yields each failure as found."""
+    boundaries = model._boundaries
+    zero = (0,) * model.r
+    for cell in unit_cells(model):
+        w, f = boundaries({(*cell, zero): 1})
+        word_word, face_word = boundaries(w)
+        word_face, face_face = boundaries(f)
+        for bad, what in ((word_word, "word boundary squared is nonzero"),
+                          (face_face, "face boundary squared is nonzero"),
+                          (face_word != word_face,
+                           "boundaries do not commute"),
+                          (_reference_total(*boundaries(
+                              _reference_total(w, f))),
+                           "total differential squared is nonzero")):
+            if bad:
+                yield "cell %r: %s" % (cell, what)
+
+
+def _reference_total(word, face):
+    total = {key: -c if (len(key[0]) + len(key[1])) % 2 else c
+             for key, c in word.items()}
+    for key, c in face.items():
+        x = total.get(key, 0) + (-c if len(key[0]) % 2 else c)
+        if x:
+            total[key] = x
+        else:
+            del total[key]
+    return total
 
 
 def reference_boundary(model, flat, word=True, anchor=True):
@@ -464,6 +504,24 @@ def reference_explicit_cover_homology(X, lift, p):
     return homology_of_matrices(
         [cover.n_cells(q) for q in range(X.dim + 1)],
         [cover.boundary_entries(q) for q in range(X.dim + 1)])
+
+
+def reference_block_substitution_homology(X, tc, p):
+    """Integer homology of the degree p cyclic cover of a rank one
+    twisted complex tc on X, from the p by p cyclic shift substituted
+    for the twisting variable, every block boundary eliminated in full:
+    the route twisted.cyclic_cover_oracle took before the block d_1 was
+    paired by its own graph's spanning forest."""
+    ncells = [X.n_cells(q) * p for q in range(X.dim + 1)]
+    boundaries = [{}]
+    for q in range(1, X.dim + 1):
+        entries = {}
+        for (i, j), ((e,), c) in tc.monomials[q].items():
+            for level in range(p):
+                key = (i * p + (level + e) % p, j * p + level)
+                entries[key] = entries.get(key, 0) + c
+        boundaries.append({key: c for key, c in entries.items() if c})
+    return homology_of_matrices(ncells, boundaries)
 
 
 def reference_build_complex(simplices, vertices=None):

@@ -28,31 +28,59 @@ def test_summary_gives_medians_and_pair_wins():
              result(520, 1.9), result(610, 1.6),
              result(540, 1.8), result(530, 1.9),
              result(560, 1.7), result(560, 1.4, failed=1, correct=0.99)]
-    better = {"analyses_per_s": "higher", "latency_p50_ms": "lower",
-              "correct_ratio": "higher"}
-    rows = {row[0]: row[1:] for row in ab_pairs.summarize(lines, better)}
+    declared = {"analyses_per_s": ("higher", 0.25),
+                "latency_p50_ms": ("lower", 0.25),
+                "correct_ratio": ("higher", 0.01)}
+    rows = {row[0]: row[1:] for row in ab_pairs.summarize(lines, declared)}
     # base throughputs 500, 520, 540, 560: quartiles 515 and 545
-    assert rows["analyses_per_s"] == ("1/s", 530, 30, 580, 2)
+    assert rows["analyses_per_s"] == ("1/s", 530, 30, 580, 2, True)
     assert rows["latency_p50_ms"][:2] == ("ms", 1.85)
-    assert rows["latency_p50_ms"][3:] == (1.55, 3)
-    assert rows["correct_ratio"] == ("ratio", 1.0, 0, 1.0, 0)
-    assert rows["failed"] == ("count", 0, 0, 0, 0)
+    assert rows["latency_p50_ms"][3:] == (1.55, 3, True)
+    assert rows["correct_ratio"] == ("ratio", 1.0, 0, 1.0, 0, True)
+    assert rows["failed"] == ("count", 0, 0, 0, 0, None)
     # a metric BENCHMARK.json does not declare gets medians, no wins
-    assert rows["lmatrix.cells_in"] == ("count", 7, 0, 7, None)
-    text = ab_pairs.format_rows(ab_pairs.summarize(lines, better), 4)
+    assert rows["lmatrix.cells_in"] == ("count", 7, 0, 7, None, None)
+    text = ab_pairs.format_rows(ab_pairs.summarize(lines, declared), 4)
     assert text.splitlines()[1].split() == ["analyses_per_s", "1/s", "530",
-                                            "30", "580", "2/4"]
+                                            "30", "580", "2/4", "within"]
     # one pair has no quartiles
-    (row,) = [r for r in ab_pairs.summarize(lines[:2], better)
+    (row,) = [r for r in ab_pairs.summarize(lines[:2], declared)
               if r[0] == "analyses_per_s"]
-    assert row == ("analyses_per_s", "1/s", 500, 0, 600, 1)
+    assert row == ("analyses_per_s", "1/s", 500, 0, 600, 1, True)
+
+
+def test_summary_tells_whether_each_median_stays_within_its_bound():
+    ab_pairs = load_script("tools", "ab_pairs.py")
+    declared = {"analyses_per_s": ("higher", 0.25),
+                "latency_p50_ms": ("lower", 0.25)}
+
+    def verdicts(base, change):
+        lines = [result(base[0], base[1]), result(change[0], change[1])]
+        return {row[0]: row[6] for row in ab_pairs.summarize(lines, declared)
+                if row[0] in declared}
+    # a quarter fewer analyses, or a quarter longer latency, is the
+    # edge of the bound and still within it
+    assert verdicts((400, 2.0), (300, 2.5)) == {"analyses_per_s": True,
+                                                "latency_p50_ms": True}
+    assert verdicts((400, 2.0), (299, 2.51)) == {"analyses_per_s": False,
+                                                 "latency_p50_ms": False}
+    # a gain is always within
+    assert verdicts((400, 2.0), (900, 0.5)) == {"analyses_per_s": True,
+                                                "latency_p50_ms": True}
+    lines = [result(400, 2.0), result(299, 2.0)]
+    text = ab_pairs.format_rows(ab_pairs.summarize(lines, declared), 1)
+    cols = {line.split()[0]: line.split()[-1] for line in text.splitlines()}
+    assert cols == {"metric": "bound", "analyses_per_s": "OUT",
+                    "latency_p50_ms": "within", "correct_ratio": "-",
+                    "failed": "-", "lmatrix.cells_in": "-"}
 
 
 def test_declared_directions_come_from_the_benchmark():
     ab_pairs = load_script("tools", "ab_pairs.py")
-    better = ab_pairs.better_directions()
-    assert better["analyses_per_s"] == "higher"
-    assert better["latency_p90_ms"] == "lower"
+    declared = ab_pairs.declared_metrics()
+    assert declared["analyses_per_s"] == ("higher", 0.25)
+    assert declared["latency_p90_ms"] == ("lower", 0.25)
+    assert declared["peak_rss_mb"] == ("lower", 0.1)
 
 
 def test_a_comma_list_gives_one_table_per_workload(monkeypatch):
@@ -84,8 +112,10 @@ def test_a_comma_list_gives_one_table_per_workload(monkeypatch):
         "oracle: HEAD~1 against the working tree, 3 pairs of 2 s"]
     rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[2:]}
             for t in tables]
-    assert rows[0]["analyses_per_s"] == ["1/s", "508", "1", "608", "3/3"]
-    assert rows[1]["analyses_per_s"] == ["1/s", "508", "1", "508", "0/3"]
+    assert rows[0]["analyses_per_s"] == ["1/s", "508", "1", "608", "3/3",
+                                         "within"]
+    assert rows[1]["analyses_per_s"] == ["1/s", "508", "1", "508", "0/3",
+                                         "within"]
     assert err.getvalue().count("done") == 6
 
 

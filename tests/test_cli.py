@@ -451,13 +451,12 @@ def stage_counts(monkeypatch, argv):
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
-    # the explicit cover pairs d_1 by its own forest and the block
-    # route eliminates every degree: a one-dimensional cover eliminates
-    # only the block d_1, a surface's the block d_1 and d_2 and the
-    # explicit d_2
-    (["validate", "circle", "--cyclic", "3"], {"eliminate_units": 1}),
-    (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 1}),
-    (["validate", "klein", "--cyclic", "3"], {"eliminate_units": 3}),
+    # each cover route pairs d_1 by its own graph's spanning forest:
+    # a one-dimensional cover eliminates nothing, a surface's the
+    # explicit d_2 and the block d_2
+    (["validate", "circle", "--cyclic", "3"], {"eliminate_units": 0}),
+    (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 0}),
+    (["validate", "klein", "--cyclic", "3"], {"eliminate_units": 2}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),

@@ -1,22 +1,29 @@
 """Nerve operators: pinned small cases and the four chain identities."""
 
+import contextlib
+import io
+import json
 import random
+import time
 from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
-from orbinov import (DocumentError, LaurentPoly, RationalCochain1,
-                     SimplicialAction, ValidationError, coboundary0,
-                     descend_cochain, integralize, nerve_model,
-                     quotient_complex)
+from orbinov import (DocumentError, FiniteGroup, LaurentPoly,
+                     RationalCochain1, SimplicialAction,
+                     UnsupportedOperationError, ValidationError, cli,
+                     coboundary0, descend_cochain, integralize, nerve,
+                     nerve_model, quotient_complex)
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.nerve import identity_failures, unit_cells
 
-from families import (Z2, dihedral_hexagon_action, grid_class,
-                      hexagon_action, hexagon_dtheta, mirror_square_action,
-                      seeded_invariant_actions, torus_grid, torus_reflection)
-from oracles import reference_boundary, reference_identity_failures
+from families import (Z2, cycle_complex, dihedral_hexagon_action,
+                      grid_class, hexagon_action, hexagon_dtheta,
+                      mirror_square_action, seeded_invariant_actions,
+                      torus_grid, torus_reflection)
+from oracles import (reference_boundary, reference_identity_failures,
+                     reference_unit_failures)
 
 
 def torus_shift_action():
@@ -388,7 +395,7 @@ def test_sampler_catches_an_unclosed_exponent(make, want):
                           (TOTAL, face or commute)):
             if bad:
                 expected.append("cell %r: %s" % ((anchor, word), what))
-    assert identity_failures(model) == expected
+    assert same_failures(model) == expected
     assert Counter(f.rsplit(": ", 1)[1] for f in expected) == want
 
 
@@ -412,10 +419,18 @@ def corpus_models(depth):
             yield model_of(act, doc.cochain(cname), depth)
 
 
-def same_verdict(model):
-    """identity_failures(model), once the unfactorised reference has
-    failed exactly when it does."""
+def same_failures(model):
+    """identity_failures(model), once the per-unit reference, with its
+    third face pass for D^2, has listed the same failures."""
     fails = identity_failures(model)
+    assert fails == list(reference_unit_failures(model))
+    return fails
+
+
+def same_verdict(model):
+    """same_failures(model), once the unfactorised reference has
+    failed exactly when it does."""
+    fails = same_failures(model)
     clean = next(reference_identity_failures(model), None) is None
     assert clean == (not fails)
     return fails
@@ -463,6 +478,9 @@ def test_missing_edge_exponent_raises_as_in_the_reference():
     with pytest.raises(ValidationError) as got:
         identity_failures(model)
     assert str(got.value) == str(want.value)
+    with pytest.raises(ValidationError) as per_unit:
+        list(reference_unit_failures(model))
+    assert str(per_unit.value) == str(want.value)
     assert str(got.value).startswith("no exponent for edge")
 
 
@@ -479,7 +497,7 @@ def test_nerve_identities_hold_for_non_abelian_groups():
         group = act.group
         swapped = any(group.mul(g, h) != group.mul(h, g)
                       for g in group.elements for h in group.elements)
-        check = same_verdict if act is actions[0] else identity_failures
+        check = same_verdict if act is actions[0] else same_failures
         assert check(nerve_model(qres, lift, 3)) == []
         group.table = [list(column) for column in zip(*group.table)]
         model = nerve_model(qres, lift, 3)
@@ -520,6 +538,7 @@ def test_face_tables_match_the_reference_cell_by_cell():
         short = 1 + n * (m > 0)
         longer = sum(n ** k for k in range(2, m + 1))
         assert len(units) == sum(map(len, cells)) * short + len(cells) * longer
+        assert nerve._unit_count(model) == len(units)
         for anchor, word in units:
             for order in permutations(anchor):
                 unit = model.unit(order, word)
@@ -541,3 +560,84 @@ def test_a_negative_depth_is_refused_where_the_model_is_built():
     with pytest.raises(ValueError,
                        match="^depth must be nonnegative, got -1$"):
         nerve_model(qres, lift, -1)
+
+
+@pytest.mark.parametrize("make, step, want", [
+    (hexagon_model, 1, 48), (shift_model, 24, 258),
+    (mirror_cylinder_model, 1, 1329)])
+def test_each_bumped_exponent_fails_as_in_the_per_unit_reference(make, step,
+                                                                 want):
+    # D^2 summed from the four second-level parts lists the same
+    # failures, in the same order, as a third face pass over D(c); of
+    # the shift model's 288 edges every 24th is bumped, to keep it short
+    total = 0
+    for edge in sorted(make(depth=3).exponents)[::step]:
+        model = make(depth=3)
+        model.exponents[edge] = tuple(e + 1 for e in model.exponents[edge])
+        total += len(same_failures(model))
+    assert total == want
+
+
+def test_flipping_the_anchor_face_sign_keeps_the_identities(monkeypatch):
+    # D^2 = 0 holds under either anchor-face sign, so long as the total
+    # and the signs of W(c) and F(c) in D(c) come from one rule; a sign
+    # written out beside _signs would turn into false failures here
+    model = hexagon_model(depth=3)
+    unit = model.unit(("h0", "h1"), ("m",))
+    before = model.total_boundary(unit)
+    signs = nerve._signs
+    monkeypatch.setattr(nerve, "_signs",
+                        lambda anchor, word: (signs(anchor, word)[0],
+                                              -signs(anchor, word)[1]))
+    word = model.group_boundary(unit)
+    assert model.total_boundary(unit) == {
+        key: c if key in word else -c for key, c in before.items()}
+    runs = 0
+    for depth in (2, 3):
+        for model in corpus_models(depth):
+            assert identity_failures(model) == []
+            runs += 1
+    assert runs == 30
+
+
+def rotation_action(n):
+    """Z/n turning a cycle of 3n vertices by three steps per letter,
+    freely; the orbit space is a triangle's boundary."""
+    names = ["r%d" % k for k in range(n)]
+    group = FiniteGroup(names, [[names[(a + b) % n] for b in range(n)]
+                                for a in range(n)])
+    labels = ["c%d" % i for i in range(3 * n)]
+    maps = {names[k]: {"c%d" % i: "c%d" % ((i + 3 * k) % (3 * n))
+                       for i in range(3 * n)} for k in range(n)}
+    return SimplicialAction(group, cycle_complex(labels), maps)
+
+
+def test_a_nerve_check_past_the_unit_cap_is_refused_at_once(tmp_path):
+    # 360 cells with 61 short words and two anchors with 60^2 + 60^3
+    # longer ones: 461,160 units, refused before any is built
+    start = time.perf_counter()
+    act = rotation_action(60)
+    model = model_of(act, RationalCochain1(act.complex, {}), 4)
+    assert nerve._unit_count(model) == 461160 > nerve.NERVE_UNIT_CAP
+    with pytest.raises(UnsupportedOperationError,
+                       match="^the nerve identity check needs 461160 unit "
+                             "cells; it is capped at 200000$"):
+        identity_failures(model)
+    assert time.perf_counter() - start < 1.0
+    # the same document through validate exits 3 with that message
+    group = act.group
+    doc = {"name": "rot60", "description": "",
+           "action": {"group": {"elements": group.elements,
+                                "table": group.table},
+                      "space": {"vertices": act.complex.vertices,
+                                "simplices": [list(e)
+                                              for e in act.complex.edges()]},
+                      "vertex_maps": act.vertex_maps},
+           "cocycles": {"zero": {"edges": []}}, "critical_data": {}}
+    path = tmp_path / "rot60.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        assert cli.main(["validate", str(path)]) == 3
+    assert "461160 unit cells; it is capped at 200000" in err.getvalue()

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import orbinov
+from orbinov import twisted
 from orbinov.actions import quotient_complex
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
@@ -24,7 +25,8 @@ from orbinov.laurent import LaurentPoly, WeightSystem
 from orbinov.lmatrix import WeightedLaurentMatrix
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
                              period_homomorphism)
-from orbinov.twisted import (IntegralLift, _explicit_cover_homology,
+from orbinov.twisted import (IntegralLift, _block_substitution_homology,
+                             _explicit_cover_homology,
                              _monomial_product_is_zero,
                              _novikov_of_lift, cyclic_cover_oracle,
                              integralize, novikov_numbers, rank1_perturb,
@@ -33,8 +35,11 @@ from orbinov.twisted import (IntegralLift, _explicit_cover_homology,
 from families import (ALPHA, circle, circle_dtheta, genus_class,
                       grid_class, klein_grid, torus3_grid, torus_grid,
                       z2_grid_actions)
+import oracles
 from oracles import (forest_pairs_oracle, per_boundary_homology,
-                     per_boundary_novikov, reference_explicit_cover_homology)
+                     per_boundary_novikov,
+                     reference_block_substitution_homology,
+                     reference_explicit_cover_homology)
 
 F = Fraction
 
@@ -256,16 +261,38 @@ def rank_one_lifts():
         yield integralize(grid_class(klein_grid(n), n, (0,), (1,)))
 
 
-def test_explicit_cover_matches_full_elimination():
+def test_explicit_cover_matches_full_elimination(monkeypatch):
     # the cover pairs d_1 by its own spanning forest; eliminating every
-    # boundary in full must give the same homology
+    # boundary in full must give the same homology, and reading the
+    # lifts off rotated label lists the same simplices in the same order
+    built = []
+
+    def recording(simplices):
+        built.append(simplices)
+        return build_complex(simplices)
+    monkeypatch.setattr(twisted, "build_complex", recording)
+    monkeypatch.setattr(oracles, "build_complex", recording)
     lifts = list(rank_one_lifts())
     for lift in lifts:
         for p in range(2, 8):
             X = lift.complex
             assert (_explicit_cover_homology(X, lift, p)
                     == reference_explicit_cover_homology(X, lift, p))
+            assert built[-2] == built[-1]
     assert len(lifts) == 13
+
+
+def test_block_cover_matches_full_elimination():
+    # the block route pairs d_1 by its own graph's spanning forest;
+    # eliminating every block boundary in full must give the same
+    # homology
+    lifts = [*rank_one_lifts(), novikov_numbers(genus_class(2)).lift]
+    for lift in lifts:
+        X, tc = lift.complex, twisted_complex(lift)
+        for p in range(2, 8):
+            assert (_block_substitution_homology(X, tc, p)
+                    == reference_block_substitution_homology(X, tc, p))
+    assert len(lifts) == 14
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -15,7 +15,8 @@ revision first on even pairs, the working tree first on odd ones.  The
 summary gives each metric's median per side, the spread between the
 quartiles of the revision's runs and, for the end-to-end
 metrics that BENCHMARK.json declares, the number of pairs the working
-tree won; ties count for neither side.  Run from anywhere; runs are
+tree won (ties count for neither side) and whether the working tree's
+median stays within the metric's declared bound of the revision's.  Run from anywhere; runs are
 sequential, one benchmark process at a time.
 """
 
@@ -50,50 +51,61 @@ def run_once(tree, workload, seed, seconds, pycache):
     return done.stdout.strip().splitlines()[-1]
 
 
-def better_directions():
-    """{metric: "higher" or "lower"} of the declared end-to-end metrics."""
+def declared_metrics():
+    """{metric: (better, bound)} of the declared end-to-end metrics:
+    better is "higher" or "lower", and bound the largest loss of the
+    change's median, as a fraction of the base median, that the
+    benchmark allows."""
     with open(os.path.join(ROOT, "BENCHMARK.json"),
               encoding="utf-8") as handle:
         bench = json.load(handle)
-    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
 
 
-def summarize(lines, better):
-    """Rows (metric, unit, base median, base IQR, change median, wins)
-    of result lines taken in pairs (base, change).  The IQR is the
-    distance between the quartiles of the base runs, 0 for one pair.
-    wins counts the pairs where the change is strictly better, for
-    metrics in better; else None.  failed is the count of failed
-    analyses, lower being better."""
+def summarize(lines, declared):
+    """Rows (metric, unit, base median, base IQR, change median, wins,
+    within) of result lines taken in pairs (base, change).  The IQR is
+    the distance between the quartiles of the base runs, 0 for one
+    pair.  For metrics in declared, wins counts the pairs where the
+    change is strictly better, and within tells whether the change's
+    median is worse than the base median by no more than the bound;
+    else both are None.  failed is the count of failed analyses, lower
+    being better, with no bound."""
     results = [json.loads(line) for line in lines]
     for r in results:
         r["metrics"]["failed"] = {"value": r["failed"], "unit": "count"}
     pairs = list(zip(results[0::2], results[1::2]))
-    better = dict(better, failed="lower")
+    declared = dict(declared, failed=("lower", None))
     names = sorted(set.intersection(*(set(r["metrics"]) for r in results)))
     rows = []
     for name in names:
         unit = results[0]["metrics"][name]["unit"]
         side = [[r["metrics"][name]["value"] for r in pair] for pair in pairs]
-        wins = None
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            wins = sum(1 for base, new in side if sign * (new - base) > 0)
         base = [b for b, _ in side]
         q1, _, q3 = (statistics.quantiles(base, n=4, method="inclusive")
                      if len(base) > 1 else (0, 0, 0))
-        rows.append((name, unit, statistics.median(base), q3 - q1,
-                     statistics.median(n for _, n in side), wins))
+        mid, new = statistics.median(base), statistics.median(
+            n for _, n in side)
+        wins = within = None
+        if name in declared:
+            better, bound = declared[name]
+            sign = 1 if better == "higher" else -1
+            wins = sum(1 for b, n in side if sign * (n - b) > 0)
+            if bound is not None:
+                within = sign * (new - mid) >= -bound * abs(mid)
+        rows.append((name, unit, mid, q3 - q1, new, wins, within))
     return rows
 
 
 def format_rows(rows, pairs):
-    out = ["%-16s %-6s %12s %10s %12s %6s"
-           % ("metric", "unit", "base", "base IQR", "change", "wins")]
-    for name, unit, base, iqr, new, wins in rows:
-        out.append("%-16s %-6s %12.4g %10.3g %12.4g %6s"
+    out = ["%-16s %-6s %12s %10s %12s %6s %6s"
+           % ("metric", "unit", "base", "base IQR", "change", "wins",
+              "bound")]
+    for name, unit, base, iqr, new, wins, within in rows:
+        out.append("%-16s %-6s %12.4g %10.3g %12.4g %6s %6s"
                    % (name, unit, base, iqr, new,
-                      "-" if wins is None else "%d/%d" % (wins, pairs)))
+                      "-" if wins is None else "%d/%d" % (wins, pairs),
+                      {None: "-", True: "within", False: "OUT"}[within]))
     return "\n".join(out)
 
 
@@ -120,7 +132,7 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--seed", type=int, default=41)
     args = parser.parse_args(argv)
-    better = better_directions()
+    declared = declared_metrics()
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         base, pycache = os.path.join(tmp, "rev"), os.path.join(tmp, "pycache")
         os.mkdir(base)
@@ -131,7 +143,7 @@ def main(argv=None):
             print("%s%s: %s against the working tree, %d pairs of %g s"
                   % ("\n" if n else "", workload, args.rev, args.pairs,
                      args.seconds))
-            print(format_rows(summarize(lines, better), args.pairs),
+            print(format_rows(summarize(lines, declared), args.pairs),
                   flush=True)
     return 0
 
