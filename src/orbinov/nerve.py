@@ -23,9 +23,9 @@ of a finite unit set, which is enough for every chain (see there); the
 module itself stays agnostic about truncation except for refusing
 words longer than its depth.  One face kernel gives the word part and
 the face part of a chain's boundary in one traversal, and the total
-is their signed sum; a unit makes two face passes, over c and over
-W(c) and F(c), and D^2(c) is a signed sum of the four parts of the
-second.
+is their signed sum; a unit makes one face pass over c and one over
+each nonempty part, and D^2(c) is read off the four second-level
+parts bidegree by bidegree.
 
 A chain is a flat map {(anchor, word, exponent): int} without zero
 entries: a chain with coefficients in the group ring of the period
@@ -46,9 +46,9 @@ from .errors import (DocumentError, UnsupportedOperationError,
 __all__ = ["NerveModel", "nerve_model", "unit_cells", "identity_failures",
            "NERVE_UNIT_CAP"]
 
-# identity_failures checks every unit cell, 15-18 microseconds each on
-# a 2-vCPU VM, so the cap is about 3 s of checking; larger checks are
-# refused rather than attempted
+# identity_failures checks every unit cell, 11-14 microseconds each on
+# a 2-vCPU VM (Z/20 and Z/40 rotating a cycle), so the cap is 2.2-2.8 s
+# of checking; larger checks are refused rather than attempted
 NERVE_UNIT_CAP = 200_000
 
 
@@ -231,28 +231,22 @@ def _total(word, face):
     return total
 
 
-def _signed_sum(s, x, t, y):
-    """s x + t y for signs s and t and chains x and y without a key in
-    common."""
-    if s < 0:
-        x = {key: -c for key, c in x.items()}
-    if t < 0:
-        y = {key: -c for key, c in y.items()}
-    return {**x, **y}
-
-
 def unit_cells(model):
     """The (anchor, word) cells that identity_failures checks, anchors
     in stored vertex order, with m = min(3, depth): every stored cell
     with the empty word and, when m >= 1, with every one-letter word;
-    and every word of length 2..m at one anchor per dimension, the cell
-    that the fewest group elements fix, so that a wrong relocation
-    cannot cancel against itself.  That is
+    and every word of length 2..m at one anchor per dimension, the
+    first stored cell that the fewest group elements fix, so that a
+    wrong relocation cannot cancel against itself; the scan stops at a
+    cell that only the identity fixes.  That is
     sum_q |cells_q| * (1 + |G|) + (dim + 1) * sum_{n=2..m} |G|^n
     cells for depth >= 1, and sum_q |cells_q| at depth 0.
     """
     elements = model.action.group.elements
-    apply_tuple = model.action.apply_tuple
+    maps = [model.action.vertex_maps[g] for g in elements]
+
+    def fixers(a):
+        return sum(all(image[v] == v for v in a) for image in maps)
     m = min(3, model.depth)
     short = [()] + ([(g,) for g in elements] if m else [])
     for cells in model.complex.cells:
@@ -260,8 +254,8 @@ def unit_cells(model):
             for word in short:
                 yield anchor, word
     for cells in model.complex.cells:
-        anchor = min(cells, key=lambda a: sum(apply_tuple(g, a) == a
-                                              for g in elements))
+        anchor = (next((a for a in cells if fixers(a) == 1), None)
+                  or min(cells, key=fixers))
         for n in range(2, m + 1):
             for word in product(elements, repeat=n):
                 yield anchor, word
@@ -300,14 +294,18 @@ def identity_failures(model):
       those of every anchor and every vertex order.  It is checked with
       every longer word at one anchor per dimension.
 
-    Each unit makes one face pass over c and one over W(c) and F(c).
-    D(c) = s W(c) + t F(c), with the signs s and t that _signs gives
-    those faces, so W(D c) = s WW(c) + t WF(c) and F(D c) = s FW(c)
-    + t FF(c), and D^2(c) is their total: the four second-level parts
-    give it without a third pass over D(c).  The unit count comes from
-    the formula in unit_cells, and a check of more than NERVE_UNIT_CAP
-    units is refused before any is built.  Returns failure
-    descriptions, each naming its cell; an empty list is a clean pass.
+    Each unit makes one face pass over c and one over each of W(c) and
+    F(c) that is not empty.  D(c) = s W(c) + t F(c), with the signs s
+    and t that _signs gives those faces, and D^2(c) splits by bidegree:
+    WW(c) and FF(c) each lie in one that no other part reaches, and the
+    middle one holds t sigma_w WF(c) + s sigma_f FW(c), with sigma_w
+    and sigma_f the signs of that bidegree.  So D^2(c) = 0 exactly when
+    WW(c) = 0, FF(c) = 0 and WF(c) = FW(c), or WF(c) = -FW(c) where
+    t sigma_w = s sigma_f; the signs are read once per shape of cell.
+    The unit count comes from the formula in unit_cells, and a check
+    of more than NERVE_UNIT_CAP units is refused before any is built.
+    Returns failure descriptions, each naming its cell; an empty list
+    is a clean pass.
     """
     units = _unit_count(model)
     if units > NERVE_UNIT_CAP:
@@ -316,24 +314,30 @@ def identity_failures(model):
             "at %d" % (units, NERVE_UNIT_CAP))
     boundaries = model._boundaries
     zero = (0,) * model.r
+    same = {}
     fails = []
     for cell in unit_cells(model):
-        anchor, word = len(cell[0]), len(cell[1])
-        s, t = _signs(anchor, word - 1)[0], _signs(anchor - 1, word)[1]
+        shape = len(cell[0]), len(cell[1])
+        if shape not in same:
+            anchor, word = shape
+            s, t = _signs(anchor, word - 1)[0], _signs(anchor - 1, word)[1]
+            sigma_w, sigma_f = _signs(anchor - 1, word - 1)
+            same[shape] = t * sigma_w == -s * sigma_f
         w, f = boundaries({(*cell, zero): 1})
-        word_word, face_word = boundaries(w)
-        word_face, face_face = boundaries(f)
-        # in each sum the two parts' anchors differ in length, so no
-        # key cancels there
-        total = _total(_signed_sum(s, word_word, t, word_face),
-                       _signed_sum(s, face_word, t, face_face))
-        for bad, what in ((word_word, "word boundary squared is nonzero"),
-                          (face_face, "face boundary squared is nonzero"),
-                          (face_word != word_face,
-                           "boundaries do not commute"),
-                          (total, "total differential squared is nonzero")):
-            if bad:
-                fails.append("cell %r: %s" % (cell, what))
+        word_word, face_word = boundaries(w) if w else ({}, {})
+        word_face, face_face = boundaries(f) if f else ({}, {})
+        commute = face_word == word_face
+        if word_word:
+            fails.append("cell %r: word boundary squared is nonzero" % (cell,))
+        if face_face:
+            fails.append("cell %r: face boundary squared is nonzero" % (cell,))
+        if not commute:
+            fails.append("cell %r: boundaries do not commute" % (cell,))
+        if (word_word or face_face or not (
+                commute if same[shape] else
+                word_face == {key: -c for key, c in face_word.items()})):
+            fails.append("cell %r: total differential squared is nonzero"
+                         % (cell,))
     return fails
 
 

@@ -16,12 +16,12 @@ a time, on every stored cell in every vertex order, with faces that
 reference_word_faces and reference_anchor_faces list cell by cell from
 the model's exponents, group and action.  The per-unit nerve reference
 runs the package's own face kernel over the same unit cells, but
-takes D^2 from a third face pass, where the package sums the four
-second-level parts.  The cover references are the fourth: they
-eliminate every boundary of the explicit cyclic cover, and every
-block boundary of the algebraic one, with the package's
-homology_of_matrices, d_1 included, where the package pairs each d_1
-by its own graph's spanning forest.  The loader references are the
+takes D^2 from a third face pass, where the package reads it off the
+four second-level parts bidegree by bidegree.  The cover references
+are the fourth: they eliminate every boundary of the explicit cyclic
+cover, and every block boundary of the algebraic one, with the
+package's homology_of_matrices, d_1 included, where the package pairs
+each d_1 by its own graph's spanning forest.  The loader references are the
 fifth: build_complex, the space, group and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
@@ -364,7 +364,8 @@ def reference_identity_failures(model):
     boundary passes per unit.  Yields a description of each failure,
     naming its cell, as it is found.  The reference for
     nerve.identity_failures, which checks a factorised unit set in
-    stored vertex order and makes two face passes per unit."""
+    stored vertex order and makes at most three face passes per
+    unit."""
     elements = model.action.group.elements
     words = [w for n in range(min(3, model.depth) + 1)
              for w in product(elements, repeat=n)]

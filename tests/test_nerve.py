@@ -437,12 +437,13 @@ def same_verdict(model):
 
 
 def test_identity_failures_match_the_reference_on_the_corpus():
+    # depth 0 checks F^2 alone and depth 1 has no longer words
     runs = 0
-    for depth in (2, 3):
+    for depth in (0, 1, 2, 3):
         for model in corpus_models(depth):
             assert same_verdict(model) == []
             runs += 1
-    assert runs == 30
+    assert runs == 60
 
 
 def mirror_cylinder_model(depth=4):
@@ -519,6 +520,93 @@ def test_nerve_identities_hold_for_non_abelian_groups():
     assert (len(actions), non_abelian) == (9, 5)
 
 
+def test_each_long_word_anchor_is_the_first_with_the_fewest_fixers():
+    # fixers counted with apply_tuple, independently of unit_cells; in
+    # four dihedral actions some reflection fixes each vertex, so their
+    # vertex anchor comes from the fallback
+    models = [model for depth in (2, 3, 4) for model in corpus_models(depth)]
+    for act in [dihedral_hexagon_action(), *seeded_invariant_actions(0)]:
+        qres = quotient_complex(act)
+        models.append(nerve_model(qres, integralize(descend_cochain(
+            qres, RationalCochain1(act.complex, {}))), 2))
+    unfree = 0
+    for model in models:
+        act = model.action
+
+        def fixed(a):
+            return sum(act.apply_tuple(g, a) == a
+                       for g in act.group.elements)
+        anchors = {len(a): a for a, w in unit_cells(model) if len(w) == 2}
+        for layer in model.complex.cells:
+            counts = [fixed(a) for a in layer]
+            assert anchors[len(layer[0])] == layer[counts.index(min(counts))]
+            unfree += min(counts) > 1
+    assert (len(models), unfree) == (54, 4)
+
+
+def test_the_anchor_scan_stops_at_the_first_free_cell():
+    # the half turn moves every cell, so the scan of each dimension
+    # reads the vertex maps on its first cell only
+    model = hexagon_model(depth=2)
+    read = set()
+
+    class Reading(dict):
+        def __getitem__(self, v):
+            read.add(v)
+            return dict.__getitem__(self, v)
+    act = model.action
+    act.vertex_maps = {g: Reading(m) for g, m in act.vertex_maps.items()}
+    anchors = {a for a, w in unit_cells(model) if len(w) == 2}
+    assert anchors == {layer[0] for layer in model.complex.cells}
+    assert read == {v for a in anchors for v in a}
+
+
+def _both_faces_signed_by_total_degree(anchor, word):
+    sign = -1 if (anchor + word) % 2 else 1
+    return sign, sign
+
+
+@pytest.mark.parametrize("make", [hexagon_model, mirror_cylinder_model])
+def test_one_sign_on_both_faces_fails_the_total_where_wf_is_nonzero(
+        make, monkeypatch):
+    # with (-1)^(anchor+word) on both faces of a bidegree the middle
+    # part of D^2 is WF + FW = 2 WF, so exactly the units with WF(c) != 0
+    # fail, and only the total; WF(c) comes from the reference faces
+    model = make(depth=3)
+    expected = []
+    for anchor, word in unit_cells(model):
+        unit = {(anchor, word, (0,) * model.r): 1}
+        if reference_boundary(model, reference_boundary(model, unit,
+                                                        word=False),
+                              anchor=False):
+            expected.append("cell %r: %s" % ((anchor, word), TOTAL))
+    monkeypatch.setattr(nerve, "_signs", _both_faces_signed_by_total_degree)
+    assert identity_failures(model) == expected
+    assert expected
+
+
+def test_each_unit_makes_one_face_pass_per_nonempty_chain(monkeypatch):
+    # one pass over c, one over W(c) unless it is empty (the empty word,
+    # or a letter that fixes the anchor) and one over F(c) unless it is
+    # empty (a vertex anchor); emptiness from the reference faces
+    doc = resolve_document("hexagon_z2")
+    model = model_of(doc.action, doc.cochain("dtheta"), 4)
+    want = 0
+    for anchor, word in unit_cells(model):
+        unit = {(anchor, word, (0,) * model.r): 1}
+        want += (1 + bool(reference_boundary(model, unit, anchor=False))
+                 + bool(reference_boundary(model, unit, word=False)))
+    calls = Counter()
+    kernel = nerve.NerveModel._boundaries
+
+    def counted(self, flat):
+        calls["kernel"] += 1
+        return kernel(self, flat)
+    monkeypatch.setattr(nerve.NerveModel, "_boundaries", counted)
+    assert identity_failures(model) == []
+    assert calls["kernel"] == want == 122
+
+
 def test_face_tables_match_the_reference_cell_by_cell():
     # the group, face and total boundary of each unit cell alone, in
     # every vertex order of its anchor, read from the model's tables,
@@ -567,8 +655,8 @@ def test_a_negative_depth_is_refused_where_the_model_is_built():
     (mirror_cylinder_model, 1, 1329)])
 def test_each_bumped_exponent_fails_as_in_the_per_unit_reference(make, step,
                                                                  want):
-    # D^2 summed from the four second-level parts lists the same
-    # failures, in the same order, as a third face pass over D(c); of
+    # D^2 read off the four second-level parts by bidegree lists the
+    # same failures, in the same order, as a third face pass over D(c); of
     # the shift model's 288 edges every 24th is bumped, to keep it short
     total = 0
     for edge in sorted(make(depth=3).exponents)[::step]:
