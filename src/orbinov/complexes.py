@@ -15,10 +15,11 @@ component's root row is, per off-tree edge, a unit times T^p - 1, p
 the period of the edge's fundamental cycle.  That vanishes when p = 0,
 always so over Z, and is a unit of the localized ring otherwise; so
 every nonzero invariant factor of d_1 is a unit and H_0 has no torsion
-(q_0 = 0).  From d_2 up, +-1 pivots are eliminated from the sparse
-boundaries, as twisted homology eliminates units
-(snf.eliminate_units), and the Smith normal form of the small residual
-block gives the rest.
+(q_0 = 0).  A top boundary of degree >= 2 is paired the same way on
+its dual graph (dual_forest_reduction).  Middle degrees and what that
+forest leaves lose their +-1 pivots to sparse elimination, as twisted
+homology eliminates units (snf.eliminate_units), and the Smith normal
+form of the small residual block gives the rest.
 """
 
 from collections import deque
@@ -32,7 +33,7 @@ __all__ = ["SimplicialComplex", "build_complex", "sort_with_parity",
            "IntHomology", "integer_homology", "homology_of_matrices",
            "euler_characteristic", "SdResult", "barycentric_subdivision",
            "bfs_forest", "cycle_periods", "forest_pairs",
-           "incidence_pairs"]
+           "incidence_pairs", "dual_forest_reduction"]
 
 
 def sort_with_parity(vertices, key):
@@ -366,6 +367,60 @@ def incidence_pairs(nrows, entries):
     return [(v, edge[(parent[v], v)]) for v in reversed(order) if v in parent]
 
 
+def dual_forest_reduction(entries, paired=()):
+    """(pivot pairs (row, col), residual) of a top boundary, read off a
+    spanning forest of its dual graph (tree-cotree; Lewiner, Lopes and
+    Tavares, Comput. Geom. 26, 2003).
+
+    entries maps (row, col) to a signed monomial (exponent, coefficient),
+    integers having exponent (); the rows in paired are dropped.  A row
+    with two entries +-1 joins their columns, a free face (one such
+    entry) joins its column to None, the outside, and other rows are
+    residual.  Leaf first, each child t of the breadth-first forest,
+    rooted at None first, pivots at its tree row e: a unit triangular
+    block.  At each other root r, pot[r] = 1 and pot[t] = -pot[parent]
+    d[e, parent] / d[e, t] make sum_t pot[t] d[., t] vanish on the tree
+    rows, and its entries on the others are the residual {(row, r):
+    {exponent: coefficient}}.  Only a top boundary may be so reduced.
+
+    >>> dual_forest_reduction({(0, 0): ((1,), 1), (1, 0): ((0,), -1),
+    ...                        (0, 1): ((0,), 1), (1, 1): ((0,), 1)})
+    ([(1, 1)], {(0, 0): {(1,): 1, (0,): 1}})
+    """
+    rows, adj, edge = {}, {None: []}, {}
+    for (i, j), a in entries.items():
+        adj[j] = []
+        if i not in paired:
+            rows.setdefault(i, {})[j] = a
+    for i, row in rows.items():
+        if len(row) <= 2 and all(c in (1, -1) for _, c in row.values()):
+            s, t = row if len(row) == 2 else (None, *row)
+            adj[s].append(t)
+            adj[t].append(s)
+            edge[s, t] = edge[t, s] = i
+    parent, order = _bfs(adj)
+    zero = (0,) * len(next(iter(entries.values()), ((),))[0])
+    root, pot = {}, dict.fromkeys(order, (zero, 1))
+    for t in order:
+        u = parent.get(t)
+        root[t] = root[u] if t in parent else t
+        if u is not None:
+            (eu, cu), (et, ct) = rows[edge[u, t]][u], rows[edge[u, t]][t]
+            pe, pc = pot[u]
+            pot[t] = (tuple(map(sub, map(add, pe, eu), et)), -pc * cu * ct)
+    pairs = [(edge[parent[t], t], t) for t in reversed(order) if t in parent]
+    done = set(paired).union(i for i, _ in pairs)
+    residual = {}
+    for (i, t), (e, c) in entries.items():
+        if i not in done and root[t] is not None:
+            pe, pc = pot[t]
+            terms = residual.setdefault((i, root[t]), {})
+            e = tuple(map(add, pe, e))
+            terms[e] = terms.get(e, 0) + pc * c
+    return pairs, {key: clean for key, terms in residual.items()
+                   if (clean := {e: c for e, c in terms.items() if c})}
+
+
 class IntHomology:
     """Integer homology: betti[q] and torsion[q] (invariant factors > 1)."""
 
@@ -411,6 +466,7 @@ def homology_of_matrices(ncells, boundaries, degree_one_pairs=None):
     rank and the torsion.  A pivot (s, t) splits s and t off the complex
     with no homology, so the next boundary drops row t before its own
     elimination; ranks and torsion stay those of the full boundaries.
+    A top boundary of degree >= 2 pairs along its dual forest first.
     degree_one_pairs, when given, are d_1's unit pivots read off a
     spanning forest (forest_pairs, or incidence_pairs for a bare
     incidence matrix): d_1 is then not eliminated, its rank is their
@@ -431,10 +487,15 @@ def homology_of_matrices(ncells, boundaries, degree_one_pairs=None):
                                   % (q,))
         if q > 1 or pairs is None:
             paired = {j for _, j in pairs or ()}
-            pairs, residual, cols = eliminate_units(
-                {key: a for key, a in boundaries[q].items()
-                 if key[0] not in paired},
-                lambda a: 1 if a in (1, -1) else None, mul)
+            pairs, d = [], {key: a for key, a in boundaries[q].items()
+                            if key[0] not in paired}
+            if q == top > 1:
+                pairs, d = dual_forest_reduction(
+                    {key: ((), a) for key, a in d.items()})
+                d = {key: terms[()] for key, terms in d.items()}
+            more, residual, cols = eliminate_units(
+                d, lambda a: 1 if a in (1, -1) else None, mul)
+            pairs += more
             snf = smith_normal_form([[row.get(j, 0) for j in cols]
                                      for row in residual])
             ranks[q] = snf.rank

@@ -13,17 +13,18 @@ invariant factors are the Novikov betti and torsion numbers.
 They are built and checked as signed monomials.  d_1 never becomes a
 Laurent matrix: its pivots are read off the lift's spanning forest
 (complexes.forest_pairs), every one a unit, so its rank is their count
-and q_0 = 0.  From d_2 up, Laurent entries are built only for the rows
-that the boundary below did not pair away.
+and q_0 = 0.  Nor does the top one: its dual forest pairs it
+(complexes.dual_forest_reduction), and only the residual and the middle
+degrees' unpaired rows become Laurent polynomials.
 """
 
 from fractions import Fraction
 from operator import add
 
 from .cochains import RationalCochain1, PeriodSpace, forest_periods
-from .complexes import (bfs_forest, build_complex, forest_pairs,
-                        homology_of_matrices, incidence_pairs,
-                        integer_homology)
+from .complexes import (bfs_forest, build_complex, dual_forest_reduction,
+                        forest_pairs, homology_of_matrices,
+                        incidence_pairs, integer_homology)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -204,7 +205,8 @@ def _novikov_of_lift(lift):
     d_1's unit pivots come from the lift's spanning forest, so its
     rank is their count and it adds no torsion.  Block lemma: a unit
     pivot (s, t) of d_q splits s and t off with no homology, so d_{q+1}
-    drops row t and keeps its ranks and torsion.
+    drops row t and keeps its ranks and torsion; the top one pairs
+    along its dual forest first.
     """
     X = lift.complex
     r = lift.rank
@@ -219,13 +221,20 @@ def _novikov_of_lift(lift):
     rho = [0, len(pairs)] + [0] * top
     torsion = [0] * (top + 1)
     for q in range(2, top + 1):
-        d = tc.boundary(q, {j for _, j in pairs})
+        paired = {j for _, j in pairs}
+        if q < top:
+            pairs, d = [], tc.boundary(q, paired)
+        else:
+            pairs, d = dual_forest_reduction(tc.monomials[q], paired)
+            d = WeightedLaurentMatrix(tc.ws, X.n_cells(q - 1), X.n_cells(q), {
+                key: LaurentPoly._of(r, terms) for key, terms in d.items()})
         if r == 1:
             inv = invariant_factors(d)
-            rho[q], pairs = inv.rank, inv.pairs
+            rank, more = inv.rank, inv.pairs
             torsion[q - 1] = inv.nonunit_count
         else:
-            rho[q], pairs = fraction_field_rank(d)
+            rank, more = fraction_field_rank(d)
+        rho[q], pairs = len(pairs) + rank, pairs + more
     betti = [X.n_cells(q) - rho[q] - rho[q + 1] for q in range(top + 1)]
     if any(b < 0 for b in betti):
         raise ValidationError("negative twisted betti number")
@@ -272,9 +281,9 @@ def cyclic_cover_oracle(lift, p):
     p by p cyclic shift for the twisting variable in the twisted
     boundary.  Its block d_1 is the incidence matrix of the cover's
     graph, paired by that graph's own spanning forest
-    (complexes.incidence_pairs), and the block matrices are eliminated
-    from d_2 up.  The two answers must agree; disagreement would expose
-    a defect in the twisting conventions.
+    (complexes.incidence_pairs), and its top one by its dual forest.
+    The two answers must agree; disagreement would expose a defect in
+    the twisting conventions.
     """
     check_cover_degree(p)
     if lift.rank != 1:

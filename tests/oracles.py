@@ -25,7 +25,10 @@ each d_1 by its own graph's spanning forest.  The loader references are the
 fifth: build_complex, the space, group and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
-compared by exception class and text.
+compared by exception class and text.  The top-boundary reference is
+the sixth: it reduces a top boundary without the rows the degree below
+paired away as the package did before the dual forest, handing all of
+it to the package's elimination.
 """
 
 import math
@@ -41,7 +44,9 @@ from orbinov.complexes import (IntHomology, SimplicialComplex, build_complex,
 from orbinov.documents import (OrbifoldDocument, _check_keys, _expect,
                                _parse_critical, parse_fraction)
 from orbinov.errors import DocumentError, ValidationError
-from orbinov.lmatrix import fraction_field_rank, invariant_factors
+from orbinov.laurent import LaurentPoly
+from orbinov.lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
+                             invariant_factors)
 from orbinov.nerve import unit_cells
 from orbinov.snf import eliminate_units, smith_normal_form
 from orbinov.twisted import twisted_complex
@@ -304,6 +309,33 @@ def per_boundary_novikov(lift):
     if lift.rank == 1:
         return betti, torsion, "rank-one"
     return betti, None, "betti-only"
+
+
+def reference_top_reduction(entries, paired, ws=None):
+    """(rank, torsion) of a top boundary {(row, col): (exponent,
+    coefficient)} without the rows in paired, reduced as every
+    boundary was before the top one paired along its dual forest:
+    eliminate_units on all of it, then the Smith form of the residual
+    over the integers (ws None, exponents ()), torsion the invariant
+    factors > 1.  Over the weighted Laurent ring of ws it is
+    invariant_factors at rank one, torsion the count of non-unit
+    factors, and fraction_field_rank at higher rank, torsion None."""
+    kept = {key: a for key, a in entries.items() if key[0] not in paired}
+    if ws is None:
+        pairs, residual, cols = eliminate_units(
+            {key: c for key, (_, c) in kept.items()},
+            lambda a: 1 if a in (1, -1) else None, mul)
+        snf = smith_normal_form([[row.get(j, 0) for j in cols]
+                                 for row in residual])
+        return len(pairs) + snf.rank, snf.torsion()
+    M = WeightedLaurentMatrix(
+        ws, 1 + max((i for i, _ in entries), default=-1),
+        1 + max((j for _, j in entries), default=-1),
+        {key: LaurentPoly.monomial(ws.r, e, c) for key, (e, c) in kept.items()})
+    if ws.r == 1:
+        inv = invariant_factors(M)
+        return inv.rank, inv.nonunit_count
+    return fraction_field_rank(M)[0], None
 
 
 def reference_is_regular(action):

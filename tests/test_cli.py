@@ -17,6 +17,7 @@ from orbinov import ValidationError, cli
 from orbinov.cli import corpus_names, main
 from orbinov.cochains import PeriodSpace, descend_cochain, is_invariant
 from orbinov.complexes import (bfs_forest, cycle_periods,
+                               dual_forest_reduction,
                                sparse_product_is_zero)
 from orbinov.documents import loads_document
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
@@ -421,7 +422,8 @@ def stage_counts(monkeypatch, argv):
                actions._orbit_classes,
                descend_cochain, integralize, is_invariant,
                sparse_product_is_zero, invariant_factors,
-               fraction_field_rank, cycle_periods, eliminate_units):
+               fraction_field_rank, cycle_periods, eliminate_units,
+               dual_forest_reduction):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -451,12 +453,15 @@ def stage_counts(monkeypatch, argv):
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
-    # each cover route pairs d_1 by its own graph's spanning forest:
-    # a one-dimensional cover eliminates nothing, a surface's the
+    # each cover route pairs d_1 by its own graph's spanning forest
+    # and its top boundary by its dual forest: a one-dimensional cover
+    # eliminates nothing, a surface's only the residuals of the
     # explicit d_2 and the block d_2
-    (["validate", "circle", "--cyclic", "3"], {"eliminate_units": 0}),
+    (["validate", "circle", "--cyclic", "3"],
+     {"dual_forest_reduction": 0, "eliminate_units": 0}),
     (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 0}),
-    (["validate", "klein", "--cyclic", "3"], {"eliminate_units": 2}),
+    (["validate", "klein", "--cyclic", "3"],
+     {"dual_forest_reduction": 2, "eliminate_units": 2}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),
@@ -472,11 +477,14 @@ def stage_counts(monkeypatch, argv):
     (["novikov", "mirror_square", "--class", "zero"],
      {"_orbit_classes": 2, "vertex_orbit": 0}),
     # d_1's pivots come from the lift's spanning forest: a circle
-    # makes no Laurent elimination, a surface eliminates d_2 only
+    # makes no Laurent elimination; a surface pairs d_2 along its dual
+    # forest and eliminates only the residual
     (["novikov", "circle", "--class", "dtheta"],
-     {"invariant_factors": 0, "fraction_field_rank": 0, "bfs_forest": 1}),
+     {"invariant_factors": 0, "fraction_field_rank": 0, "bfs_forest": 1,
+      "dual_forest_reduction": 0}),
     (["novikov", "klein", "--class", "dy"],
-     {"invariant_factors": 1, "fraction_field_rank": 0}),
+     {"dual_forest_reduction": 1, "invariant_factors": 1,
+      "fraction_field_rank": 0}),
     # the lift's periods are walked once, in integralize; forest_pairs
     # reads them off the off-tree exponents
     (["novikov", "klein", "--class", "dy"], {"cycle_periods": 1,

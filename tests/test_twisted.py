@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +18,8 @@ from orbinov.cli import corpus_names, resolve_document
 from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
                               descend_cochain)
 from orbinov.complexes import (IntHomology, build_complex,
-                               euler_characteristic, forest_pairs,
+                               dual_forest_reduction, euler_characteristic,
+                               forest_pairs, homology_of_matrices,
                                integer_homology, sparse_product_is_zero)
 from orbinov.errors import (DocumentError, UnsupportedOperationError,
                             ValidationError)
@@ -33,13 +36,14 @@ from orbinov.twisted import (IntegralLift, _block_substitution_homology,
                              twisted_complex)
 
 from families import (ALPHA, circle, circle_dtheta, genus_class,
-                      grid_class, klein_grid, torus3_grid, torus_grid,
+                      grid_class, klein_grid, rp2, torus3_grid, torus_grid,
                       z2_grid_actions)
 import oracles
 from oracles import (forest_pairs_oracle, per_boundary_homology,
                      per_boundary_novikov,
                      reference_block_substitution_homology,
-                     reference_explicit_cover_homology)
+                     reference_explicit_cover_homology,
+                     reference_top_reduction)
 
 F = Fraction
 
@@ -688,30 +692,47 @@ def seeded_grid_classes(surface, seed):
                 coboundary0(X, pot, space))
 
 
+DUAL = "dual forest"
+
+
 @pytest.fixture
 def reduced(monkeypatch):
     """Records, per twisted boundary that novikov_numbers reduces in
-    degree order, the matrix it was handed and its pivot pairs.  d_1
-    is handed to no elimination: it is recorded as None with the pairs
-    read off the spanning forest."""
+    degree order, the matrix handed to elimination and all the pivot
+    pairs of that degree.  d_1 is handed to no elimination: it is
+    recorded as None with the pairs read off the spanning forest.  The
+    top boundary hands only the residual of its dual forest, and its
+    pairs are the forest's, then the residual's."""
     seen = []
     inv, rank = orbinov.twisted.invariant_factors, \
         orbinov.twisted.fraction_field_rank
     forest = orbinov.twisted.forest_pairs
+    dual = orbinov.twisted.dual_forest_reduction
 
     def forest_pairs(*args):
         out = forest(*args)
         seen.append((None, out))
         return out
 
+    def dual_forest_reduction(*args):
+        out = dual(*args)
+        seen.append((DUAL, list(out[0])))
+        return out
+
+    def record(M, pairs):
+        if seen and seen[-1][0] is DUAL:
+            seen[-1] = (M, seen[-1][1] + pairs)
+        else:
+            seen.append((M, pairs))
+
     def invariant_factors(M):
         out = inv(M)
-        seen.append((M, out.pairs))
+        record(M, out.pairs)
         return out
 
     def fraction_field_rank(M):
         out = rank(M)
-        seen.append((M, out[1]))
+        record(M, out[1])
         return out
 
     monkeypatch.setattr(orbinov.twisted, "invariant_factors",
@@ -719,6 +740,8 @@ def reduced(monkeypatch):
     monkeypatch.setattr(orbinov.twisted, "fraction_field_rank",
                         fraction_field_rank)
     monkeypatch.setattr(orbinov.twisted, "forest_pairs", forest_pairs)
+    monkeypatch.setattr(orbinov.twisted, "dual_forest_reduction",
+                        dual_forest_reduction)
     return seen
 
 
@@ -748,7 +771,11 @@ def test_reduced_complex_matches_per_boundary_reference_on_seeded_grids(
         nv = assert_matches_per_boundary(om)
         ranks.add(nv.rank)
         full = twisted_complex(nv.lift).monomials
-        dropped += len(reduced[1][0].entries) < len(full[2])
+        (_, forest), (M, _) = reduced
+        # the residual that reaches elimination keeps no row of d_2
+        # that d_1's forest paired away
+        assert {i for i, _ in M.entries}.isdisjoint(j for _, j in forest)
+        dropped += len(M.entries) < len(full[2])
     assert ranks == ({1, 2} if surface == "torus" else {1})
     assert dropped == 12
 
@@ -877,8 +904,10 @@ def test_forest_degree_one_on_a_disconnected_complex():
 
 def test_grid_torus_32_hands_only_d2_to_elimination(monkeypatch):
     # counts, not times: d_1 of the 32 x 32 torus pivots on its 1,023
-    # tree edges and one edge around a dx cycle, so the one Laurent
-    # matrix eliminated is d_2 on the other 2,048 edge rows
+    # tree edges and one edge around a dx cycle, and d_2's dual forest
+    # on the other 2,048 edge rows pairs all 2,047 triangles but its
+    # root, so the one Laurent matrix eliminated is d_2's 1 x 1
+    # residual, the root against the one cotree edge left: +-(T - 1)
     n = 32
     X = torus_grid(n)
     handed, snf_calls = [], []
@@ -901,7 +930,8 @@ def test_grid_torus_32_hands_only_d2_to_elimination(monkeypatch):
     assert (nv.betti, nv.torsion) == ([0, 0, 0], [0, 0, 0])
     (M,) = handed
     assert (M.nrows, M.ncols) == (3 * n * n, 2 * n * n)
-    assert len({i for i, _ in M.entries}) == 2 * n * n
+    ((_, col), poly), = M.entries.items()
+    assert col == 0 and sorted(poly.terms.values()) == [-1, 1]
     assert not snf_calls
     assert integer_homology(X).betti == [1, 2, 1]
     assert len(snf_calls) == 1
@@ -910,3 +940,175 @@ def test_grid_torus_32_hands_only_d2_to_elimination(monkeypatch):
 def test_rank1_perturb_of_a_gauged_class_stays_closed():
     om = rank_two_torus_class(random.Random("perturb/open"), 4, (1, 3, 7))
     assert rank1_perturb(om, precision=6).complex is om.complex
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("surface", ["torus", "klein"])
+def test_cover_oracle_on_grids_up_to_16(surface, n):
+    # p sheets have p times the Euler characteristic of the base; the
+    # dx covers of a torus are tori, and the dy covers of the Klein
+    # bottle are tori at even p
+    if surface == "torus":
+        X = torus_grid(n)
+        lift = integralize(grid_class(X, n))
+    else:
+        X = klein_grid(n)
+        lift = integralize(grid_class(X, n, (0,), (1,)))
+    for p in (2, 3):
+        chk = cyclic_cover_oracle(lift, p)
+        assert chk.consistent
+        betti = chk.explicit.betti
+        assert (sum((-1) ** q * b for q, b in enumerate(betti))
+                == p * euler_characteristic(X))
+        cover = "torus" if surface == "torus" or p % 2 == 0 else "klein"
+        assert chk.explicit == SURFACES[cover]
+
+
+@pytest.fixture
+def tops(monkeypatch):
+    """(entries, paired) of each top boundary that the package pairs
+    along its dual forest, in call order."""
+    seen = []
+    dual = orbinov.complexes.dual_forest_reduction
+
+    def recording(entries, paired=()):
+        seen.append((entries, set(paired)))
+        return dual(entries, paired)
+    monkeypatch.setattr(orbinov.complexes, "dual_forest_reduction",
+                        recording)
+    monkeypatch.setattr(orbinov.twisted, "dual_forest_reduction", recording)
+    return seen
+
+
+def assert_top_matches_reference(tops, ncells, homology):
+    """The top rank and torsion of integer homology over a complex with
+    ncells cells against reference_top_reduction on the first top
+    boundary recorded, which is used up."""
+    entries, paired = tops.pop(0)
+    top = len(ncells) - 1
+    assert (ncells[top] - homology.betti[top], homology.torsion[top - 1]) \
+        == reference_top_reduction(entries, paired)
+
+
+def assert_novikov_top_matches_reference(cochain, tops):
+    """Novikov numbers of a class on a complex of dimension >= 2: the
+    top rank and torsion against reference_top_reduction on the top
+    boundary recorded, and all numbers against the per-boundary
+    reference.  Returns the numbers."""
+    del tops[:]
+    nv = novikov_numbers(cochain)
+    X, top = cochain.complex, cochain.complex.dim
+    (entries, paired), = tops
+    rank, torsion = reference_top_reduction(
+        entries, paired, WeightSystem(nv.lift.basis) if nv.rank else None)
+    if nv.route == "integral":
+        torsion = len(torsion)
+    assert (X.n_cells(top) - nv.betti[top],
+            nv.torsion and nv.torsion[top - 1]) == (rank, torsion)
+    assert (nv.betti, nv.torsion, nv.route) == per_boundary_novikov(nv.lift)
+    return nv
+
+
+def test_top_reduction_matches_the_reference_on_the_corpus(tops):
+    # 9 of the 15 classes live on surfaces; the other 6 have no d_2
+    routes = [assert_novikov_top_matches_reference(om, tops).route
+              for om in corpus_classes() if om.complex.dim >= 2]
+    assert sorted(routes) == ["betti-only"] + ["integral"] * 5 \
+        + ["rank-one"] * 3
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein"])
+def test_top_reduction_matches_the_reference_on_seeded_grids(surface, tops):
+    ranks = {assert_novikov_top_matches_reference(om, tops).rank
+             for om in seeded_grid_classes(surface, "dual")}
+    assert ranks == ({1, 2} if surface == "torus" else {1})
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_genus_g_rank_two_classes_go_betti_only(g, tops):
+    # xi = A + alpha B on a closed orientable surface: b_0 = b_2 = 0 for
+    # any nonzero class, so b_1 = -chi = 2g - 2 at rank two as at rank
+    # one; the first nonzero answer of the betti-only route
+    om = genus_class(g, rank_two=True)
+    nv = assert_novikov_top_matches_reference(om, tops)
+    assert (nv.route, nv.rank, nv.torsion) == ("betti-only", 2, None)
+    assert nv.betti == [0, -euler_characteristic(om.complex), 0] \
+        == [0, 2 * g - 2, 0]
+    nv = assert_novikov_top_matches_reference(genus_class(g), tops)
+    assert (nv.route, nv.betti) == ("rank-one", [0, 2 * g - 2, 0])
+
+
+def test_top_reduction_matches_the_reference_on_the_three_torus(tops):
+    # the top is d_3, and the rows it drops come from d_2's elimination
+    n = 3
+    X = torus3_grid(n)
+    dx, dy = grid_class(X, n), grid_class(X, n, (0,), (1,))
+    for om in (dx, mixed_class(X, ALPHA, [[1, 0], [0, 1]], [dx, dy])):
+        assert_novikov_top_matches_reference(om, tops)
+    del tops[:]
+    assert_top_matches_reference(tops, [X.n_cells(q) for q in range(4)],
+                                 integer_homology(X))
+
+
+def test_top_reduction_matches_the_reference_on_both_cover_routes(tops):
+    # 10 of the 13 rank-one lifts are on surfaces; each cover of one
+    # reduces its top boundary twice, explicit then block
+    covers = 0
+    for lift in rank_one_lifts():
+        X = lift.complex
+        for p in range(2, 8):
+            del tops[:]
+            chk = cyclic_cover_oracle(lift, p)
+            ncells = [p * X.n_cells(q) for q in range(X.dim + 1)]
+            for homology in (chk.explicit, chk.algebraic)[:len(tops)]:
+                assert_top_matches_reference(tops, ncells, homology)
+                covers += 1
+    assert covers == 2 * 6 * 10
+
+
+def random_two_complex(rng):
+    """Seeded triangles on at most 8 vertices, which leave boundary
+    edges and edges on three or more triangles, and up to three extra
+    edges."""
+    vertices = ["v%d" % i for i in range(rng.randint(3, 8))]
+    triangles = list(combinations(vertices, 3))
+    cells = rng.sample(triangles, rng.randint(1, min(12, len(triangles))))
+    cells += [tuple(rng.sample(vertices, 2))
+              for _ in range(rng.randint(0, 3))]
+    return build_complex(cells, vertices=vertices)
+
+
+def test_top_reduction_matches_the_reference_on_random_two_complexes(tops):
+    rng = random.Random("dual/random")
+    kinds = Counter()
+    for _ in range(400):
+        X = random_two_complex(rng)
+        ncells = [X.n_cells(q) for q in range(3)]
+        del tops[:]
+        homology = integer_homology(X)
+        assert homology == per_boundary_homology(
+            ncells, [X.boundary_entries(q) for q in range(3)])
+        assert_top_matches_reference(tops, ncells, homology)
+        on = Counter(i for i, _ in X.boundary_entries(2))
+        kinds["free"] += 1 in on.values()
+        kinds["non-manifold"] += max(on.values()) >= 3
+        kinds["closed"] += homology.betti[2] > 0
+    assert min(kinds.values()) >= 40, kinds
+    for X, want in ((rp2(), IntHomology([1, 0, 0], [[], [2], []])),
+                    (klein_grid(6), SURFACES["klein"])):
+        del tops[:]
+        assert integer_homology(X) == want
+        assert_top_matches_reference(
+            tops, [X.n_cells(q) for q in range(3)], want)
+
+
+def test_a_row_holding_a_two_stays_a_residual_row(tops):
+    # d_1 = 0 and d_2 = [[2, 0], [1, -1]]: row 1 joins the two columns
+    # of the dual graph, and row 0 is no free face; its 2 stays in the
+    # residual and is the torsion of H_1
+    d2 = {(0, 0): 2, (1, 0): 1, (1, 1): -1}
+    homology = homology_of_matrices([1, 2, 2], [{}, {}, d2])
+    assert homology == IntHomology([1, 0, 0], [[], [2], []])
+    assert tops[0][0] == {key: ((), a) for key, a in d2.items()}
+    assert dual_forest_reduction(*tops[0]) == ([(1, 1)], {(0, 0): {(): 2}})
+    assert_top_matches_reference(tops, [1, 2, 2], homology)

@@ -200,15 +200,17 @@ def grid_class(X, n, a=(1,), b=(0,), space=None):
     return RationalCochain1(X, values, space)
 
 
-def genus_class(g):
+def genus_class(g, rank_two=False):
     """A closed class on a closed orientable surface of genus g.
 
     The surface is g copies of torus_grid(3), s<k>_<x>_<y>, in a chain:
     torus k loses the triangle (0, 0), (1, 0), (1, 1) and torus k + 1
     the triangle (2, 1), (0, 1), (0, 2), and a triangulated annulus
-    joins the two boundary circles.  The class is dx on torus 0 and the
-    coboundary of x/3 on every other edge.  The two agree on torus 0's
-    removed triangle, which does not wrap in x, so the class is closed.
+    joins the two boundary circles.  The class A is dx on torus 0 and
+    the coboundary of x/3 on every other edge.  The two agree on torus
+    0's removed triangle, which does not wrap in x, so A is closed.
+    With rank_two the class is A + alpha B in ALPHA's space, B the same
+    construction in y: the removed triangle does not wrap in y either.
     """
     def piece(k):
         def label(x, y):
@@ -229,13 +231,13 @@ def genus_class(g):
     X = build_complex(cells)
     values = {}
     for (u, v) in X.cells[1]:
-        (ku, xu, _), (kv, xv, _) = (_coordinates(w) for w in (u, v))
-        step = xv - xu
+        (ku, *pu), (kv, *pv) = (_coordinates(w) for w in (u, v))
+        steps = [b - a for a, b in zip(pu, pv)][:2 if rank_two else 1]
         if ku == kv == 0:
-            step = (step + 1) % 3 - 1
-        if step:
-            values[(u, v)] = F(step, 3)
-    return RationalCochain1(X, values)
+            steps = [(step + 1) % 3 - 1 for step in steps]
+        if any(steps):
+            values[(u, v)] = tuple(F(step, 3) for step in steps)
+    return RationalCochain1(X, values, ALPHA if rank_two else None)
 
 
 # ---------------------------------------------------------------- groups
