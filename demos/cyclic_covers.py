@@ -1,10 +1,11 @@
 """Cross checking twisted numbers against finite cyclic covers.
 
-For an integral rank one class, reducing the twisted complex modulo
-T^p = 1 must reproduce the integer homology of the p fold cyclic
-cover.  The oracle builds that cover as an honest simplicial complex
-and compares; agreement for several p is strong evidence the twisted
-bookkeeping (deck translations, signs, localization) is right.
+For an integral rank one class, substituting the p by p cyclic shift
+for T in the twisted boundary must reproduce the boundary of the p
+fold cyclic cover.  The oracle builds that cover as an honest
+simplicial complex, compares the two boundaries entry for entry and
+prints the cover's integer homology; agreement for several p is strong
+evidence the twisted bookkeeping (deck translations, signs) is right.
 """
 
 from orbinov import cyclic_cover_oracle, integralize, quotient_complex
@@ -23,8 +24,8 @@ def check(name, cocycle):
     print("%s / %s:" % (name, cocycle))
     for p in (2, 3, 5):
         result = cyclic_cover_oracle(lift, p)
-        print("  p=%d: explicit cover %r, algebraic %r -> %s"
-              % (p, result.explicit, result.algebraic,
+        print("  p=%d: cover homology %r; boundaries %s"
+              % (p, result.explicit,
                  "agree" if result.consistent else "DISAGREE"))
         assert result.consistent
     print()

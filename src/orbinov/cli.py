@@ -265,7 +265,7 @@ def cmd_validate(args):
                 record(label + ": cyclic cover p=%d" % (args.cyclic,),
                        "pass" if check.consistent else "fail",
                        "" if check.consistent
-                       else "cover homologies disagree")
+                       else "cover boundaries disagree")
     passed = all(c["status"] != "fail" for c in checks)
     payload = {"command": "validate", "document": doc.name,
                "depth": args.depth, "seed": args.seed,

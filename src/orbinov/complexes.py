@@ -33,7 +33,7 @@ __all__ = ["SimplicialComplex", "build_complex", "sort_with_parity",
            "IntHomology", "integer_homology", "homology_of_matrices",
            "euler_characteristic", "SdResult", "barycentric_subdivision",
            "bfs_forest", "cycle_periods", "forest_pairs",
-           "incidence_pairs", "dual_forest_reduction"]
+           "dual_forest_reduction"]
 
 
 def sort_with_parity(vertices, key):
@@ -335,38 +335,6 @@ def forest_pairs(X, forest, exponents=None):
     return pairs
 
 
-def incidence_pairs(nrows, entries):
-    """Pivot pairs (row, col) of an incidence matrix d_1, given as
-    sparse entries {(row, col): int} with nrows rows, read off a
-    breadth-first spanning forest of its graph: rows are the vertices,
-    and each column is an edge from the row of its -1 to the row of
-    its +1.  Leaf first, each tree edge pivots at its child's row on a
-    unit, as in forest_pairs, so the pairs' count is the rank of d_1.
-    Raises ValidationError naming a column that is not one +1 and one
-    -1.
-
-    >>> incidence_pairs(3, {(0, 0): -1, (1, 0): 1, (1, 1): -1, (2, 1): 1,
-    ...                     (0, 2): -1, (2, 2): 1})
-    [(2, 2), (1, 0)]
-    """
-    ends = {}
-    for (i, j), a in entries.items():
-        ends.setdefault(j, []).append((a, i))
-    adj = {i: [] for i in range(nrows)}
-    edge = {}
-    for j, col in ends.items():
-        col.sort()
-        if [a for a, _ in col] != [-1, 1]:
-            raise ValidationError("d_1 column %d is not one +1 and one -1"
-                                  % (j,))
-        (_, u), (_, v) = col
-        adj[u].append(v)
-        adj[v].append(u)
-        edge[u, v] = edge[v, u] = j
-    parent, order = _bfs(adj)
-    return [(v, edge[(parent[v], v)]) for v in reversed(order) if v in parent]
-
-
 def dual_forest_reduction(entries, paired=()):
     """(pivot pairs (row, col), residual) of a top boundary, read off a
     spanning forest of its dual graph (tree-cotree; Lewiner, Lopes and
@@ -468,9 +436,8 @@ def homology_of_matrices(ncells, boundaries, degree_one_pairs=None):
     elimination; ranks and torsion stay those of the full boundaries.
     A top boundary of degree >= 2 pairs along its dual forest first.
     degree_one_pairs, when given, are d_1's unit pivots read off a
-    spanning forest (forest_pairs, or incidence_pairs for a bare
-    incidence matrix): d_1 is then not eliminated, its rank is their
-    count, and H_0 has no torsion.
+    spanning forest (forest_pairs): d_1 is then not eliminated, its
+    rank is their count, and H_0 has no torsion.
     """
     top = len(ncells) - 1
     for q in range(1, top):

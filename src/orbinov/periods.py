@@ -47,15 +47,14 @@ class H1Presentation:
         self.offtree = [(u, v) for (u, v) in complex.edges()
                         if parent.get(v) != u and parent.get(u) != v]
         self.offtree_index = {e: i for i, e in enumerate(self.offtree)}
-        n_ot = len(self.offtree)
-        triangles = complex.cells[2] if complex.dim >= 2 else []
-        rel = [[0] * len(triangles) for _ in range(n_ot)]
-        for j, (a, b, c) in enumerate(triangles):
-            for (u, v, s) in ((a, b, 1), (b, c, 1), (a, c, -1)):
-                idx = self.offtree_index.get((u, v))
-                if idx is not None:
-                    rel[idx][j] += s
-        snf = smith_normal_form(rel, shape=(n_ot, len(triangles)),
+        n_ot, n_tri = len(self.offtree), complex.n_cells(2)
+        # the relations are d_2's off-tree rows
+        rel = [[0] * n_tri for _ in range(n_ot)]
+        for (e, j), s in complex.boundary_entries(2).items():
+            i = self.offtree_index.get(complex.cells[1][e])
+            if i is not None:
+                rel[i][j] = s
+        snf = smith_normal_form(rel, shape=(n_ot, n_tri),
                                 want_transforms=True)
         S, Si, _ = snf.transforms
         self._S = S

@@ -22,9 +22,9 @@ from fractions import Fraction
 from operator import add
 
 from .cochains import RationalCochain1, PeriodSpace, forest_periods
-from .complexes import (bfs_forest, build_complex, dual_forest_reduction,
-                        forest_pairs, homology_of_matrices,
-                        incidence_pairs, integer_homology)
+from .complexes import (SimplicialComplex, bfs_forest,
+                        dual_forest_reduction, forest_pairs,
+                        integer_homology)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -246,18 +246,16 @@ def _novikov_of_lift(lift):
 
 
 class CyclicCoverCheck:
-    """Agreement report between the two finite cyclic cover routes."""
+    """A degree p cyclic cover of a rank one class: explicit is the
+    cover's integer homology, and consistent says whether the twisted
+    boundaries at T = the p by p cyclic shift are the cover's own."""
 
-    __slots__ = ("p", "explicit", "algebraic")
+    __slots__ = ("p", "explicit", "consistent")
 
-    def __init__(self, p, explicit, algebraic):
+    def __init__(self, p, explicit, consistent):
         self.p = p
         self.explicit = explicit
-        self.algebraic = algebraic
-
-    @property
-    def consistent(self):
-        return self.explicit == self.algebraic
+        self.consistent = consistent
 
     def __repr__(self):
         return ("CyclicCoverCheck(p=%d, consistent=%r, explicit=%r)"
@@ -272,65 +270,54 @@ def check_cover_degree(p):
 
 
 def cyclic_cover_oracle(lift, p):
-    """Homology of the degree p cyclic cover, computed two ways.
+    """The degree p cyclic cover, checked against the twisted boundary.
 
     lift is the integral lift of a rank one class (see integralize).
-    The explicit route builds the cover as a simplicial complex with
-    vertices (v, level) and takes integer homology, pairing d_1 by the
-    cover's own spanning forest.  The algebraic route substitutes the
-    p by p cyclic shift for the twisting variable in the twisted
-    boundary.  Its block d_1 is the incidence matrix of the cover's
-    graph, paired by that graph's own spanning forest
-    (complexes.incidence_pairs), and its top one by its dual forest.
-    The two answers must agree; disagreement would expose a defect in
-    the twisting conventions.
+    The cover is built as a simplicial complex with vertices (v, level),
+    and its integer homology pairs d_1 by its own spanning forest.
+    Substituting the p by p cyclic shift for the twisting variable turns
+    each twisted boundary into a block matrix in the cover's own cell
+    order, so the two must agree entry for entry.  A disagreement
+    exposes a defect in the twisting conventions, a flipped exponent
+    sign included, which the cover's homology alone cannot see.
     """
     check_cover_degree(p)
     if lift.rank != 1:
         raise UnsupportedOperationError(
             "cyclic covers need a rank one class, got rank %d" % (lift.rank,))
-    tc = twisted_complex(lift)
-    explicit = _explicit_cover_homology(lift.complex, lift, p)
-    algebraic = _block_substitution_homology(lift.complex, tc, p)
-    return CyclicCoverCheck(p, explicit, algebraic)
+    X = lift.complex
+    # the twisted d o d check comes first: a lift that is not closed
+    # stops there, before the cover looks up a face it lacks
+    block = _block_substitution(X, twisted_complex(lift), p)
+    cover = _explicit_cover(X, lift, p)
+    consistent = all(block[q] == cover.boundary_entries(q)
+                     for q in range(1, X.dim + 1))
+    return CyclicCoverCheck(p, integer_homology(cover), consistent)
 
 
-def _explicit_cover_homology(X, lift, p):
-    # vertex (v, level) is labelled "v@level"; a cell's lift at level
-    # l puts each vertex v at level l + exponent(v0, v), the l-th entry
-    # of v's labels rotated by that exponent
-    labels = {v: ["%s@%d" % (v, level) for level in range(p)]
-              for v in X.vertices}
-    simplices = []
-    # every cell of every dimension is lifted; closure is recomputed,
-    # which also carries isolated vertices along
-    for cells in X.cells:
-        for cell in cells:
-            v0 = cell[0]
-            rotated = [labels[v0]]
-            for v in cell[1:]:
-                off = lift.exponent(v0, v)[0] % p
-                rotated.append(labels[v][off:] + labels[v][:off])
-            simplices.extend(zip(*rotated))
-    cover = build_complex(simplices)
-    if any(cover.n_cells(q) != p * X.n_cells(q) for q in range(X.dim + 1)):
-        raise ValidationError("cover has collapsed cells")
-    return integer_homology(cover)
+def _explicit_cover(X, lift, p):
+    # vertex (v, l) sits at index i p + l, i its index in X; the lift
+    # of cell j at level l puts each vertex v at level
+    # l + exponent(v0, v) and sits at index j p + l, in stored order
+    cells = []
+    for layer in X.cells:
+        lifted = []
+        for cell in layer:
+            offsets = [lift.exponent(cell[0], v)[0] for v in cell]
+            lifted += [tuple((v, (level + e) % p)
+                             for v, e in zip(cell, offsets))
+                       for level in range(p)]
+        cells.append(lifted)
+    return SimplicialComplex(
+        [(v, level) for v in X.vertices for level in range(p)], cells)
 
 
-def _block_substitution_homology(X, tc, p):
-    ncells = [X.n_cells(q) * p for q in range(X.dim + 1)]
-    boundaries = [{}]
-    for q in range(1, X.dim + 1):
-        entries = {}
-        for (i, j), ((e,), c) in tc.monomials[q].items():
-            # T^e acts on levels as the cyclic shift by e
-            for level in range(p):
-                key = (i * p + (level + e) % p, j * p + level)
-                entries[key] = entries.get(key, 0) + c
-        boundaries.append({key: c for key, c in entries.items() if c})
-    return homology_of_matrices(ncells, boundaries,
-                                incidence_pairs(ncells[0], boundaries[1]))
+def _block_substitution(X, tc, p):
+    # T^e acts on levels as the cyclic shift by e; boundaries[q] is d_q
+    return [{}] + [{(i * p + (level + e) % p, j * p + level): c
+                    for (i, j), ((e,), c) in tc.monomials[q].items()
+                    for level in range(p)}
+                   for q in range(1, X.dim + 1)]
 
 
 def rank1_perturb(cochain, precision=6):

@@ -19,16 +19,21 @@ runs the package's own face kernel over the same unit cells, but
 takes D^2 from a third face pass, where the package reads it off the
 four second-level parts bidegree by bidegree.  The cover references
 are the fourth: they eliminate every boundary of the explicit cyclic
-cover, and every block boundary of the algebraic one, with the
-package's homology_of_matrices, d_1 included, where the package pairs
-each d_1 by its own graph's spanning forest.  The loader references are the
-fifth: build_complex, the space, group and cocycle parsers and the
+cover, built from "v@level" labels, and every block boundary of the
+twisted complex at T = the cyclic shift, with the package's
+homology_of_matrices, d_1 included, where the package compares the two
+boundaries entry for entry and takes the homology of its own cover
+once, pairing d_1 by the cover's spanning forest.  The loader
+references are the fifth: build_complex, the space, group and cocycle parsers and the
 action checks as they were before the loader tested each entry's shape
 in one expression, kept line for line so that every refusal can be
 compared by exception class and text.  The top-boundary reference is
 the sixth: it reduces a top boundary without the rows the degree below
 paired away as the package did before the dual forest, handing all of
-it to the package's elimination.
+it to the package's elimination.  The specialization reference is the
+seventh: it sets each twisting variable to an integer and ranks the
+boundaries over Q with gauss_rank, a check of the betti-only route
+that never calls fraction_field_rank.
 """
 
 import math
@@ -555,6 +560,30 @@ def reference_block_substitution_homology(X, tc, p):
                 entries[key] = entries.get(key, 0) + c
         boundaries.append({key: c for key, c in entries.items() if c})
     return homology_of_matrices(ncells, boundaries)
+
+
+def specialization_betti(lift, point):
+    """Betti numbers over Q of the lift's twisted complex with each
+    twisting variable T_i set to the nonzero integer point[i]: the face
+    dropping a cell's first vertex gets the product of the t_i to the
+    exponents of the first edge, face k > 0 gets (-1)^k, and gauss_rank
+    ranks each boundary.  A rank can only drop under specialization, so
+    these are never below the Novikov Betti numbers, and at (1, ..., 1)
+    they are the ordinary ones."""
+    X = lift.complex
+    ranks = [0] * (X.dim + 2)
+    for q in range(1, X.dim + 1):
+        index = {c: i for i, c in enumerate(X.cells[q - 1])}
+        rows = [[Fraction(0)] * X.n_cells(q) for _ in X.cells[q - 1]]
+        for j, cell in enumerate(X.cells[q]):
+            head = Fraction(1)
+            for t, e in zip(point, lift.exponent(cell[0], cell[1])):
+                head *= Fraction(t) ** e
+            for k in range(q + 1):
+                rows[index[cell[:k] + cell[k + 1:]]][j] = \
+                    head if k == 0 else (-1) ** k
+        ranks[q] = gauss_rank(rows)
+    return [X.n_cells(q) - ranks[q] - ranks[q + 1] for q in range(X.dim + 1)]
 
 
 def reference_build_complex(simplices, vertices=None):

@@ -17,7 +17,7 @@ from orbinov import ValidationError, cli
 from orbinov.cli import corpus_names, main
 from orbinov.cochains import PeriodSpace, descend_cochain, is_invariant
 from orbinov.complexes import (bfs_forest, cycle_periods,
-                               dual_forest_reduction,
+                               dual_forest_reduction, homology_of_matrices,
                                sparse_product_is_zero)
 from orbinov.documents import loads_document
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
@@ -423,7 +423,7 @@ def stage_counts(monkeypatch, argv):
                descend_cochain, integralize, is_invariant,
                sparse_product_is_zero, invariant_factors,
                fraction_field_rank, cycle_periods, eliminate_units,
-               dual_forest_reduction):
+               dual_forest_reduction, homology_of_matrices):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -453,15 +453,18 @@ def stage_counts(monkeypatch, argv):
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
-    # each cover route pairs d_1 by its own graph's spanning forest
-    # and its top boundary by its dual forest: a one-dimensional cover
-    # eliminates nothing, a surface's only the residuals of the
-    # explicit d_2 and the block d_2
+    # the block boundaries are compared with the explicit cover's, and
+    # only the cover takes homology, once: it pairs d_1 by its own
+    # spanning forest and its top boundary by its dual forest, so a
+    # one-dimensional cover eliminates nothing and a surface's only
+    # the residual of its d_2
     (["validate", "circle", "--cyclic", "3"],
-     {"dual_forest_reduction": 0, "eliminate_units": 0}),
+     {"dual_forest_reduction": 0, "eliminate_units": 0,
+      "homology_of_matrices": 1}),
     (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 0}),
     (["validate", "klein", "--cyclic", "3"],
-     {"dual_forest_reduction": 2, "eliminate_units": 2}),
+     {"dual_forest_reduction": 1, "eliminate_units": 1,
+      "homology_of_matrices": 1}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),

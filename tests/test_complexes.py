@@ -6,10 +6,9 @@ import sys
 import pytest
 
 import orbinov
-from orbinov.complexes import (barycentric_subdivision, bfs_forest,
-                               build_complex, euler_characteristic,
-                               forest_pairs, incidence_pairs,
-                               integer_homology, sort_with_parity)
+from orbinov.complexes import (barycentric_subdivision, build_complex,
+                               euler_characteristic, integer_homology,
+                               sort_with_parity)
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
@@ -227,16 +226,11 @@ def test_integer_guard_survives_optimized_mode():
 
 def test_boundary_index_guard_survives_optimized_mode():
     # a boundary entry outside its matrix's shape must stop the
-    # computation under -O too, not slip into the pivot count; so must
-    # a d_1 column that is no edge of a graph
+    # computation under -O too, not slip into the pivot count
     script = "\n".join([
         "import sys",
-        "from orbinov.complexes import homology_of_matrices, incidence_pairs",
+        "from orbinov.complexes import homology_of_matrices",
         "from orbinov.errors import ValidationError",
-        "try:",
-        "    incidence_pairs(2, {(0, 3): 1, (1, 3): 1})",
-        "except ValidationError as err:",
-        "    print(err)",
         "try:",
         "    homology_of_matrices([1, 1], [{}, {(1, 0): 1}])",
         "except ValidationError as err:",
@@ -247,31 +241,6 @@ def test_boundary_index_guard_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
-    assert proc.stdout == "d_1 column 3 is not one +1 and one -1\n"
     assert "boundary entry out of range in degree 1" in proc.stderr
 
 
-@pytest.mark.parametrize("column", [
-    {(0, 2): -1, (1, 2): 1, (2, 2): 1},
-    {(0, 2): -1, (1, 2): -1},
-    {(0, 2): -2, (1, 2): 1},
-    {(0, 2): 1},
-], ids=["three_entries", "one_sign", "two", "one_entry"])
-def test_incidence_pairs_refuse_a_column_that_is_no_edge(column):
-    # two good edges, then column 2
-    entries = {(0, 0): -1, (1, 0): 1, (1, 1): -1, (2, 1): 1, **column}
-    with pytest.raises(ValidationError,
-                       match="^d_1 column 2 is not one \\+1 and one -1$"):
-        incidence_pairs(3, entries)
-
-
-def test_incidence_pairs_match_the_forest_of_the_complex():
-    # an incidence matrix read as a graph is the 1-skeleton it came
-    # from, so its spanning forest pairs as many rows, with the same
-    # columns, as the complex's own
-    spaces = [resolve_document(name).space for name in corpus_names()]
-    spaces.append(build_complex([("a", "b"), ("c", "d"), ("e",)]))
-    for X in spaces:
-        d1 = X.boundary_entries(1)
-        got = incidence_pairs(X.n_cells(0), d1)
-        assert got == forest_pairs(X, bfs_forest(X))
