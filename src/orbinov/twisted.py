@@ -246,20 +246,20 @@ def _novikov_of_lift(lift):
 
 
 class CyclicCoverCheck:
-    """A degree p cyclic cover of a rank one class: explicit is the
-    cover's integer homology, and consistent says whether the twisted
+    """A degree p cyclic cover of a rank one class: cover is the cover
+    as a SimplicialComplex, and consistent says whether the twisted
     boundaries at T = the p by p cyclic shift are the cover's own."""
 
-    __slots__ = ("p", "explicit", "consistent")
+    __slots__ = ("p", "cover", "consistent")
 
-    def __init__(self, p, explicit, consistent):
+    def __init__(self, p, cover, consistent):
         self.p = p
-        self.explicit = explicit
+        self.cover = cover
         self.consistent = consistent
 
     def __repr__(self):
-        return ("CyclicCoverCheck(p=%d, consistent=%r, explicit=%r)"
-                % (self.p, self.consistent, self.explicit))
+        return ("CyclicCoverCheck(p=%d, consistent=%r, cover=%r)"
+                % (self.p, self.consistent, self.cover))
 
 
 def check_cover_degree(p):
@@ -273,8 +273,8 @@ def cyclic_cover_oracle(lift, p):
     """The degree p cyclic cover, checked against the twisted boundary.
 
     lift is the integral lift of a rank one class (see integralize).
-    The cover is built as a simplicial complex with vertices (v, level),
-    and its integer homology pairs d_1 by its own spanning forest.
+    The cover is returned as a simplicial complex with vertices
+    (v, level); its homology is left to callers (integer_homology).
     Substituting the p by p cyclic shift for the twisting variable turns
     each twisted boundary into a block matrix in the cover's own cell
     order, so the two must agree entry for entry.  A disagreement
@@ -292,7 +292,7 @@ def cyclic_cover_oracle(lift, p):
     cover = _explicit_cover(X, lift, p)
     consistent = all(block[q] == cover.boundary_entries(q)
                      for q in range(1, X.dim + 1))
-    return CyclicCoverCheck(p, integer_homology(cover), consistent)
+    return CyclicCoverCheck(p, cover, consistent)
 
 
 def _explicit_cover(X, lift, p):

@@ -33,20 +33,21 @@ def test_summary_gives_medians_and_pair_wins():
                 "correct_ratio": ("higher", 0.01)}
     rows = {row[0]: row[1:] for row in ab_pairs.summarize(lines, declared)}
     # base throughputs 500, 520, 540, 560: quartiles 515 and 545
-    assert rows["analyses_per_s"] == ("1/s", 530, 30, 580, 2, True)
+    assert rows["analyses_per_s"] == ("1/s", 530, 30, 580, 2, True, False)
     assert rows["latency_p50_ms"][:2] == ("ms", 1.85)
-    assert rows["latency_p50_ms"][3:] == (1.55, 3, True)
-    assert rows["correct_ratio"] == ("ratio", 1.0, 0, 1.0, 0, True)
-    assert rows["failed"] == ("count", 0, 0, 0, 0, None)
+    assert rows["latency_p50_ms"][3:] == (1.55, 3, True, False)
+    assert rows["correct_ratio"] == ("ratio", 1.0, 0, 1.0, 0, True, False)
+    assert rows["failed"] == ("count", 0, 0, 0, 0, None, False)
     # a metric BENCHMARK.json does not declare gets medians, no wins
-    assert rows["lmatrix.cells_in"] == ("count", 7, 0, 7, None, None)
+    assert rows["lmatrix.cells_in"] == ("count", 7, 0, 7, None, None, None)
     text = ab_pairs.format_rows(ab_pairs.summarize(lines, declared), 4)
     assert text.splitlines()[1].split() == ["analyses_per_s", "1/s", "530",
-                                            "30", "580", "2/4", "within"]
+                                            "30", "580", "2/4", "no",
+                                            "within"]
     # one pair has no quartiles
     (row,) = [r for r in ab_pairs.summarize(lines[:2], declared)
               if r[0] == "analyses_per_s"]
-    assert row == ("analyses_per_s", "1/s", 500, 0, 600, 1, True)
+    assert row == ("analyses_per_s", "1/s", 500, 0, 600, 1, True, False)
 
 
 def test_summary_tells_whether_each_median_stays_within_its_bound():
@@ -73,6 +74,40 @@ def test_summary_tells_whether_each_median_stays_within_its_bound():
     assert cols == {"metric": "bound", "analyses_per_s": "OUT",
                     "latency_p50_ms": "within", "correct_ratio": "-",
                     "failed": "-", "lmatrix.cells_in": "-"}
+
+
+def test_a_gain_needs_nine_pairs_in_ten_and_a_median_past_the_base_iqr():
+    ab_pairs = load_script("tools", "ab_pairs.py")
+    declared = {"analyses_per_s": ("higher", 0.25),
+                "latency_p50_ms": ("lower", 0.25)}
+    # base throughputs 500, 502, ..., 518: median 509, quartiles 504.5
+    # and 513.5, so the change's median must pass 518
+    base = [500 + 2 * i for i in range(10)]
+
+    def gains(change, p50):
+        lines = []
+        for b, n in zip(base, change):
+            lines += [result(b, 2.0), result(n, p50)]
+        rows = ab_pairs.summarize(lines, declared)
+        text = ab_pairs.format_rows(rows, 10).splitlines()
+        assert [line.split()[6] for line in text[1:]] == [
+            {None: "-", True: "gain", False: "no"}[row[7]] for row in rows]
+        return {row[0]: row[7] for row in rows if row[0] in declared}
+    # 9/10 pairs won by 20, the change's median 529: a gain; a latency
+    # that falls on every pair with a base IQR of 0 is one too
+    assert gains([499] + [b + 20 for b in base[1:]], 1.5) == {
+        "analyses_per_s": True, "latency_p50_ms": True}
+    # 8/10 pairs won is not enough, however large the gain
+    assert gains([499, 501] + [b + 40 for b in base[2:]], 2.0) == {
+        "analyses_per_s": False, "latency_p50_ms": False}
+    # 10/10 pairs won by 5: the median moves 5, inside the IQR of 9
+    assert gains([b + 5 for b in base], 2.0)["analyses_per_s"] is False
+    # fewer than 10 pairs is no gain, however many are won
+    assert gains([b + 40 for b in base[:4]], 1.5) == {
+        "analyses_per_s": False, "latency_p50_ms": False}
+    # a loss on every pair is no gain in either direction
+    assert gains([b - 40 for b in base], 2.5) == {
+        "analyses_per_s": False, "latency_p50_ms": False}
 
 
 def test_declared_directions_come_from_the_benchmark():
@@ -113,9 +148,9 @@ def test_a_comma_list_gives_one_table_per_workload(monkeypatch):
     rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[2:]}
             for t in tables]
     assert rows[0]["analyses_per_s"] == ["1/s", "508", "1", "608", "3/3",
-                                         "within"]
+                                         "no", "within"]
     assert rows[1]["analyses_per_s"] == ["1/s", "508", "1", "508", "0/3",
-                                         "within"]
+                                         "no", "within"]
     assert err.getvalue().count("done") == 6
 
 

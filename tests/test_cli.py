@@ -25,6 +25,7 @@ from orbinov.nerve import NerveModel
 from orbinov.periods import H1Presentation
 from orbinov.snf import eliminate_units, smith_normal_form
 from orbinov.twisted import integralize
+from test_twisted import negated_twisting
 
 
 def run(argv):
@@ -258,6 +259,23 @@ def test_validate_cyclic_oracle():
     assert statuses["cocycle zero: cyclic cover p=3"] == "skip"
 
 
+def test_validate_reports_cover_boundaries_that_disagree(monkeypatch):
+    # a twisting with every exponent negated is the opposite class's:
+    # its cover boundaries differ from the cover's at every p >= 3, and
+    # agree at p = 2, where -e = e mod 2
+    monkeypatch.setattr(orbinov.twisted, "twisted_complex",
+                        negated_twisting)
+    code, out, err = run(["validate", "klein", "--cyclic", "3"])
+    assert (code, err) == (2, "")
+    assert ("  [fail] cocycle dy: cyclic cover p=3 (cover boundaries "
+            "disagree)\n") in out
+    assert out.endswith("  result: FAILED\n")
+    code, data = run_json(["validate", "klein", "--cyclic", "3"])
+    assert (code, data["passed"]) == (2, False)
+    code, out, err = run(["validate", "klein", "--cyclic", "2"])
+    assert code == 0 and out.endswith("  result: all checks pass\n")
+
+
 @pytest.mark.parametrize("name, p", [("rp2", 99), ("rp2", -5),
                                      ("circle", 13)])
 def test_validate_refuses_cover_degrees_out_of_range(monkeypatch, name, p):
@@ -445,26 +463,25 @@ def stage_counts(monkeypatch, argv):
     # one quotient per document; one descent and one lift per class,
     # shared by the nerve model and the cover oracle; the descent is
     # the invariance check, so is_invariant only classifies failures;
-    # one spanning forest per lift, and one for the one explicit cover
-    # (hexagon_z2 has a single rank-one class)
+    # one spanning forest per lift, and none for the cover, whose
+    # homology validate does not take
     (["validate", "hexagon_z2", "--cyclic", "3"],
-     {"quotient_complex": 1, "H1Presentation": 0, "bfs_forest": 3,
+     {"quotient_complex": 1, "H1Presentation": 0, "bfs_forest": 2,
       "descend_cochain": 2, "integralize": 2, "is_invariant": 0}),
     # an orbit document is quotiented by the trivial action, once
     (["validate", "klein", "--cyclic", "3"],
      {"quotient_complex": 1, "H1Presentation": 0, "integralize": 2}),
     # the block boundaries are compared with the explicit cover's, and
-    # only the cover takes homology, once: it pairs d_1 by its own
-    # spanning forest and its top boundary by its dual forest, so a
-    # one-dimensional cover eliminates nothing and a surface's only
-    # the residual of its d_2
+    # that comparison is the verdict: validate prints no cover
+    # homology, so no cover boundary is paired, eliminated or put in
+    # Smith form
     (["validate", "circle", "--cyclic", "3"],
      {"dual_forest_reduction": 0, "eliminate_units": 0,
-      "homology_of_matrices": 1}),
+      "homology_of_matrices": 0}),
     (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 0}),
     (["validate", "klein", "--cyclic", "3"],
-     {"dual_forest_reduction": 1, "eliminate_units": 1,
-      "homology_of_matrices": 1}),
+     {"dual_forest_reduction": 0, "eliminate_units": 0,
+      "homology_of_matrices": 0, "smith_normal_form": 0}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),

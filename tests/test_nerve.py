@@ -700,17 +700,33 @@ def rotation_action(n):
     return SimplicialAction(group, cycle_complex(labels), maps)
 
 
-def test_a_nerve_check_past_the_unit_cap_is_refused_at_once(tmp_path):
+def test_a_nerve_check_past_the_unit_cap_is_refused_at_once(
+        tmp_path, monkeypatch):
     # 360 cells with 61 short words and two anchors with 60^2 + 60^3
-    # longer ones: 461,160 units, refused before any is built
+    # longer ones: 461,160 units, refused before any is built; the
+    # spies bound the work, the clock the wall time
     start = time.perf_counter()
     act = rotation_action(60)
     model = model_of(act, RationalCochain1(act.complex, {}), 4)
     assert nerve._unit_count(model) == 461160 > nerve.NERVE_UNIT_CAP
+    units, passes = [], []
+
+    def spy_units(model):
+        for cell in unit_cells(model):
+            units.append(cell)
+            yield cell
+
+    def spy_boundaries(self, flat):
+        passes.append(flat)
+        return boundaries(self, flat)
+    boundaries = nerve.NerveModel._boundaries
+    monkeypatch.setattr(nerve, "unit_cells", spy_units)
+    monkeypatch.setattr(nerve.NerveModel, "_boundaries", spy_boundaries)
     with pytest.raises(UnsupportedOperationError,
                        match="^the nerve identity check needs 461160 unit "
                              "cells; it is capped at 200000$"):
         identity_failures(model)
+    assert (units, passes) == ([], [])
     assert time.perf_counter() - start < 1.0
     # the same document through validate exits 3 with that message
     group = act.group

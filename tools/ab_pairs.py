@@ -15,9 +15,11 @@ revision first on even pairs, the working tree first on odd ones.  The
 summary gives each metric's median per side, the spread between the
 quartiles of the revision's runs and, for the end-to-end
 metrics that BENCHMARK.json declares, the number of pairs the working
-tree won (ties count for neither side) and whether the working tree's
-median stays within the metric's declared bound of the revision's.  Run from anywhere; runs are
-sequential, one benchmark process at a time.
+tree won (ties count for neither side), whether that is a gain (at
+least 10 pairs, at least 9 in 10 of them won and a median better than
+the revision's by more than the revision's IQR) and whether the working tree's median
+stays within the metric's declared bound of the revision's.  Run from
+anywhere; runs are sequential, one benchmark process at a time.
 """
 
 import argparse
@@ -64,13 +66,15 @@ def declared_metrics():
 
 def summarize(lines, declared):
     """Rows (metric, unit, base median, base IQR, change median, wins,
-    within) of result lines taken in pairs (base, change).  The IQR is
-    the distance between the quartiles of the base runs, 0 for one
-    pair.  For metrics in declared, wins counts the pairs where the
-    change is strictly better, and within tells whether the change's
-    median is worse than the base median by no more than the bound;
-    else both are None.  failed is the count of failed analyses, lower
-    being better, with no bound."""
+    within, gain) of result lines taken in pairs (base, change).  The
+    IQR is the distance between the quartiles of the base runs, 0 for
+    one pair.  For metrics in declared, wins counts the pairs where the
+    change is strictly better, within tells whether the change's median
+    is worse than the base median by no more than the bound, and gain
+    whether, over at least 10 pairs, the change won at least 9 in 10
+    with a median better than the base median by more than the base
+    IQR; else all three are None.  failed is the count of failed
+    analyses, lower being better, with no bound."""
     results = [json.loads(line) for line in lines]
     for r in results:
         r["metrics"]["failed"] = {"value": r["failed"], "unit": "count"}
@@ -86,25 +90,28 @@ def summarize(lines, declared):
                      if len(base) > 1 else (0, 0, 0))
         mid, new = statistics.median(base), statistics.median(
             n for _, n in side)
-        wins = within = None
+        wins = within = gain = None
         if name in declared:
             better, bound = declared[name]
             sign = 1 if better == "higher" else -1
             wins = sum(1 for b, n in side if sign * (n - b) > 0)
             if bound is not None:
                 within = sign * (new - mid) >= -bound * abs(mid)
-        rows.append((name, unit, mid, q3 - q1, new, wins, within))
+            gain = (len(side) >= 10 and 10 * wins >= 9 * len(side)
+                    and sign * (new - mid) > q3 - q1)
+        rows.append((name, unit, mid, q3 - q1, new, wins, within, gain))
     return rows
 
 
 def format_rows(rows, pairs):
-    out = ["%-16s %-6s %12s %10s %12s %6s %6s"
+    out = ["%-16s %-6s %12s %10s %12s %6s %4s %6s"
            % ("metric", "unit", "base", "base IQR", "change", "wins",
-              "bound")]
-    for name, unit, base, iqr, new, wins, within in rows:
-        out.append("%-16s %-6s %12.4g %10.3g %12.4g %6s %6s"
+              "gain", "bound")]
+    for name, unit, base, iqr, new, wins, within, gain in rows:
+        out.append("%-16s %-6s %12.4g %10.3g %12.4g %6s %4s %6s"
                    % (name, unit, base, iqr, new,
                       "-" if wins is None else "%d/%d" % (wins, pairs),
+                      {None: "-", True: "gain", False: "no"}[gain],
                       {None: "-", True: "within", False: "OUT"}[within]))
     return "\n".join(out)
 
