@@ -6,7 +6,8 @@ input tuple in any order contributes the orientation sign of the sort
 permutation; SimplicialComplex.orient is the one place that maps an
 oriented edge to its stored form and sign.
 
-Homology goes up in degree, and each boundary first drops the rows
+Homology over Z and over the weighted Laurent ring goes up in degree
+in one loop, reduce_boundaries, and each boundary first drops the rows
 that the one below it paired away.  d_1 is never eliminated: a spanning
 forest gives its pivots (forest_pairs).  Taken leaf first, the tree
 edge (parent(v), v) pivots at row v on an entry that is a unit: +-1,
@@ -16,10 +17,9 @@ the period of the edge's fundamental cycle.  That vanishes when p = 0,
 always so over Z, and is a unit of the localized ring otherwise; so
 every nonzero invariant factor of d_1 is a unit and H_0 has no torsion
 (q_0 = 0).  A top boundary of degree >= 2 is paired the same way on
-its dual graph (dual_forest_reduction).  Middle degrees and what that
-forest leaves lose their +-1 pivots to sparse elimination, as twisted
-homology eliminates units (snf.eliminate_units), and the Smith normal
-form of the small residual block gives the rest.
+its dual graph (dual_forest_reduction).  A solver, the one step that
+depends on the ring, takes the rest: over Z, the +-1 pivots
+(snf.eliminate_units), then the Smith form of the residual block.
 """
 
 from collections import deque
@@ -33,7 +33,8 @@ __all__ = ["SimplicialComplex", "build_complex", "sort_with_parity",
            "IntHomology", "integer_homology", "homology_of_matrices",
            "euler_characteristic", "SdResult", "barycentric_subdivision",
            "bfs_forest", "cycle_periods", "forest_pairs",
-           "dual_forest_reduction"]
+           "dual_forest_reduction", "product_is_zero",
+           "reduce_boundaries"]
 
 
 def sort_with_parity(vertices, key):
@@ -407,20 +408,74 @@ class IntHomology:
                 and self.torsion == other.torsion)
 
 
-def sparse_product_is_zero(A, B):
-    """Whether the product of two sparse integer matrices
-    {(row, col): int} vanishes; entries of any ring work as well."""
+def product_is_zero(A, B):
+    """Whether the product of two sparse signed-monomial matrices
+    {(row, col): (exponent, coefficient)} vanishes; coefficients add
+    per exponent, and integers have exponent ()."""
     by_row = {}
     for (k, j), b in B.items():
         by_row.setdefault(k, []).append((j, b))
     acc = {}
-    for (i, k), a in A.items():
-        for j, b in by_row.get(k, ()):
-            key = (i, j)
-            term = a * b
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return all(not p for p in acc.values())
+    for (i, k), (e1, c1) in A.items():
+        for j, (e2, c2) in by_row.get(k, ()):
+            key = (i, j, *map(add, e1, e2)) if e1 else (i, j)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return not any(acc.values())
+
+
+def reduce_boundaries(ncells, monomials, pairs, solve):
+    """(betti, torsion, matching) of a bounded free chain complex.
+
+    ncells[q] is the rank in degree q, and monomials[q] maps (row, col)
+    of d_q to a signed monomial (exponent, coefficient), integers
+    having exponent ().  pairs are d_1's (forest_pairs), or None to
+    reduce d_1 too.  Block lemma: a unit pivot (s, t) of d_q splits s
+    and t off with no homology, so d_{q+1} drops row t and keeps its
+    ranks and torsion.  A top boundary of degree >= 2 pairs along its
+    dual forest first; a middle one hands on its kept entries as
+    {(row, col): {exponent: coefficient}}.  solve(q, entries) returns
+    (rank, non-unit invariant factors, unit pivot pairs) of what is
+    left, the rank counting those pairs.  torsion[q] lists d_{q+1}'s
+    factors, and matching[q] d_q's pivot pairs.
+
+    >>> X = build_complex([("a", "b"), ("b", "c"), ("a", "c")])
+    >>> d1 = {key: ((), a) for key, a in X.boundary_entries(1).items()}
+    >>> reduce_boundaries([3, 3], [{}, d1], forest_pairs(X, bfs_forest(X)),
+    ...                   _smith_solve)
+    ([1, 1], [[], []], [[], [(2, 1), (1, 0)]])
+    """
+    top = len(ncells) - 1
+    rho = [0] * (top + 2)
+    torsion = [[] for _ in range(top + 1)]
+    matching = [[]]
+    for q in range(1, top + 1):
+        if q > 1 or pairs is None:
+            paired = {j for _, j in pairs or ()}
+            if q == top > 1:
+                pairs, entries = dual_forest_reduction(monomials[q], paired)
+            else:
+                pairs, entries = [], {key: {e: c} for key, (e, c)
+                                      in monomials[q].items()
+                                      if key[0] not in paired}
+            rank, torsion[q - 1], more = solve(q, entries)
+            rho[q], pairs = len(pairs) + rank, pairs + more
+        else:
+            rho[q] = len(pairs)
+        matching.append(pairs)
+    betti = [ncells[q] - rho[q] - rho[q + 1] for q in range(top + 1)]
+    if any(b < 0 for b in betti):
+        raise ValidationError("negative betti number; ranks are inconsistent")
+    return betti, torsion, matching
+
+
+def _smith_solve(q, entries):
+    """reduce_boundaries' solver over Z: +-1 pivots, then Smith form."""
+    pairs, residual, cols = eliminate_units(
+        {key: terms[()] for key, terms in entries.items()},
+        lambda a: 1 if a in (1, -1) else None, mul)
+    snf = smith_normal_form([[row.get(j, 0) for j in cols]
+                             for row in residual])
+    return len(pairs) + snf.rank, snf.torsion(), pairs
 
 
 def homology_of_matrices(ncells, boundaries, degree_one_pairs=None):
@@ -428,49 +483,24 @@ def homology_of_matrices(ncells, boundaries, degree_one_pairs=None):
 
     ncells[q] is the rank in degree q; boundaries[q] maps degree q to
     q-1 as sparse entries {(row, col): int} (boundaries[0] is ignored).
-    The composite of consecutive maps is checked to vanish.  Going up
-    in degree, each boundary loses its +-1 pivots, which are their own
-    inverses, and the Smith form of the residual gives the rest of the
-    rank and the torsion.  A pivot (s, t) splits s and t off the complex
-    with no homology, so the next boundary drops row t before its own
-    elimination; ranks and torsion stay those of the full boundaries.
-    A top boundary of degree >= 2 pairs along its dual forest first.
-    degree_one_pairs, when given, are d_1's unit pivots read off a
-    spanning forest (forest_pairs): d_1 is then not eliminated, its
-    rank is their count, and H_0 has no torsion.
+    Each entry must lie in its matrix, and consecutive maps must
+    compose to zero.  reduce_boundaries takes the homology, pairing d_1
+    by degree_one_pairs when they are given (forest_pairs).
     """
     top = len(ncells) - 1
-    for q in range(1, top):
-        if not sparse_product_is_zero(boundaries[q], boundaries[q + 1]):
-            raise ValidationError("boundary squared is nonzero in degree %d"
-                                  % (q + 1,))
-    ranks = [0] * (top + 2)
-    torsion = [[] for _ in range(top + 1)]
-    pairs = degree_one_pairs
+    monomials = [{}]
     for q in range(1, top + 1):
         if not all(0 <= i < ncells[q - 1] and 0 <= j < ncells[q]
                    for i, j in boundaries[q]):
             raise ValidationError("boundary entry out of range in degree %d"
                                   % (q,))
-        if q > 1 or pairs is None:
-            paired = {j for _, j in pairs or ()}
-            pairs, d = [], {key: a for key, a in boundaries[q].items()
-                            if key[0] not in paired}
-            if q == top > 1:
-                pairs, d = dual_forest_reduction(
-                    {key: ((), a) for key, a in d.items()})
-                d = {key: terms[()] for key, terms in d.items()}
-            more, residual, cols = eliminate_units(
-                d, lambda a: 1 if a in (1, -1) else None, mul)
-            pairs += more
-            snf = smith_normal_form([[row.get(j, 0) for j in cols]
-                                     for row in residual])
-            ranks[q] = snf.rank
-            torsion[q - 1] = snf.torsion()
-        ranks[q] += len(pairs)
-    betti = [ncells[q] - ranks[q] - ranks[q + 1] for q in range(top + 1)]
-    if any(b < 0 for b in betti):
-        raise ValidationError("negative betti number; ranks are inconsistent")
+        monomials.append({key: ((), a) for key, a in boundaries[q].items()})
+    for q in range(1, top):
+        if not product_is_zero(monomials[q], monomials[q + 1]):
+            raise ValidationError("boundary squared is nonzero in degree %d"
+                                  % (q + 1,))
+    betti, torsion, _ = reduce_boundaries(ncells, monomials,
+                                          degree_one_pairs, _smith_solve)
     return IntHomology(betti, torsion)
 
 

@@ -11,7 +11,7 @@ unit u of the localized ring and so changes neither rank nor invariant
 factors.  What remains is a residual block with no unit entries,
 usually empty for twisted boundaries.  Both also return the pivot
 pairs (row, col), so that a twisted complex hands the next boundary
-only the rows not paired away (see twisted._novikov_of_lift).
+only the rows not paired away (see complexes.reduce_boundaries).
 
 A twisted d_1 never comes here.  Its pivots are read off a spanning
 forest (complexes.forest_pairs): +-T^e on the tree edges, then T^p - 1

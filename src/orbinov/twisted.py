@@ -10,21 +10,20 @@ The boundary maps of the complex then pick up monomial coefficients
 edge), giving matrices over the weighted Laurent ring whose ranks and
 invariant factors are the Novikov betti and torsion numbers.
 
-They are built and checked as signed monomials.  d_1 never becomes a
-Laurent matrix: its pivots are read off the lift's spanning forest
-(complexes.forest_pairs), every one a unit, so its rank is their count
-and q_0 = 0.  Nor does the top one: its dual forest pairs it
-(complexes.dual_forest_reduction), and only the residual and the middle
-degrees' unpaired rows become Laurent polynomials.
+They are built as signed monomials and checked by the one d o d guard
+(complexes.product_is_zero), then reduced by the loop of integer
+homology (complexes.reduce_boundaries): d_1's pivots are read off the
+lift's spanning forest and the top boundary is paired along its dual
+forest, so that only the residual and the middle degrees' unpaired
+rows become Laurent polynomials.
 """
 
 from fractions import Fraction
-from operator import add
 
 from .cochains import RationalCochain1, PeriodSpace, forest_periods
-from .complexes import (SimplicialComplex, bfs_forest,
-                        dual_forest_reduction, forest_pairs,
-                        integer_homology)
+from .complexes import (SimplicialComplex, bfs_forest, forest_pairs,
+                        integer_homology, product_is_zero,
+                        reduce_boundaries)
 from .errors import UnsupportedOperationError, ValidationError
 from .laurent import LaurentPoly, WeightSystem
 from .lmatrix import (WeightedLaurentMatrix, fraction_field_rank,
@@ -97,15 +96,13 @@ class TwistedComplex:
         self.ws = ws
         self.monomials = monomials
 
-    def boundary(self, q, paired=()):
-        """d_q over the weighted Laurent ring, without the rows in
-        paired; Laurent entries are built only for the rows kept."""
+    def boundary(self, q):
+        """d_q over the weighted Laurent ring."""
         r, X = self.ws.r, self.complex
         return WeightedLaurentMatrix(
             self.ws, X.n_cells(q - 1), X.n_cells(q),
             {key: LaurentPoly._of(r, {e: sign})
-             for key, (e, sign) in self.monomials[q].items()
-             if key[0] not in paired})
+             for key, (e, sign) in self.monomials[q].items()})
 
 
 def twisted_complex(lift):
@@ -133,24 +130,10 @@ def twisted_complex(lift):
                     zero, -1 if drop % 2 else 1)
         monomials[q] = entries
     for q in range(1, X.dim):
-        if not _monomial_product_is_zero(monomials[q], monomials[q + 1]):
+        if not product_is_zero(monomials[q], monomials[q + 1]):
             raise ValidationError(
                 "twisted boundary squared is nonzero in degree %d" % (q + 1,))
     return TwistedComplex(X, lift, ws, monomials)
-
-
-def _monomial_product_is_zero(A, B):
-    """Whether a product of sparse signed-monomial matrices
-    {(row, col): (exponent, sign)} vanishes; signs add per exponent."""
-    by_row = {}
-    for (k, j), b in B.items():
-        by_row.setdefault(k, []).append((j, b))
-    acc = {}
-    for (i, k), (e1, s1) in A.items():
-        for j, (e2, s2) in by_row.get(k, ()):
-            key = (i, j, tuple(map(add, e1, e2)))
-            acc[key] = acc.get(key, 0) + s1 * s2
-    return not any(acc.values())
 
 
 class NovikovNumbers:
@@ -199,15 +182,10 @@ def novikov_numbers(cochain):
 
 
 def _novikov_of_lift(lift):
-    """Novikov numbers of an integral lift, one boundary at a time,
-    going up in degree.
-
-    d_1's unit pivots come from the lift's spanning forest, so its
-    rank is their count and it adds no torsion.  Block lemma: a unit
-    pivot (s, t) of d_q splits s and t off with no homology, so d_{q+1}
-    drops row t and keeps its ranks and torsion; the top one pairs
-    along its dual forest first.
-    """
+    """Novikov numbers of an integral lift: the twisted complex through
+    complexes.reduce_boundaries, d_1 paired by the lift's spanning
+    forest.  Its solver builds each residual as a Laurent matrix and
+    takes invariant factors at rank one, fraction-field rank above."""
     X = lift.complex
     r = lift.rank
     if r == 0:
@@ -216,33 +194,25 @@ def _novikov_of_lift(lift):
                               [len(t) for t in ih.torsion],
                               0, "integral")
     tc = twisted_complex(lift)
-    top = X.dim
-    pairs = forest_pairs(X, lift.forest, lift.exponents)
-    rho = [0, len(pairs)] + [0] * top
-    torsion = [0] * (top + 1)
-    for q in range(2, top + 1):
-        paired = {j for _, j in pairs}
-        if q < top:
-            pairs, d = [], tc.boundary(q, paired)
-        else:
-            pairs, d = dual_forest_reduction(tc.monomials[q], paired)
-            d = WeightedLaurentMatrix(tc.ws, X.n_cells(q - 1), X.n_cells(q), {
-                key: LaurentPoly._of(r, terms) for key, terms in d.items()})
-        if r == 1:
-            inv = invariant_factors(d)
-            rank, more = inv.rank, inv.pairs
-            torsion[q - 1] = inv.nonunit_count
-        else:
-            rank, more = fraction_field_rank(d)
-        rho[q], pairs = len(pairs) + rank, pairs + more
-    betti = [X.n_cells(q) - rho[q] - rho[q + 1] for q in range(top + 1)]
-    if any(b < 0 for b in betti):
-        raise ValidationError("negative twisted betti number")
+    ncells = [X.n_cells(q) for q in range(X.dim + 1)]
+
+    def solve(q, entries):
+        d = WeightedLaurentMatrix(tc.ws, ncells[q - 1], ncells[q], {
+            key: LaurentPoly._of(r, terms) for key, terms in entries.items()})
+        if r >= 2:
+            rank, pairs = fraction_field_rank(d)
+            return rank, [], pairs
+        inv = invariant_factors(d)
+        return inv.rank, inv.nonunit_factors(), inv.pairs
+
+    betti, torsion, _ = reduce_boundaries(
+        ncells, tc.monomials, forest_pairs(X, lift.forest, lift.exponents),
+        solve)
     if r >= 2:
         return NovikovNumbers(
             betti, None, r, "betti-only",
             "torsion needs a rank one class; consider rank1_perturb")
-    return NovikovNumbers(betti, torsion, 1, "rank-one")
+    return NovikovNumbers(betti, [len(t) for t in torsion], 1, "rank-one")
 
 
 class CyclicCoverCheck:

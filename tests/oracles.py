@@ -273,6 +273,23 @@ def first_open_triangle(X, values, k):
     return None
 
 
+def sparse_product_is_zero(A, B):
+    """Whether the product of two sparse matrices {(row, col): entry}
+    vanishes, entries of any ring: the reference for
+    complexes.product_is_zero, which multiplies signed monomials."""
+    by_row = {}
+    for (k, j), b in B.items():
+        by_row.setdefault(k, []).append((j, b))
+    acc = {}
+    for (i, k), a in A.items():
+        for j, b in by_row.get(k, ()):
+            key = (i, j)
+            term = a * b
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return all(not p for p in acc.values())
+
+
 def per_boundary_homology(ncells, boundaries):
     """Integer homology with every boundary reduced on its own, all rows
     kept: the reference for complexes.homology_of_matrices."""

@@ -18,7 +18,7 @@ from orbinov.cli import corpus_names, main
 from orbinov.cochains import PeriodSpace, descend_cochain, is_invariant
 from orbinov.complexes import (bfs_forest, cycle_periods,
                                dual_forest_reduction, homology_of_matrices,
-                               sparse_product_is_zero)
+                               product_is_zero, reduce_boundaries)
 from orbinov.documents import loads_document
 from orbinov.lmatrix import fraction_field_rank, invariant_factors
 from orbinov.nerve import NerveModel
@@ -439,9 +439,10 @@ def stage_counts(monkeypatch, argv):
     for fn in (bfs_forest, smith_normal_form, quotient_complex,
                actions._orbit_classes,
                descend_cochain, integralize, is_invariant,
-               sparse_product_is_zero, invariant_factors,
+               product_is_zero, invariant_factors,
                fraction_field_rank, cycle_periods, eliminate_units,
-               dual_forest_reduction, homology_of_matrices):
+               dual_forest_reduction, homology_of_matrices,
+               reduce_boundaries):
         wrapper = counted(fn.__name__, fn)
         for mod in modules:
             for key, value in list(vars(mod).items()):
@@ -481,7 +482,8 @@ def stage_counts(monkeypatch, argv):
     (["validate", "hexagon_z2", "--cyclic", "3"], {"eliminate_units": 0}),
     (["validate", "klein", "--cyclic", "3"],
      {"dual_forest_reduction": 0, "eliminate_units": 0,
-      "homology_of_matrices": 0, "smith_normal_form": 0}),
+      "homology_of_matrices": 0, "reduce_boundaries": 0,
+      "smith_normal_form": 0}),
     # periods prints the H_1 presentation and builds no lift
     (["periods", "klein", "--class", "dy"],
      {"H1Presentation": 1, "bfs_forest": 1, "integralize": 0}),
@@ -489,9 +491,10 @@ def stage_counts(monkeypatch, argv):
     # descended values are not coerced again
     (["novikov", "hexagon_z2", "--class", "dtheta"],
      {"descend_cochain": 1, "is_invariant": 0, "vector": 0}),
-    # the twisted d o d guard runs on signed monomials, not through
-    # the integer product check
-    (["novikov", "klein", "--class", "dy"], {"sparse_product_is_zero": 0}),
+    # one d o d check per pair of consecutive boundaries, in either
+    # ring, and one reduction loop per class
+    (["novikov", "klein", "--class", "dy"],
+     {"product_is_zero": 1, "reduce_boundaries": 1}),
     # one orbit-class pass per subdivision stage tests regularity and
     # yields the orbit space; no vertex orbit is recomputed
     (["novikov", "mirror_square", "--class", "zero"],
@@ -512,6 +515,8 @@ def stage_counts(monkeypatch, argv):
     # the identity check builds its unit cells from stored cells and
     # group elements, valid by construction, so none is validated again
     (["validate", "hexagon_z2", "--cyclic", "3"], {"cell": 0}),
+    # integer homology takes the same d o d check and loop
+    (["homology", "klein"], {"product_is_zero": 1, "reduce_boundaries": 1}),
 ])
 def test_each_stage_runs_once_per_class(monkeypatch, argv, want):
     counts = stage_counts(monkeypatch, argv)

@@ -7,8 +7,8 @@ import pytest
 
 import orbinov
 from orbinov.complexes import (barycentric_subdivision, build_complex,
-                               euler_characteristic, integer_homology,
-                               sort_with_parity)
+                               euler_characteristic, homology_of_matrices,
+                               integer_homology, sort_with_parity)
 from orbinov.cli import corpus_names, resolve_document
 from orbinov.errors import DocumentError, ValidationError
 
@@ -206,22 +206,39 @@ def test_maximal_cells_match_the_subset_definition():
 
 
 def test_integer_guard_survives_optimized_mode():
-    # homology reaches the integer d o d check through
-    # homology_of_matrices; under -O an assert there would vanish
-    script = "\n".join([
-        "import sys",
-        "import orbinov.complexes",
-        "orbinov.complexes.sparse_product_is_zero = lambda A, B: False",
-        "from orbinov import cli",
-        "sys.exit(cli.main(['homology', 'klein']))",
-    ])
+    # homology and novikov reach the one d o d check, product_is_zero,
+    # through homology_of_matrices and twisted_complex; under -O an
+    # assert there would vanish
     src = os.path.dirname(os.path.dirname(orbinov.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert "validation error: boundary squared is nonzero in degree" \
-        in proc.stderr
+    for argv, message in (
+            (["homology", "klein"], "boundary squared is nonzero"),
+            (["novikov", "klein", "--class", "dy"],
+             "twisted boundary squared is nonzero")):
+        script = "\n".join([
+            "import sys",
+            "import orbinov.complexes, orbinov.twisted",
+            "orbinov.complexes.product_is_zero = lambda A, B: False",
+            "orbinov.twisted.product_is_zero = lambda A, B: False",
+            "from orbinov import cli",
+            "sys.exit(cli.main(%r))" % (argv,),
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "validation error: %s in degree" % (message,) in proc.stderr
+
+
+def test_merged_guards_in_process():
+    # the one d o d check on a coefficient 2, which no simplicial
+    # boundary holds, and the one negative-betti guard on more d_1
+    # pairs than vertices
+    with pytest.raises(ValidationError,
+                       match="boundary squared is nonzero in degree 2"):
+        homology_of_matrices([1, 1, 1], [{}, {(0, 0): 2}, {(0, 0): 1}])
+    with pytest.raises(ValidationError, match="negative betti number"):
+        homology_of_matrices([1, 1], [{}, {}], [(0, 0), (0, 0)])
 
 
 def test_boundary_index_guard_survives_optimized_mode():

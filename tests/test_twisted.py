@@ -20,7 +20,7 @@ from orbinov.cochains import (PeriodSpace, RationalCochain1, coboundary0,
 from orbinov.complexes import (IntHomology, build_complex,
                                dual_forest_reduction, euler_characteristic,
                                forest_pairs, homology_of_matrices,
-                               integer_homology, sparse_product_is_zero)
+                               integer_homology, product_is_zero)
 from orbinov.errors import (DocumentError, UnsupportedOperationError,
                             ValidationError)
 from orbinov.inequalities import CriticalData, check_inequalities
@@ -29,10 +29,9 @@ from orbinov.lmatrix import WeightedLaurentMatrix
 from orbinov.periods import (H1Presentation, gamma_basis, is_integral,
                              period_homomorphism)
 from orbinov.twisted import (IntegralLift, _block_substitution,
-                             _explicit_cover, _monomial_product_is_zero,
-                             _novikov_of_lift, cyclic_cover_oracle,
-                             integralize, novikov_numbers, rank1_perturb,
-                             twisted_complex)
+                             _explicit_cover, _novikov_of_lift,
+                             cyclic_cover_oracle, integralize,
+                             novikov_numbers, rank1_perturb, twisted_complex)
 
 from families import (ALPHA, circle, circle_dtheta, genus_class,
                       grid_class, klein_grid, rp2, torus3_grid, torus_grid,
@@ -41,7 +40,8 @@ from oracles import (forest_pairs_oracle, per_boundary_homology,
                      per_boundary_novikov,
                      reference_block_substitution_homology,
                      reference_explicit_cover_homology,
-                     reference_top_reduction, specialization_betti)
+                     reference_top_reduction, sparse_product_is_zero,
+                     specialization_betti)
 
 F = Fraction
 
@@ -626,8 +626,8 @@ def bumped(lift, rng):
 
 
 def assert_monomial_build_matches(lift, rng):
-    """The monomial build against the Laurent one, and the monomial
-    d o d guard against sparse_product_is_zero on the Laurent entries,
+    """The monomial build against the Laurent one, and the d o d guard
+    product_is_zero against sparse_product_is_zero on the Laurent entries,
     for the lift and for a bumped copy that both must refuse."""
     X = lift.complex
     want = laurent_boundaries(lift)
@@ -645,7 +645,7 @@ def assert_monomial_build_matches(lift, rng):
         for q in range(1, X.dim):
             A, B = boundary[q], boundary[q + 1]
             verdict = sparse_product_is_zero(A.entries, B.entries)
-            assert _monomial_product_is_zero(
+            assert product_is_zero(
                 as_monomials(A), as_monomials(B)) == verdict
             verdicts.append(verdict)
         assert all(verdicts) == closed
@@ -766,56 +766,31 @@ def seeded_grid_classes(surface, seed):
                 coboundary0(X, pot, space))
 
 
-DUAL = "dual forest"
-
-
 @pytest.fixture
 def reduced(monkeypatch):
     """Records, per twisted boundary that novikov_numbers reduces in
-    degree order, the matrix handed to elimination and all the pivot
-    pairs of that degree.  d_1 is handed to no elimination: it is
-    recorded as None with the pairs read off the spanning forest.  The
-    top boundary hands only the residual of its dual forest, and its
-    pairs are the forest's, then the residual's."""
+    degree order, the entries that reduce_boundaries hands its solver
+    and the pivot pairs of that degree in the matching it returns.  d_1
+    is handed to no solver: it is recorded as None with the pairs read
+    off the spanning forest.  The top boundary hands only the residual
+    of its dual forest, and its pairs are the forest's, then the
+    residual's."""
     seen = []
-    inv, rank = orbinov.twisted.invariant_factors, \
-        orbinov.twisted.fraction_field_rank
-    forest = orbinov.twisted.forest_pairs
-    dual = orbinov.twisted.dual_forest_reduction
+    loop = orbinov.twisted.reduce_boundaries
 
-    def forest_pairs(*args):
-        out = forest(*args)
-        seen.append((None, out))
+    def reduce_boundaries(ncells, monomials, pairs, solve):
+        handed = {}
+
+        def spy(q, entries):
+            handed[q] = entries
+            return solve(q, entries)
+
+        out = loop(ncells, monomials, pairs, spy)
+        seen.extend((handed.get(q), P) for q, P in enumerate(out[2]) if q)
         return out
 
-    def dual_forest_reduction(*args):
-        out = dual(*args)
-        seen.append((DUAL, list(out[0])))
-        return out
-
-    def record(M, pairs):
-        if seen and seen[-1][0] is DUAL:
-            seen[-1] = (M, seen[-1][1] + pairs)
-        else:
-            seen.append((M, pairs))
-
-    def invariant_factors(M):
-        out = inv(M)
-        record(M, out.pairs)
-        return out
-
-    def fraction_field_rank(M):
-        out = rank(M)
-        record(M, out[1])
-        return out
-
-    monkeypatch.setattr(orbinov.twisted, "invariant_factors",
-                        invariant_factors)
-    monkeypatch.setattr(orbinov.twisted, "fraction_field_rank",
-                        fraction_field_rank)
-    monkeypatch.setattr(orbinov.twisted, "forest_pairs", forest_pairs)
-    monkeypatch.setattr(orbinov.twisted, "dual_forest_reduction",
-                        dual_forest_reduction)
+    monkeypatch.setattr(orbinov.twisted, "reduce_boundaries",
+                        reduce_boundaries)
     return seen
 
 
@@ -848,8 +823,8 @@ def test_reduced_complex_matches_per_boundary_reference_on_seeded_grids(
         (_, forest), (M, _) = reduced
         # the residual that reaches elimination keeps no row of d_2
         # that d_1's forest paired away
-        assert {i for i, _ in M.entries}.isdisjoint(j for _, j in forest)
-        dropped += len(M.entries) < len(full[2])
+        assert {i for i, _ in M}.isdisjoint(j for _, j in forest)
+        dropped += len(M) < len(full[2])
     assert ranks == ({1, 2} if surface == "torus" else {1})
     assert dropped == 12
 
@@ -867,15 +842,15 @@ def test_reduced_complex_matches_per_boundary_reference_on_the_three_torus(
         # d_1 goes to no elimination; the connected 3-torus pairs every
         # vertex: 26 tree edges and one edge where the class is nonzero
         assert d1 is None and len(forest) == X.n_cells(0)
-        sizes = [len(M.entries) for M, _ in rest]
+        sizes = [len(M) for M, _ in rest]
         assert all(sizes[q - 2] < len(full[q]) for q in (2, 3))
 
 
 def reduced_ranks(cochain, reduced):
     """Novikov numbers of a class and the ranks m_j of its reduced free
     complex, m_j = n_j - |P_j| - |P_{j+1}| for the pivot pairs P_q of
-    d_q; m is None on the integral route, which has no twisted
-    boundary."""
+    d_q in reduce_boundaries' matching; m is None on the integral
+    route, which has no twisted boundary."""
     del reduced[:]
     nv = novikov_numbers(cochain)
     if nv.route == "integral":
@@ -1050,7 +1025,6 @@ def tops(monkeypatch):
         return dual(entries, paired)
     monkeypatch.setattr(orbinov.complexes, "dual_forest_reduction",
                         recording)
-    monkeypatch.setattr(orbinov.twisted, "dual_forest_reduction", recording)
     return seen
 
 
